@@ -43,6 +43,7 @@ from .exact import (
     Rational,
     RationalPoly,
     ResidueError,
+    VerificationError,
 )
 from .families import (
     FamilyId,
@@ -100,6 +101,7 @@ __all__ = [
     "RationalPoly",
     "ResidueError",
     "ThreeTermData",
+    "VerificationError",
     "assoc_jacobi",
     "assoc_ultraspherical",
     "build_case3_op",

@@ -1,12 +1,14 @@
 """Exact arithmetic core: rationals, dense polynomials in c, Laurent series in z.
 
-Every coefficient in this module is a :class:`fractions.Fraction`, so all
-arithmetic is exact; nothing here touches floating point.  ``RationalPoly`` is
-a dense univariate polynomial in the spectral variable ``c``.
-``LaurentSeries`` is a truncated Laurent series in a second variable ``z``
-whose coefficients are ``RationalPoly`` values; the truncation order is
-tracked explicitly through every operation, so a result never claims
-coefficients that were not actually computed.
+All arithmetic here is exact over the rationals; only ``evaluate`` at a float
+point touches floating point.  ``RationalPoly`` is a dense univariate
+polynomial in the spectral variable ``c``, stored as a tuple of integer
+numerators over one positive common denominator in lowest terms, so sums and
+products are big-integer work; its coefficients are read out as
+:class:`fractions.Fraction` values.  ``LaurentSeries`` is a truncated Laurent
+series in a second variable ``z`` whose coefficients are ``RationalPoly``
+values; the truncation order is tracked explicitly through every operation,
+so a result never claims coefficients that were not actually computed.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -14,6 +16,8 @@ All values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Optional, Union
 
 Rational = Fraction
@@ -33,24 +37,111 @@ class ResidueError(ArithmeticError):
     """Termwise integration hit a nonzero z^-1 coefficient (logarithmic term)."""
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+class VerificationError(ArithmeticError):
+    """An exact internal consistency check of a computed object failed."""
+
+
+def _as_rational(x) -> Scalar:
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _canonical(num: list, den: int) -> tuple:
+    """The canonical (numerators, denominator) pair of num / den, den > 0.
+
+    Strips trailing zeros from ``num`` in place and divides out
+    ``gcd(den, *num)``.
+    """
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    if not n:
+        return (), 1
+    del num[n:]
+    g = gcd(den, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    return tuple(num), den
+
+
+def _from_parts(num: tuple, den: int) -> "RationalPoly":
+    """Wrap a pair that is already canonical."""
+    p = object.__new__(RationalPoly)
+    p._num = num
+    p._den = den
+    return p
+
+
+def _convolve(a: tuple, b: tuple) -> list:
+    """Coefficients of the product of two nonempty integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _sum(p: "RationalPoly", q: "RationalPoly", op) -> "RationalPoly":
+    """p op q for op in (add, sub), over the least common denominator."""
+    if not q._num:
+        return p
+    if not p._num and op is add:
+        return q
+    a, b, den = p._num, q._num, p._den
+    if den != q._den:
+        g = gcd(den, q._den)
+        ma, mb = q._den // g, den // g
+        den *= ma
+        a = [x * ma for x in a]
+        b = [y * mb for y in b]
+    n = min(len(a), len(b))
+    out = list(map(op, a, b))
+    if len(a) > n:
+        out.extend(a[n:])
+    elif len(b) > n:
+        out.extend(b[n:] if op is add else map(neg, b[n:]))
+    return _from_parts(*_canonical(out, den))
+
+
+def _scaled(p: "RationalPoly", f: Scalar, shift: int = 0) -> "RationalPoly":
+    """p * f * c**shift for a rational f, canonical without a full gcd pass.
+
+    With num/den canonical and n/d in lowest terms, dividing out
+    gcd(n, den) and gcd(d, *num) leaves a canonical pair.
+    """
+    n, d = f.numerator, f.denominator
+    if not n or not p._num:
+        return _ZERO
+    g = gcd(n, p._den)
+    h = gcd(d, *p._num)
+    n //= g
+    num = p._num if h == 1 else [x // h for x in p._num]
+    if n != 1:
+        num = [x * n for x in num]
+    return _from_parts((0,) * shift + tuple(num), p._den // g * (d // h))
 
 
 class RationalPoly:
-    """Dense univariate polynomial over Fraction, trailing zeros stripped.
+    """Dense univariate polynomial over Q: integer numerators over one denominator.
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
-    Instances are immutable and hashable.
+    The value is ``sum(num[i] * c**i) / den`` for a tuple ``num`` of ints and
+    a single int ``den``, the layout of FLINT's ``fmpq_poly``.  The pair is
+    always canonical: ``den > 0``, no trailing zero in ``num`` and
+    ``gcd(den, *num) == 1``.  Equal polynomials therefore have equal pairs,
+    and the zero polynomial is ``((), 1)`` with degree -1.  Sums and products
+    are big-integer work followed by one reduction; ``coeffs`` builds the
+    Fraction coefficients on each call.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(x) for x in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        fs = [_as_rational(x) for x in coeffs]
+        den = lcm(*(f.denominator for f in fs))
+        self._num, self._den = _canonical(
+            [f.numerator * (den // f.denominator) for f in fs], den
+        )
 
     # -- constructors -------------------------------------------------------
 
@@ -82,101 +173,88 @@ class RationalPoly:
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        """The coefficients as Fractions, lowest power first."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
+        if 0 <= power < len(self._num):
+            return Fraction(self._num[power], self._den)
         return Fraction(0)
 
     def leading_coefficient(self) -> Fraction:
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return Fraction(self._num[-1], self._den) if self._num else Fraction(0)
 
     def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
+        return len(self._num) <= 1
 
     def parity_pure(self) -> bool:
         """True if the polynomial is purely even or purely odd in c."""
-        if not self._coeffs:
-            return True
-        par = self.degree % 2
-        return all(
-            c == 0 for i, c in enumerate(self._coeffs) if i % 2 != par
-        )
+        # The powers of the wrong parity start at len % 2.
+        return not any(self._num[len(self._num) % 2 :: 2])
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return RationalPoly(out)
+        return _sum(self, other, add)
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly([-x for x in self._coeffs])
+        return _from_parts(tuple(map(neg, self._num)), self._den)
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, sub)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return _ZERO
-            f = _as_fraction(other)
-            return RationalPoly([x * f for x in self._coeffs])
+            return _scaled(self, other)
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
+        if not self._num or not other._num:
             return _ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-        return RationalPoly(out)
+        num = _convolve(self._num, other._num)
+        return _from_parts(*_canonical(num, self._den * other._den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "RationalPoly":
-        f = _as_fraction(scalar)
+        f = _as_rational(scalar)
         if f == 0:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        return self * (1 / f)
+        return _scaled(self, Fraction(f.denominator, f.numerator))
 
     def scale_shift(self, coefficient: Scalar, power: int) -> "RationalPoly":
         """Multiply by coefficient * c**power in one pass."""
-        if not self._coeffs or coefficient == 0:
-            return _ZERO
-        f = _as_fraction(coefficient)
-        return RationalPoly((0,) * power + tuple(x * f for x in self._coeffs))
+        return _scaled(self, _as_rational(coefficient), power)
 
     def derivative(self) -> "RationalPoly":
-        return RationalPoly([i * x for i, x in enumerate(self._coeffs)][1:])
+        num = self._num
+        return _from_parts(
+            *_canonical([i * num[i] for i in range(1, len(num))], self._den)
+        )
 
     def evaluate(self, point):
-        """Horner evaluation; exact for Fraction points, numeric otherwise."""
+        """Horner evaluation; exact for int and Fraction points, numeric otherwise.
+
+        Runs on the reduced Fraction coefficients: the numerators and the
+        denominator can each be too large for a float even where the
+        coefficients are not.
+        """
         result = 0 * point  # matches the point's type
-        for coef in reversed(self._coeffs):
+        for coef in reversed(self.coeffs):
             result = result * point + coef
         return result
 
@@ -186,8 +264,8 @@ class RationalPoly:
             return self / divisor
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dcs = divisor._coeffs
+        rem = list(self.coeffs)
+        dcs = divisor.coeffs
         dd = len(dcs) - 1
         lead = dcs[-1]
         if len(rem) - 1 < dd:
@@ -213,22 +291,23 @@ class RationalPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalPoly):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
-            return self._coeffs == RationalPoly([other])._coeffs
+            return self == RationalPoly((other,))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(self.coeffs)
 
     # -- formatting / serialization ------------------------------------------
 
     def to_str(self, var: str = "c") -> str:
-        if not self._coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
         for i in range(self.degree, -1, -1):
-            coef = self._coeffs[i]
+            coef = coeffs[i]
             if not coef:
                 continue
             sign = "-" if coef < 0 else "+"
@@ -250,7 +329,7 @@ class RationalPoly:
     def to_json(self) -> dict:
         """{"coeffs": [[num, den], ...]} with decimal-string big integers."""
         return {
-            "coeffs": [[str(x.numerator), str(x.denominator)] for x in self._coeffs]
+            "coeffs": [[str(x.numerator), str(x.denominator)] for x in self.coeffs]
         }
 
     @classmethod

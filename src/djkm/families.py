@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Union
 
-from .exact import NonDivisibleError, Rational, RationalPoly
+from .exact import NonDivisibleError, Rational, RationalPoly, VerificationError
 
 _C = RationalPoly.variable()
 
@@ -70,9 +70,10 @@ class PolynomialFamily:
     """Lazily generated, cached sequence P_k(c) for one choice of initials.
 
     Entries at the wrong parity are still computed by the recurrence and then
-    asserted to be zero, which re-checks the recurrence for free.  After
-    generation the cached entries are immutable; extension is serialized by a
-    lock so instances can be shared between threads.
+    checked to be zero, raising VerificationError otherwise, which re-checks
+    the recurrence for free.  After generation the cached entries are
+    immutable; extension is serialized by a lock so instances can be shared
+    between threads.
     """
 
     def __init__(self, family_id: FamilyId):
@@ -92,8 +93,10 @@ class PolynomialFamily:
                     self._vals[k + 2].scale_shift(4 * k, 1)
                     - self._vals[k] * (2 * (k - 3))
                 ) / Fraction(6 + 2 * k)
-                if (k - _PARITY[self.id]) % 2:
-                    assert p.is_zero(), f"{self.id.value}: parity entry k={k} not zero"
+                if (k - _PARITY[self.id]) % 2 and not p.is_zero():
+                    raise VerificationError(
+                        f"{self.id.value}: parity entry k={k} not zero"
+                    )
                 self._vals.append(p)
                 k += 1
 

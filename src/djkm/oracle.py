@@ -16,7 +16,7 @@ The indefinite integrals determine the odd part of the result only up to a
 multiple of z sqrt(1 - 2cz^2 + z^4).  The constant is pinned by requiring the
 z^1 coefficient of the final series to vanish, which is what the vanishing
 initial entries demand; for both integrals the construction is already even
-in z, so the computed adjustment comes out 0 and is asserted constant.
+in z, so the computed adjustment comes out 0 and is checked to be constant.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import LaurentSeries, RationalPoly
+from .exact import LaurentSeries, RationalPoly, VerificationError
 from .families import FamilyId, gegenbauer, get_family
 
 
@@ -62,7 +62,8 @@ def _z_sqrt_quartic(trunc: int) -> LaurentSeries:
 def _pin_odd_constant(series: LaurentSeries, z_sqrt: LaurentSeries) -> LaurentSeries:
     """Add the unique kappa * z sqrt(...) making the z^1 coefficient vanish."""
     kappa = -series.coefficient(1)
-    assert kappa.is_constant(), "integration constant must be a scalar"
+    if not kappa.is_constant():
+        raise VerificationError("integration constant must be a scalar")
     if kappa.is_zero():
         return series
     return series + z_sqrt.scale(kappa)
@@ -95,7 +96,8 @@ def expand_elliptic1(order: int) -> OracleResult:
     )
     integrand = prefactor * quart.pow_neg_3_2()
     # The integrand is even in z, so no logarithmic term can appear.
-    assert integrand.coefficient(-1).is_zero()
+    if not integrand.coefficient(-1).is_zero():
+        raise VerificationError("elliptic-1 integrand has a nonzero z^-1 coefficient")
     z_sqrt = _z_sqrt_quartic(t)
     series = _pin_odd_constant(z_sqrt * integrand.integrate(), z_sqrt)
     return _compare(series, FamilyId.P4, order)
@@ -110,8 +112,8 @@ def expand_elliptic2(order: int) -> OracleResult:
     z_sqrt = _z_sqrt_quartic(t)
     series = z_sqrt * integrand.integrate()
     # Odd series times odd series: the product must be even outright.
-    for n in range(1, order + 1, 2):
-        assert series.coefficient(n).is_zero(), "P-2 generating function must be even"
+    if any(not series.coefficient(n).is_zero() for n in range(1, order + 1, 2)):
+        raise VerificationError("P-2 generating function must be even")
     return _compare(series, FamilyId.P2, order)
 
 

@@ -1,6 +1,8 @@
 """Exact-core tests: polynomial ring axioms, series algebra, truncation rules."""
 
+import math
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,107 @@ def test_json_round_trip():
     data = p.to_json()
     assert data == {"coeffs": [["-1", "7"], ["0", "1"], ["32", "35"]]}
     assert RationalPoly.from_json(data) == p
+
+
+def test_float_evaluate_with_numerators_beyond_float_range():
+    # Over the common denominator 2**1100 the numerators do not fit a float;
+    # a float point must go through the reduced coefficients.
+    p = RationalPoly([F(2**1100 + 1, 2**1100), F(-3, 2**1100)])
+    assert p.evaluate(0.5) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Integer numerators over one denominator, against a list-of-Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def rationals():
+    wide = st.builds(F, st.integers(-(2**70), 2**70), st.integers(1, 2**40))
+    return st.one_of(small_fractions(), wide)
+
+
+def trimmed(cs):
+    cs = [F(x) for x in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b, sign=1):
+    return trimmed(x + sign * y for x, y in zip_longest(a, b, fillvalue=F(0)))
+
+
+def ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def ref_divmod(a, b):
+    rem, q = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = rem[i + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[i + j] -= q[i] * y
+    return trimmed(q), trimmed(rem)
+
+
+def assert_canonical(p):
+    num, den = p._num, p._den
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for x in num)
+    assert not num or num[-1] != 0
+    assert math.gcd(den, *num) == 1
+    if not num:
+        assert (num, den) == ((), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(rationals(), max_size=7),
+    st.lists(rationals(), max_size=7),
+    rationals(),
+    st.integers(min_value=0, max_value=4),
+    rationals(),
+)
+def test_matches_fraction_list_reference(a, b, s, k, x):
+    pa, pb = RationalPoly(a), RationalPoly(b)
+    ra, rb = trimmed(a), trimmed(b)
+    cases = {
+        "a": (pa, ra),
+        "add": (pa + pb, ref_add(ra, rb)),
+        "sub": (pa - pb, ref_add(ra, rb, -1)),
+        "neg": (-pa, [-y for y in ra]),
+        "mul": (pa * pb, ref_mul(ra, rb)),
+        "scalar-mul": (pa * s, trimmed(y * s for y in ra)),
+        "scalar-rmul": (s * pa, trimmed(y * s for y in ra)),
+        "scale-shift": (pa.scale_shift(s, k), trimmed([0] * k + [y * s for y in ra])),
+        "derivative": (pa.derivative(), trimmed(i * y for i, y in enumerate(ra))[1:]),
+    }
+    if s:
+        cases["scalar-div"] = (pa / s, trimmed(y / s for y in ra))
+    if rb:
+        quotient, remainder = ref_divmod(ra, rb)
+        if remainder:
+            with pytest.raises(NonDivisibleError):
+                pa.exact_divide(pb)
+        else:
+            cases["exact-divide"] = (pa.exact_divide(pb), quotient)
+        cases["exact-divide-product"] = ((pa * pb).exact_divide(pb), ra)
+    for name, (p, ref) in cases.items():
+        assert_canonical(p)
+        assert p.coeffs == tuple(ref), name
+        assert p == RationalPoly(ref), name
+        assert hash(p) == hash(tuple(ref)), name
+        assert p.to_json() == {
+            "coeffs": [[str(y.numerator), str(y.denominator)] for y in ref]
+        }, name
+        value = p.evaluate(x)
+        assert type(value) is F and value == sum(
+            (y * x**i for i, y in enumerate(ref)), F(0)
+        ), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Family generation: published tables, recurrence re-assertion, closed forms."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from djkm.exact import RationalPoly
+import djkm
+from djkm.exact import RationalPoly, VerificationError
 from djkm.families import (
     FamilyId,
     IndexView,
@@ -168,6 +173,34 @@ def test_fresh_family_matches_registry():
     shared = get_family(FamilyId.P4)
     for k in range(-4, 40):
         assert fresh.original(k) == shared.original(k)
+
+
+def test_nonzero_parity_entry_raises():
+    fam = PolynomialFamily(FamilyId.P4)
+    fam._vals[1] = ONE  # tamper with the cached P_{-3}, which must be zero
+    with pytest.raises(VerificationError, match="parity entry k=1"):
+        fam.original(1)
+
+
+def test_parity_check_survives_python_O():
+    script = (
+        "import sys\n"
+        "from djkm.exact import RationalPoly, VerificationError\n"
+        "from djkm.families import FamilyId, PolynomialFamily\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(4)\n"
+        "fam = PolynomialFamily(FamilyId.P4)\n"
+        "fam._vals[1] = RationalPoly.one()\n"
+        "try:\n"
+        "    fam.original(1)\n"
+        "except VerificationError:\n"
+        "    sys.exit(3)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(djkm.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_generate_rejects_index_below_view_start():

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from djkm.exact import RationalPoly
+from djkm import oracle
+from djkm.exact import LaurentSeries, RationalPoly, VerificationError
 from djkm.families import FamilyId
 from djkm.oracle import (
     check_funde,
@@ -115,3 +116,29 @@ def test_order_preconditions():
         expand_gegenbauer_sum(3)
     with pytest.raises(ValueError):
         check_funde(7, FamilyId.P4)
+
+
+def _quartic_with_odd_term(trunc):
+    """1 + z - 2c z^2 + z^4: a tampered quartic whose series are not even."""
+    return LaurentSeries.from_terms(
+        {0: ONE, 1: ONE, 2: RationalPoly((0, -2)), 4: ONE}, trunc
+    )
+
+
+def test_elliptic1_nonzero_residue_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "_quartic", _quartic_with_odd_term)
+    with pytest.raises(VerificationError, match="z\\^-1"):
+        expand_elliptic1(8)
+
+
+def test_elliptic2_odd_series_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "_quartic", _quartic_with_odd_term)
+    with pytest.raises(VerificationError, match="even"):
+        expand_elliptic2(8)
+
+
+def test_non_scalar_integration_constant_raises():
+    z_sqrt = oracle._z_sqrt_quartic(8)
+    series = LaurentSeries.from_terms({1: RationalPoly((0, 1))}, 8)  # c z
+    with pytest.raises(VerificationError, match="scalar"):
+        oracle._pin_odd_constant(series, z_sqrt)
