@@ -62,7 +62,6 @@ from .oracle import (
     expand_gegenbauer_sum,
 )
 from .ortho import (
-    JacobiData,
     NoConvergenceError,
     NonclassicalWitness,
     ThreeTermData,
@@ -85,7 +84,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FamilyId",
     "IndexView",
-    "JacobiData",
     "LaurentSeries",
     "LinearDiffOp",
     "NoConvergenceError",

@@ -9,6 +9,7 @@ sweep; they are collected into the report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -20,13 +21,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import diffops, oracle, ortho, reference
-from .cocycle import (
-    cocycle as cocycle_of,
-    t_pow,
-    t_pow_u,
-    uu_central_term,
-    verify_psi_table,
-)
+from .cocycle import cocycle as cocycle_of, t_pow, t_pow_u, verify_items
+from .cocycle import verify_psi_table  # noqa: F401  (perfbench's span test reads this binding)
 from .exact import RationalPoly
 from .families import (
     FamilyId,
@@ -55,6 +51,15 @@ class UsageError(SystemExit):
     def __init__(self, message: str):
         print(f"error: {message}", file=sys.stderr)
         super().__init__(2)
+
+
+@contextlib.contextmanager
+def _usage_errors(flag: str):
+    """Report a library ValueError about the value of flag as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 @dataclass
@@ -219,37 +224,13 @@ def _cmd_oracle_compare(args) -> int:
     return _emit_report(report.finish(started), args.out)
 
 
-def _cocycle_verify_items(bound: int) -> List[dict]:
-    items = []
-    psi_report = verify_psi_table(bound)
-    item = psi_report.to_json()
-    item["check"] = "psi-table"
-    item["status"] = "pass" if psi_report.passed else "fail"
-    items.append(item)
-    uu_ok = True
-    anti_ok = True
-    for i in range(-bound, bound + 1):
-        for j in range(-bound, bound + 1):
-            uu = cocycle_of(t_pow_u(i - 1), t_pow_u(j - 1))
-            if not (uu - uu_central_term(i, j)).is_zero():
-                uu_ok = False
-            for f, g in (
-                (t_pow(i), t_pow(j)),
-                (t_pow_u(i), t_pow(j)),
-                (t_pow_u(i), t_pow_u(j)),
-            ):
-                if not (cocycle_of(f, g) + cocycle_of(g, f)).is_zero():
-                    anti_ok = False
-    items.append({"check": "uu-central-terms", "status": "pass" if uu_ok else "fail"})
-    items.append({"check": "antisymmetry", "status": "pass" if anti_ok else "fail"})
-    return items
-
-
 def _cmd_cocycle(args) -> int:
     started = time.perf_counter()
     if args.verify:
         report = RunReport(command="cocycle", parameters={"verify": True, "bound": args.bound})
-        for item in _cocycle_verify_items(args.bound):
+        with _usage_errors("--bound"):
+            items = verify_items(args.bound)
+        for item in items:
             report.add(item)
         return _emit_report(report.finish(started), args.out)
     if args.i is None or args.j is None:
@@ -275,7 +256,8 @@ def _cmd_orthogonality(args) -> int:
             else "fail",
         }
     )
-    dets = ortho.hankel(args.family, args.hankel)
+    with _usage_errors("--hankel"):
+        dets = ortho.hankel(args.family, args.hankel)
     report.add(
         {
             "check": "hankel-positivity",
@@ -283,13 +265,15 @@ def _cmd_orthogonality(args) -> int:
             "status": "pass" if all(d > 0 for d in dets) else "fail",
         }
     )
-    ok = ortho.gram_check(args.family, args.gram)
+    with _usage_errors("--gram"):
+        ok = ortho.gram_check(args.family, args.gram)
     report.add({"check": "gram-diagonal", "status": "pass" if ok else "fail"})
     return _emit_report(report.finish(started), args.out)
 
 
 def _cmd_quadrature(args) -> int:
-    nodes, weights = ortho.golub_welsch(args.family, args.nodes)
+    with _usage_errors("--nodes"):
+        nodes, weights = ortho.golub_welsch(args.family, args.nodes)
     if args.json:
         payload = {
             "family": args.family,
@@ -306,7 +290,8 @@ def _cmd_quadrature(args) -> int:
 
 def _cmd_nonclassical(args) -> int:
     started = time.perf_counter()
-    witness = ortho.nonclassical_check(args.family, args.max_n)
+    with _usage_errors("--max-n"):
+        witness = ortho.nonclassical_check(args.family, args.max_n)
     report = RunReport(
         command="nonclassical",
         parameters={"family": args.family, "max_n": args.max_n},
@@ -395,7 +380,7 @@ def _cmd_all(args) -> int:
         "wimp-discrepancy",
         (not wimp_residual.is_zero()) and diffops.build_qform_op(2).apply(q2).is_zero(),
     )
-    for item in _cocycle_verify_items(prof["cocycle_bound"]):
+    for item in verify_items(prof["cocycle_bound"]):
         record(f"cocycle-{item['check']}", item["status"] == "pass")
     lambdas = ortho.favard_lambdas(200)
     record(

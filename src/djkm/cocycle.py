@@ -63,6 +63,10 @@ class OmegaVector:
         return self.w0.is_zero() and all(p.is_zero() for p in self.wu)
 
     def __add__(self, other: "OmegaVector") -> "OmegaVector":
+        if other is _ZERO_VEC:
+            return self
+        if self is _ZERO_VEC:
+            return other
         return OmegaVector(
             self.w0 + other.w0,
             tuple(a + b for a, b in zip(self.wu, other.wu)),
@@ -75,6 +79,8 @@ class OmegaVector:
         return self.scale(-1)
 
     def scale(self, factor) -> "OmegaVector":
+        if self is _ZERO_VEC:
+            return self
         return OmegaVector(self.w0 * factor, tuple(p * factor for p in self.wu))
 
     def to_json(self) -> dict:
@@ -238,3 +244,36 @@ def uu_central_term(i: int, j: int) -> OmegaVector:
     if s == 2:
         coef = coef + RationalPoly.constant(j - 1)
     return OmegaVector.basis_w0().scale(coef)
+
+
+def verify_items(bound: int) -> List[dict]:
+    """The cocycle battery for |i|, |j| <= bound as report items.
+
+    Three items, each with "check" and "status": "psi-table" (the ψ table,
+    with the PsiReport fields), "uu-central-terms" (the u-u bracket against
+    its closed form) and "antisymmetry" (cocycle(f, g) = -cocycle(g, f) over
+    plain and u monomials).
+    """
+    psi_report = verify_psi_table(bound)
+    item = psi_report.to_json()
+    item["check"] = "psi-table"
+    item["status"] = "pass" if psi_report.passed else "fail"
+    uu_ok = True
+    anti_ok = True
+    for i in range(-bound, bound + 1):
+        for j in range(-bound, bound + 1):
+            uu = cocycle(t_pow_u(i - 1), t_pow_u(j - 1))
+            if not (uu - uu_central_term(i, j)).is_zero():
+                uu_ok = False
+            for f, g in (
+                (t_pow(i), t_pow(j)),
+                (t_pow_u(i), t_pow(j)),
+                (t_pow_u(i), t_pow_u(j)),
+            ):
+                if not (cocycle(f, g) + cocycle(g, f)).is_zero():
+                    anti_ok = False
+    return [
+        item,
+        {"check": "uu-central-terms", "status": "pass" if uu_ok else "fail"},
+        {"check": "antisymmetry", "status": "pass" if anti_ok else "fail"},
+    ]

@@ -51,8 +51,10 @@ def _member(tag: str, n: int) -> RationalPoly:
 
 @dataclass(frozen=True)
 class ThreeTermData:
-    """Coefficients of x p_n = A_{n+1} p_{n+1} + B_n p_n + C_{n-1} p_{n-1}.
+    """Coefficients of x p_n = A_{n+1} p_{n+1} + C_{n-1} p_{n-1}.
 
+    The diagonal coefficient B_n is identically 0 for both sequences, so the
+    Jacobi matrix is fixed by its squared off-diagonal entries beta_n^2.
     A and C are exposed by their own subscript; C_{-1} is 0 by convention
     (its recurrence partner p_{-1} is the zero polynomial).
     """
@@ -65,9 +67,6 @@ class ThreeTermData:
         if self.family == "q":
             return Fraction(2 * n + 3, 4 * n)
         return Fraction(2 * n + 5, 4 * (n + 1))
-
-    def B(self, n: int) -> Fraction:
-        return Fraction(0)
 
     def C(self, n: int) -> Fraction:
         if n == -1:
@@ -87,22 +86,6 @@ def three_term(tag: str) -> ThreeTermData:
     if tag not in ORTHO_TAGS:
         raise ValueError(f"unknown orthogonal sequence tag {tag!r}")
     return ThreeTermData(tag)
-
-
-@dataclass(frozen=True)
-class JacobiData:
-    """Symmetric tridiagonal (Jacobi) matrix data; diagonal identically 0."""
-
-    family: str
-
-    def diag(self, n: int) -> Fraction:
-        return Fraction(0)
-
-    def offdiag_sq(self, n: int) -> Fraction:
-        return three_term(self.family).beta_sq(n)
-
-    def offdiag_float(self, n: int) -> float:
-        return math.sqrt(self.offdiag_sq(n))
 
 
 def favard_lambdas(count: int) -> List[Fraction]:
@@ -134,9 +117,9 @@ def moments(tag: str, max_order: int) -> List[Fraction]:
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    jac = JacobiData(three_term(tag).family)
+    data = three_term(tag)
     size = max_order // 2 + 2
-    betas_sq = [jac.offdiag_sq(n) for n in range(1, size)]
+    betas_sq = [data.beta_sq(n) for n in range(1, size)]
     v = [Fraction(0)] * size
     v[0] = Fraction(1)
     out = [Fraction(1)]
@@ -174,16 +157,46 @@ def _det_fraction(rows: List[List[Fraction]]) -> Fraction:
     return det
 
 
+def _leading_minors(rows: Sequence[Sequence[Scalar]]) -> List[Fraction]:
+    """Exact determinants of the leading N x N blocks of rows, N = 1..len(rows).
+
+    One Gaussian elimination without row exchanges: adding multiples of
+    earlier rows to later ones keeps every leading minor, so the N-th minor is
+    the product of the first N pivots.  A zero pivot makes its minor exactly 0;
+    each larger minor then falls back to _det_fraction on the original rows.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    m = [row[:] for row in a]
+    out: List[Fraction] = []
+    det = Fraction(1)
+    for col in range(n):
+        pivot = m[col][col]
+        if not pivot:
+            out.append(Fraction(0))
+            break
+        det *= pivot
+        out.append(det)
+        inv = 1 / pivot
+        pivot_row = m[col]
+        for r in range(col + 1, n):
+            row = m[r]
+            if row[col]:
+                factor = row[col] * inv
+                for cc in range(col + 1, n):
+                    if pivot_row[cc]:
+                        row[cc] -= factor * pivot_row[cc]
+    for size in range(len(out) + 1, n + 1):
+        out.append(_det_fraction([row[:size] for row in a[:size]]))
+    return out
+
+
 def hankel(tag: str, max_size: int) -> List[Fraction]:
     """Hankel determinants det[m_{i+j}]_{0<=i,j<N} for N = 1..max_size."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     ms = moments(tag, 2 * max_size - 2)
-    out = []
-    for size in range(1, max_size + 1):
-        rows = [[ms[i + j] for j in range(size)] for i in range(size)]
-        out.append(_det_fraction(rows))
-    return out
+    return _leading_minors([[ms[i + j] for j in range(max_size)] for i in range(max_size)])
 
 
 def gram_matrix(tag: str, max_deg: int) -> List[List[Fraction]]:
@@ -404,23 +417,36 @@ _EIGEN_RESIDUAL_BOUND = 1e-12
 def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
     """Gauss nodes/weights from the truncated Jacobi matrix eigendata.
 
-    Nodes are eigenvalues of the n x n symmetric tridiagonal truncation,
-    weights are m_0 times the squared first eigenvector components.  Every
-    eigenpair must satisfy ||J v - theta v|| <= 1e-12 or NoConvergenceError
-    is raised.
+    Nodes are eigenvalues of the n x n symmetric tridiagonal truncation J,
+    weights are m_0 times the squared first eigenvector components.  J has a
+    zero diagonal, so in even-odd index order it is [[0, B], [B^T, 0]] with B
+    the ceil(n/2) x floor(n/2) lower bidiagonal block (Golub-Kahan).  From
+    B = U diag(sigma) W^T the eigenpairs are +-sigma with [u; +-w] / sqrt(2),
+    plus 0 with [u_0; 0] when n is odd: nodes come out exactly antisymmetric
+    and mirrored weights exactly equal.  Every eigenpair must satisfy
+    ||J v - theta v|| <= 1e-12 or NoConvergenceError is raised.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
-    jac = JacobiData(three_term(tag).family)
-    off = np.array([jac.offdiag_float(k) for k in range(1, n_nodes)])
-    matrix = np.zeros((n_nodes, n_nodes))
-    if n_nodes > 1:
-        idx = np.arange(n_nodes - 1)
-        matrix[idx, idx + 1] = off
-        matrix[idx + 1, idx] = off
-    eigvals, eigvecs = np.linalg.eigh(matrix)
-    residual = matrix @ eigvecs - eigvecs * eigvals
-    worst = float(np.max(np.linalg.norm(residual, axis=0))) if n_nodes else 0.0
+    data = three_term(tag)
+    off = np.array([math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes)])
+    rows, cols = (n_nodes + 1) // 2, n_nodes // 2
+    block = np.zeros((rows, cols))
+    block[np.arange(cols), np.arange(cols)] = off[0::2]  # J[2i, 2i+1] = beta_{2i+1}
+    block[np.arange(1, rows), np.arange(rows - 1)] = off[1::2]  # J[2i, 2i-1] = beta_{2i}
+    u, sigma, wt = np.linalg.svd(block)
+    # ascending order: -sigma as svd returns it (descending), 0, +sigma reversed
+    even = u[:, :cols] / math.sqrt(2.0)
+    odd = wt.T / math.sqrt(2.0)
+    eigvals = np.concatenate([-sigma, np.zeros(rows - cols), sigma[::-1]])
+    eigvecs = np.zeros((n_nodes, n_nodes))
+    eigvecs[0::2] = np.hstack([even, u[:, cols:], even[:, ::-1]])
+    eigvecs[1::2] = np.hstack([-odd, np.zeros((cols, rows - cols)), odd[:, ::-1]])
+    # J v - theta v from the off-diagonal alone, O(n^2) over all eigenvectors
+    residual = eigvecs * -eigvals
+    residual[:-1] += off[:, None] * eigvecs[1:]
+    residual[1:] += off[:, None] * eigvecs[:-1]
+    worst = float(np.max(np.linalg.norm(residual, axis=0)))
     if worst > _EIGEN_RESIDUAL_BOUND:
         raise NoConvergenceError(
             f"eigen residual {worst:.3e} exceeds {_EIGEN_RESIDUAL_BOUND:.1e}"

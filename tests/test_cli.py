@@ -154,6 +154,28 @@ def test_nonclassical_report(capsys):
     assert item["verified"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quadrature", "--family", "q", "--nodes", "0"],
+        ["orthogonality", "--family", "q", "--hankel", "0"],
+        ["orthogonality", "--family", "q", "--gram", "0"],
+        ["nonclassical", "--family", "q", "--max-n", "0"],
+        ["cocycle", "--verify", "--bound", "0"],
+    ],
+    ids=" ".join,
+)
+def test_bad_algebra_size_is_usage_error(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "djkm.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: {argv[-2]}: ")
+    assert proc.stdout == ""
+
+
 def test_deterministic_output(capsys):
     _, out1 = run_cli(capsys, "gen", "--family", "P-4", "--max-n", "10")
     _, out2 = run_cli(capsys, "gen", "--family", "P-4", "--max-n", "10")

@@ -4,13 +4,17 @@ associated recurrences, quadrature, and the Gauss hypergeometric series."""
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from djkm.exact import RationalPoly
 from djkm.families import FamilyId, get_family
 from djkm.ortho import (
-    JacobiData,
     NoConvergenceError,
+    _det_fraction,
+    _leading_minors,
     assoc_jacobi,
     assoc_ultraspherical,
     favard_lambdas,
@@ -47,14 +51,12 @@ def test_three_term_coefficients():
         assert qbar.A(n + 1) == F(2 * n + 7, 4 * (n + 2))
         if n >= 1:
             assert qbar.C(n - 1) == F(2 * n + 1, 4 * (n + 2))
-        assert qbar.B(n) == 0
     q = three_term("q")
     assert q.C(-1) == 0  # convention: its partner p_{-1} is the zero polynomial
     for n in range(0, 40):
         assert q.A(n + 1) == F(2 * n + 5, 4 * (n + 1))
         if n >= 1:
             assert q.C(n - 1) == F(2 * n - 1, 4 * (n + 1))
-        assert q.B(n) == 0
 
 
 def test_three_term_recurrence_holds_on_members():
@@ -102,10 +104,7 @@ def test_symmetrization_identity():
 def test_beta_squared_values():
     assert three_term("qbar").beta_sq(1) == F(7, 8) * F(1, 4) == F(7, 32)
     assert three_term("q").beta_sq(1) == F(5, 4) * F(1, 8) == F(5, 32)
-    jac = JacobiData("qbar")
-    assert jac.diag(3) == 0
-    assert jac.offdiag_sq(1) == F(7, 32)
-    assert jac.offdiag_float(1) == pytest.approx(math.sqrt(7 / 32))
+    assert math.sqrt(three_term("qbar").beta_sq(1)) == pytest.approx(math.sqrt(7 / 32))
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +115,10 @@ def test_beta_squared_values():
 def brute_force_moments(tag, k_max):
     """Dense matrix-power oracle on the rational similarity of J."""
     size = k_max // 2 + 2
-    jac = JacobiData(tag)
+    data = three_term(tag)
     mat = [[F(0)] * size for _ in range(size)]
     for i in range(size - 1):
-        mat[i][i + 1] = jac.offdiag_sq(i + 1)
+        mat[i][i + 1] = data.beta_sq(i + 1)
         mat[i + 1][i] = F(1)
     out = [F(1)]
     power = [[F(1) if i == j else F(0) for j in range(size)] for i in range(size)]
@@ -173,6 +172,39 @@ def test_hankel_positive_through_14(tag):
     dets = hankel(tag, 14)
     assert len(dets) == 14
     assert all(d > 0 for d in dets)
+
+
+def square_matrices():
+    """Small integer/Fraction matrices; small entries make zero minors common."""
+    entry = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices())
+@example([[0, 1], [1, 0]])  # zero first pivot
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])  # zero second pivot, nonzero after
+def test_leading_minors_match_det_fraction(rows):
+    exact = [[F(x) for x in row] for row in rows]
+    expected = [
+        _det_fraction([row[:size] for row in exact[:size]])
+        for size in range(1, len(rows) + 1)
+    ]
+    got = _leading_minors(rows)
+    assert got == expected
+    assert all(type(d) is F for d in got)
+
+
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+def test_hankel_equals_determinant_of_each_size(tag):
+    ms = moments(tag, 26)
+    expected = [
+        _det_fraction([[ms[i + j] for j in range(size)] for i in range(size)])
+        for size in range(1, 15)
+    ]
+    assert hankel(tag, 14) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +416,38 @@ def test_quad_orthogonality_requires_enough_nodes():
         quad_orthogonality("q", 8, 8)
 
 
+def dense_gauss_rule(tag, n_nodes):
+    """Reference: dense symmetric eigendecomposition of the n x n Jacobi matrix."""
+    data = three_term(tag)
+    off = [math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes)]
+    matrix = np.diag(off, 1) + np.diag(off, -1)
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    return eigvals, eigvecs[0, :] ** 2
+
+
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+@pytest.mark.parametrize("n_nodes", [1, 2, 3, 7, 20, 999, 1000])
+def test_golub_welsch_matches_dense_eigh(tag, n_nodes):
+    nodes, weights = golub_welsch(tag, n_nodes)
+    ref_nodes, ref_weights = dense_gauss_rule(tag, n_nodes)
+    assert np.max(np.abs(np.array(nodes) - ref_nodes)) <= 1e-13
+    assert np.max(np.abs(np.array(weights) - ref_weights)) <= 1e-13
+    assert nodes == sorted(nodes)
+    assert nodes == [-x for x in reversed(nodes)]
+    assert weights == weights[::-1]
+
+
 def test_golub_welsch_enforces_eigen_residual_bound(monkeypatch):
     import numpy as np
 
     import djkm.ortho as ortho_mod
 
-    def bad_eigh(matrix):
-        n = matrix.shape[0]
-        return np.zeros(n), np.eye(n)  # wrong eigenpairs: J v != theta v
+    def bad_svd(block):
+        rows, cols = block.shape
+        # wrong singular triplets, hence wrong eigenpairs: J v != theta v
+        return np.eye(rows), np.zeros(cols), np.eye(cols)
 
-    monkeypatch.setattr(ortho_mod.np.linalg, "eigh", bad_eigh)
+    monkeypatch.setattr(ortho_mod.np.linalg, "svd", bad_svd)
     with pytest.raises(NoConvergenceError):
         golub_welsch("qbar", 4)
 
