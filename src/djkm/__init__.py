@@ -34,6 +34,7 @@ from .diffops import (
     build_wimp_op,
     eigencheck,
     fourth_order_sweep,
+    ode_sweep,
     second_order_sweep,
 )
 from .exact import (
@@ -126,6 +127,7 @@ __all__ = [
     "hyp2f1",
     "moments",
     "nonclassical_check",
+    "ode_sweep",
     "psi",
     "quad_orthogonality",
     "reduce_plain",

@@ -12,10 +12,8 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
@@ -23,7 +21,6 @@ from typing import List, Optional
 from . import diffops, oracle, ortho, reference
 from .cocycle import cocycle as cocycle_of, t_pow, t_pow_u, verify_items
 from .cocycle import verify_psi_table  # noqa: F401  (perfbench's span test reads this binding)
-from .exact import RationalPoly
 from .families import (
     FamilyId,
     IndexView,
@@ -41,9 +38,6 @@ GEN_FAMILIES = {
     "q": (FamilyId.P4, IndexView.Q),
     "qbar": (FamilyId.P2, IndexView.QBAR),
 }
-
-_C = RationalPoly.variable()
-
 
 class UsageError(SystemExit):
     """Domain-level usage error; exits with the argparse convention code 2."""
@@ -104,13 +98,6 @@ def _emit_report(report: RunReport, out: Optional[str]) -> int:
     return 0 if report.status == "pass" else 1
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DJKM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -120,7 +107,8 @@ def _cmd_gen(args) -> int:
         if args.family in ("q", "qbar"):
             raise UsageError(f"--view conflicts with family {args.family}")
         view = IndexView(args.view)
-    polys = generate(family_id, view, args.max_n)
+    with _usage_errors("--max-n"):
+        polys = generate(family_id, view, args.max_n)
     start = VIEW_START[view]
     payload = {
         "family": family_id.value,
@@ -134,71 +122,31 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _verify_ode_items(family: str, max_n: int, threads: int) -> List[dict]:
+def _verify_ode_items(family: str, max_n: int) -> List[dict]:
     """Per-index residual status; failures carry the residual polynomial."""
-    if family in ("P-4", "P-2"):
-        fid = FamilyId(family)
-        fam = get_family(fid)
-        fam.shifted(max_n)  # sequential generation up front
-        build = (
-            diffops.build_elliptic1_op
-            if fid is FamilyId.P4
-            else diffops.build_elliptic2_op
-        )
-
-        def one(n: int) -> dict:
-            member = fam.shifted(n)
-            residual = build(n).apply(member)
-            item = {
-                "n": n,
-                "member_zero": member.is_zero(),
-                "status": "pass" if residual.is_zero() else "fail",
-            }
-            if not residual.is_zero():
-                item["residual"] = residual.to_json()
-            return item
-
-        indices = range(max_n + 1)
-    elif family in ("P-1", "P-3"):
-        fid = FamilyId(family)
-        fam = get_family(fid)
-        fam.original(max(2 * max_n - 3, -4))
-        build = diffops.build_case3_op if fid is FamilyId.P1 else diffops.build_case4_op
-        p3 = get_family(FamilyId.P3)
-
-        def one(n: int) -> dict:
-            member = fam.original(2 * n - 3)
-            residual = build(n).apply(member)
-            ok = residual.is_zero()
-            item = {"n": n}
-            if fid is FamilyId.P1:
-                # the closed forms force P_{-1,2n-3} = c P_{-3,2n-3}
-                identity_ok = member == _C * p3.original(2 * n - 3)
-                item["identity"] = "pass" if identity_ok else "fail"
-                ok = ok and identity_ok
-            item["status"] = "pass" if ok else "fail"
-            if not residual.is_zero():
-                item["residual"] = residual.to_json()
-            return item
-
-        indices = range(2, max_n + 1)
-    else:
-        raise UsageError(f"verify-ode does not apply to family {family}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            items = list(pool.map(one, indices))
-    else:
-        items = [one(n) for n in indices]
-    return sorted(items, key=lambda item: item["n"])
+    items = []
+    for row in diffops.ode_sweep(FamilyId(family), max_n):
+        item = {"n": row.n}
+        if family in ("P-4", "P-2"):
+            item["member_zero"] = row.member_zero
+        if row.identity is not None:
+            item["identity"] = "pass" if row.identity else "fail"
+        item["status"] = "pass" if row.ok else "fail"
+        if not row.residual.is_zero():
+            item["residual"] = row.residual.to_json()
+        items.append(item)
+    return items
 
 
 def _cmd_verify_ode(args) -> int:
     started = time.perf_counter()
     report = RunReport(
         command="verify-ode",
-        parameters={"family": args.family, "max_n": args.max_n, "threads": args.threads},
+        parameters={"family": args.family, "max_n": args.max_n},
     )
-    for item in _verify_ode_items(args.family, args.max_n, args.threads):
+    with _usage_errors("--max-n"):
+        items = _verify_ode_items(args.family, args.max_n)
+    for item in items:
         report.add(item)
     return _emit_report(report.finish(started), args.out)
 
@@ -209,13 +157,14 @@ def _cmd_oracle_compare(args) -> int:
         command="oracle-compare",
         parameters={"family": args.family, "order": args.order},
     )
-    if args.family == "P-4":
-        pairs = (
-            ("elliptic-integral", oracle.expand_elliptic1(args.order)),
-            ("gegenbauer-sum", oracle.expand_gegenbauer_sum(args.order)),
-        )
-    else:
-        pairs = (("elliptic-integral", oracle.expand_elliptic2(args.order)),)
+    with _usage_errors("--order"):
+        if args.family == "P-4":
+            pairs = (
+                ("elliptic-integral", oracle.expand_elliptic1(args.order)),
+                ("gegenbauer-sum", oracle.expand_gegenbauer_sum(args.order)),
+            )
+        else:
+            pairs = (("elliptic-integral", oracle.expand_elliptic2(args.order)),)
     for name, res in pairs:
         item = res.to_json()
         item["oracle"] = name
@@ -368,7 +317,7 @@ def _cmd_all(args) -> int:
     )
     for fam in ("P-4", "P-2", "P-1", "P-3"):
         bound = prof["fourth_max"] if fam in ("P-4", "P-2") else prof["second_max"]
-        items = _verify_ode_items(fam, bound, args.threads)
+        items = _verify_ode_items(fam, bound)
         record(f"ode-{fam}", all(i["status"] == "pass" for i in items), cases=len(items))
     record(
         "gegenbauer-link",
@@ -427,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", metavar="FILE", default=None)
-        p.add_argument("--threads", type=int, default=_default_threads())
 
     p = sub.add_parser("gen", help="generate family members")
     p.add_argument("--family", required=True, choices=sorted(GEN_FAMILIES))
@@ -439,14 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-ode", help="exact ODE residual sweeps")
     p.add_argument("--family", required=True, choices=["P-4", "P-3", "P-2", "P-1"])
     p.add_argument("--max-n", type=int, default=100)
-    p.add_argument("--report", choices=["json"], default="json")
     add_common(p)
     p.set_defaults(func=_cmd_verify_ode)
 
     p = sub.add_parser("oracle-compare", help="generating-function reconstruction")
     p.add_argument("--family", required=True, choices=["P-4", "P-2"])
     p.add_argument("--order", type=int, default=120)
-    p.add_argument("--json", action="store_true")
     add_common(p)
     p.set_defaults(func=_cmd_oracle_compare)
 
@@ -462,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=["q", "qbar"])
     p.add_argument("--hankel", type=int, default=14)
     p.add_argument("--gram", type=int, default=8)
-    p.add_argument("--json", action="store_true")
     add_common(p)
     p.set_defaults(func=_cmd_orthogonality)
 

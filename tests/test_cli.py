@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from djkm import diffops
 from djkm.cli import main
+from djkm.exact import RationalPoly
 
 
 def run_cli(capsys, *argv):
@@ -69,14 +71,27 @@ def test_verify_ode_report_shape(capsys):
     assert odd and all(i["member_zero"] for i in odd)
 
 
-def test_verify_ode_threads_give_same_items(capsys):
-    _, out1 = run_cli(capsys, "verify-ode", "--family", "P-4", "--max-n", "16")
-    _, out2 = run_cli(
-        capsys, "verify-ode", "--family", "P-4", "--max-n", "16", "--threads", "4"
-    )
-    items1 = json.loads(out1)["items"]
-    items2 = json.loads(out2)["items"]
-    assert items1 == items2
+def test_verify_ode_reports_wrong_operators(capsys, monkeypatch):
+    # the identity operator leaves every member as its own residual, so every
+    # nonzero member fails; the sweep must pick the builders up at call time
+    def wrong(n):
+        return diffops.LinearDiffOp((RationalPoly.one(),))
+
+    monkeypatch.setattr(diffops, "build_elliptic1_op", wrong)
+    monkeypatch.setattr(diffops, "build_case3_op", wrong)
+    for family, max_n in (("P-4", "12"), ("P-1", "8")):
+        code, out = run_cli(capsys, "verify-ode", "--family", family, "--max-n", max_n)
+        assert code == 1
+        data = json.loads(out)
+        assert data["status"] == "fail"
+        failing = [i for i in data["items"] if i["status"] == "fail"]
+        assert failing
+        assert all(isinstance(i["residual"], dict) for i in failing)
+        if family == "P-1":
+            assert len(failing) == len(data["items"])
+            assert all(i["identity"] == "pass" for i in data["items"])
+        else:
+            assert all(i["member_zero"] for i in data["items"] if i["status"] == "pass")
 
 
 def test_second_order_verify_includes_identity(capsys):
@@ -125,7 +140,7 @@ def test_cocycle_verify_report(capsys):
 
 def test_orthogonality_report(capsys):
     code, out = run_cli(
-        capsys, "orthogonality", "--family", "qbar", "--hankel", "6", "--gram", "4", "--json"
+        capsys, "orthogonality", "--family", "qbar", "--hankel", "6", "--gram", "4"
     )
     assert code == 0
     data = json.loads(out)
@@ -162,6 +177,11 @@ def test_nonclassical_report(capsys):
         ["orthogonality", "--family", "q", "--gram", "0"],
         ["nonclassical", "--family", "q", "--max-n", "0"],
         ["cocycle", "--verify", "--bound", "0"],
+        ["verify-ode", "--family", "P-1", "--max-n", "1"],
+        ["verify-ode", "--family", "P-3", "--max-n", "-5"],
+        ["verify-ode", "--family", "P-4", "--max-n", "-3"],
+        ["gen", "--family", "P-4", "--max-n", "-10"],
+        ["oracle-compare", "--family", "P-4", "--order", "2"],
     ],
     ids=" ".join,
 )
@@ -230,11 +250,3 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["family"] == "P-4"
-
-
-def test_env_var_sets_default_threads(monkeypatch):
-    monkeypatch.setenv("DJKM_THREADS", "3")
-    from djkm.cli import build_parser
-
-    args = build_parser().parse_args(["verify-ode", "--family", "P-4"])
-    assert args.threads == 3

@@ -15,6 +15,7 @@ from djkm.diffops import (
     build_wimp_op,
     eigencheck,
     fourth_order_sweep,
+    ode_sweep,
     second_order_sweep,
 )
 from djkm.exact import RationalPoly
@@ -108,6 +109,19 @@ def test_case4_base_case_trivial_eigenvalue():
     # (n+1)(n-2) = 0 at n=2 and P_{-3,1} = 1/2 is constant
     member = get_family(FamilyId.P3).original(1)
     assert build_case4_op(2).apply(member).is_zero()
+
+
+def test_ode_sweep_rows():
+    p1 = ode_sweep(FamilyId.P1, 12)
+    assert [r.n for r in p1] == list(range(2, 13))
+    assert all(r.identity is True and r.residual.is_zero() and r.ok for r in p1)
+    p2 = ode_sweep(FamilyId.P2, 12)
+    assert [r.n for r in p2] == list(range(13))
+    assert all(r.identity is None and r.ok for r in p2)
+    assert all(r.member_zero for r in p2 if r.n % 2)
+    # the single-sweep views project the same rows
+    assert second_order_sweep(FamilyId.P1, 12) == [(r.n, True) for r in p1]
+    assert fourth_order_sweep(FamilyId.P2, 12) == [(r.n, r.member_zero, True) for r in p2]
 
 
 def test_second_order_sweeps():
@@ -237,3 +251,10 @@ def test_sweep_family_validation():
         fourth_order_sweep(FamilyId.P1, 10)
     with pytest.raises(ValueError):
         second_order_sweep(FamilyId.P4, 10)
+    # a max_n below the first index would sweep nothing
+    with pytest.raises(ValueError):
+        fourth_order_sweep(FamilyId.P4, -1)
+    with pytest.raises(ValueError):
+        second_order_sweep(FamilyId.P1, 1)
+    with pytest.raises(ValueError):
+        ode_sweep(FamilyId.P3, -5)
