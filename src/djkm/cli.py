@@ -3,7 +3,8 @@
 Output is JSON (CSV only for quadrature tables) and deterministic byte for
 byte for identical flags.  Exit codes: 0 all checks passed, 1 at least one
 verification failed, 2 usage error.  Verification failures never abort a
-sweep; they are collected into the report.
+sweep; they are collected into the report.  A failed internal consistency
+check (``VerificationError``) also exits 1, with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import List, Optional
 from . import diffops, oracle, ortho, reference
 from .cocycle import cocycle as cocycle_of, t_pow, t_pow_u, verify_items
 from .cocycle import verify_psi_table  # noqa: F401  (perfbench's span test reads this binding)
+from .exact import VerificationError
 from .families import (
     FamilyId,
     IndexView,
@@ -295,6 +297,11 @@ def _cmd_all(args) -> int:
         item.update(extra)
         report.add(item)
 
+    def record_first_failure(name: str, failing: Optional[int], **extra) -> None:
+        if failing is not None:
+            extra["first_failure"] = failing
+        record(name, failing is None, **extra)
+
     record(
         "family-tables",
         tuple(generate(FamilyId.P4, IndexView.SHIFTED, prof["table_n"]))
@@ -318,10 +325,17 @@ def _cmd_all(args) -> int:
     for fam in ("P-4", "P-2", "P-1", "P-3"):
         bound = prof["fourth_max"] if fam in ("P-4", "P-2") else prof["second_max"]
         items = _verify_ode_items(fam, bound)
-        record(f"ode-{fam}", all(i["status"] == "pass" for i in items), cases=len(items))
-    record(
+        record_first_failure(
+            f"ode-{fam}",
+            next((i["n"] for i in items if i["status"] == "fail"), None),
+            cases=len(items),
+        )
+    record_first_failure(
         "gegenbauer-link",
-        all(verify_gegenbauer_link(n) for n in range(2, prof["link_max"] + 1)),
+        next(
+            (n for n in range(2, prof["link_max"] + 1) if not verify_gegenbauer_link(n)),
+            None,
+        ),
     )
     q2 = get_family(FamilyId.P4).q(2)
     wimp_residual = diffops.build_wimp_op(2, -1, -1, Fraction(3, 2)).apply(q2)
@@ -436,7 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except VerificationError as exc:
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

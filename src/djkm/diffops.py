@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .exact import Rational, RationalPoly
+from .exact import Rational, RationalPoly, diff_combination
 from .families import FamilyId, IndexView, get_family
 
 _C = RationalPoly.variable()
@@ -41,14 +41,7 @@ class LinearDiffOp:
         return all(p.degree <= i for i, p in enumerate(self.coeffs))
 
     def apply(self, p: RationalPoly) -> RationalPoly:
-        out = RationalPoly.zero()
-        deriv = p
-        for i, f_i in enumerate(self.coeffs):
-            if i:
-                deriv = deriv.derivative()
-            if not f_i.is_zero() and not deriv.is_zero():
-                out = out + f_i * deriv
-        return out
+        return diff_combination(self.coeffs, p)
 
     def __add__(self, other: "LinearDiffOp") -> "LinearDiffOp":
         a, b = self.coeffs, other.coeffs

@@ -10,14 +10,20 @@ series in a second variable ``z`` whose coefficients are ``RationalPoly``
 values; the truncation order is tracked explicitly through every operation,
 so a result never claims coefficients that were not actually computed.
 
+Two kernels build the results of the hot paths in one integer pass with one
+reduction per result: ``diff_combination`` applies a linear differential
+operator sum_i f_i (d/dc)^i, and ``shift_combination`` takes one step
+x c a + y b of a three-term recurrence.
+
 All values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Optional, Union
 
 Rational = Fraction
@@ -249,43 +255,60 @@ class RationalPoly:
     def evaluate(self, point):
         """Horner evaluation; exact for int and Fraction points, numeric otherwise.
 
-        Runs on the reduced Fraction coefficients: the numerators and the
-        denominator can each be too large for a float even where the
-        coefficients are not.
+        A float point (numpy's float64 included) runs over ``num[i] / den``:
+        int true division is correctly rounded, so each term equals
+        ``float(coefficient)`` even where the numerators and the denominator
+        are too large for a float.  Other points run over the Fraction
+        coefficients.
         """
+        if isinstance(point, float):
+            den = self._den
+            coeffs = [x / den for x in self._num]
+        else:
+            coeffs = self.coeffs
         result = 0 * point  # matches the point's type
-        for coef in reversed(self.coeffs):
+        for coef in reversed(coeffs):
             result = result * point + coef
         return result
 
     def exact_divide(self, divisor) -> "RationalPoly":
-        """Exact division in Q[c]; raises NonDivisibleError on remainder."""
+        """Exact division in Q[c]; raises NonDivisibleError on remainder.
+
+        Pseudo-division on the numerators: with L the divisor's leading
+        numerator and e = deg self - deg divisor + 1, L**e * num_self =
+        Q * num_divisor + R with every step an exact integer division, and the
+        quotient is Q * den_divisor / (den_self * L**e).
+        """
         if isinstance(divisor, (int, Fraction)):
             return self / divisor
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dcs = divisor.coeffs
-        dd = len(dcs) - 1
-        lead = dcs[-1]
-        if len(rem) - 1 < dd:
-            if any(rem):
-                raise NonDivisibleError(
-                    f"{self!r} is not divisible by {divisor!r}"
-                )
+        b = divisor._num
+        dd = len(b) - 1
+        e = len(self._num) - dd
+        if e <= 0:
+            if self._num:
+                raise NonDivisibleError(f"{self!r} is not divisible by {divisor!r}")
             return _ZERO
-        q = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            coef = rem[i]
-            if not coef:
-                continue
-            factor = coef / lead
-            q[i - dd] = factor
-            for j, dj in enumerate(dcs):
-                rem[i - dd + j] -= factor * dj
-        if any(rem):
+        lead = b[-1]
+        scale = lead**e
+        rem = [x * scale for x in self._num]
+        q = [0] * e
+        for i in range(e - 1, -1, -1):
+            coef = rem[i + dd]
+            if coef:
+                f = coef // lead
+                q[i] = f
+                for j in range(dd):
+                    rem[i + j] -= f * b[j]
+        if any(rem[:dd]):
             raise NonDivisibleError(f"{self!r} is not divisible by {divisor!r}")
-        return RationalPoly(q)
+        den = self._den * scale
+        if den < 0:
+            den = -den
+            q = [-x for x in q]
+        m = divisor._den
+        return _from_parts(*_canonical([x * m for x in q], den))
 
     # -- comparison / hashing -----------------------------------------------
 
@@ -340,6 +363,69 @@ class RationalPoly:
 _ZERO = RationalPoly()
 _ONE = RationalPoly((1,))
 _C = RationalPoly((0, 1))
+
+
+def diff_combination(coeffs: Iterable[RationalPoly], p: RationalPoly) -> RationalPoly:
+    """sum_i coeffs[i] * (d/dc)**i p in one integer pass, reduced once.
+
+    The term f_i[t] c**t D**i maps c**k to c**(k - i + t) with weight
+    f_i[t] * k!/(k - i)!.  Over L = lcm of the coefficients' denominators the
+    terms are grouped by their shift i - t, so each numerator of p is
+    multiplied once per shift by a small integer weight.  When p has one
+    parity, the powers of the other parity are zero and are skipped.
+    """
+    terms = [(i, f) for i, f in enumerate(coeffs) if f._num]
+    if not terms or not p._num:
+        return _ZERO
+    den = lcm(*(f._den for _, f in terms))
+    groups = {}
+    for i, f in terms:
+        m = den // f._den
+        for t, x in enumerate(f._num):
+            if x:
+                groups.setdefault(i - t, []).append((i, x * m))
+    num = p._num
+    n = len(num)
+    step = 2 if p.parity_pure() else 1
+    first = (n - 1) % step
+    # falling[i][r] = k!/(k - i)! at the r-th power k = first + r * step
+    falling = [[1] * len(range(first, n, step))]
+    for i in range(1, max(i for i, _ in terms) + 1):
+        falling.append(list(map(mul, falling[-1], range(first + 1 - i, n + 1 - i, step))))
+    out = [0] * (n - min(0, min(groups)))
+    for s, ws in groups.items():
+        # the weight vanishes below k = i, and every i of the group is >= s
+        r = max(0, -((first - s) // step))
+        k = first + r * step
+        if k >= n:  # p has no power this shift can reach
+            continue
+        w = [0] * (len(falling[0]) - r)
+        for i, x in ws:
+            w = list(map(add, w, map(mul, repeat(x), falling[i][r:])))
+        at = slice(k - s, n - s, step)
+        out[at] = map(add, out[at], map(mul, w, num[k::step]))
+    return _from_parts(*_canonical(out, den * p._den))
+
+
+def shift_combination(
+    a: RationalPoly, x: Scalar, b: RationalPoly, y: Scalar
+) -> RationalPoly:
+    """x * c * a + y * b for rationals x and y, over one denominator, reduced once."""
+    x, y = _as_rational(x), _as_rational(y)
+    an = a._num if x else ()
+    bn = b._num if y else ()
+    da = x.denominator * a._den
+    db = y.denominator * b._den
+    den = lcm(da if an else 1, db if bn else 1)
+    ma = den // da * x.numerator
+    mb = den // db * y.numerator
+    ta = [0] + [ma * v for v in an]
+    tb = [mb * v for v in bn]
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    out = list(map(add, ta, tb))
+    out.extend(ta[len(tb) :])
+    return _from_parts(*_canonical(out, den))
 
 
 def _as_poly(x) -> RationalPoly:

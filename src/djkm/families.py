@@ -20,7 +20,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Union
 
-from .exact import NonDivisibleError, Rational, RationalPoly, VerificationError
+from .exact import (
+    NonDivisibleError,
+    Rational,
+    RationalPoly,
+    VerificationError,
+    shift_combination,
+)
 
 _C = RationalPoly.variable()
 
@@ -88,11 +94,13 @@ class PolynomialFamily:
         with self._lock:
             k = len(self._vals) - 4
             while k <= k_max:
-                # 6 + 2k >= 6 for k >= 0, so the division is always exact here.
-                p = (
-                    self._vals[k + 2].scale_shift(4 * k, 1)
-                    - self._vals[k] * (2 * (k - 3))
-                ) / Fraction(6 + 2 * k)
+                # 6 + 2k >= 6 for k >= 0, so both weights are well defined here.
+                p = shift_combination(
+                    self._vals[k + 2],
+                    Fraction(4 * k, 6 + 2 * k),
+                    self._vals[k],
+                    Fraction(-2 * (k - 3), 6 + 2 * k),
+                )
                 if (k - _PARITY[self.id]) % 2 and not p.is_zero():
                     raise VerificationError(
                         f"{self.id.value}: parity entry k={k} not zero"
@@ -156,26 +164,33 @@ def generate(family_id: FamilyId, view: IndexView, max_index: int) -> List[Ratio
     return [fam.member(view, n) for n in range(start, max_index + 1)]
 
 
+_GEGENBAUER: Dict[Fraction, List[RationalPoly]] = {}
+_GEGENBAUER_LOCK = threading.Lock()
+
+
 def gegenbauer(lam: Union[Rational, int], n: int) -> RationalPoly:
     """Gegenbauer polynomial C_n^(lam) by the standard three-term recurrence
 
         n C_n = 2(n + lam - 1) c C_{n-1} - (n + 2 lam - 2) C_{n-2},
 
-    with C_0 = 1 and C_1 = 2 lam c.  Exact for rational lam.
+    with C_0 = 1 and C_1 = 2 lam c.  Exact for rational lam.  Each lam keeps
+    its sequence in a shared cache that is extended under a lock, so a run
+    over n = 0..N costs N recurrence steps in total.
     """
     if n < 0:
         raise ValueError("Gegenbauer degree must be >= 0")
     lam = Fraction(lam)
-    prev2 = RationalPoly.one()
-    if n == 0:
-        return prev2
-    prev1 = RationalPoly.monomial(2 * lam, 1)
-    for m in range(2, n + 1):
-        cur = (
-            prev1.scale_shift(2 * (m + lam - 1), 1) - prev2 * (m + 2 * lam - 2)
-        ) / Fraction(m)
-        prev2, prev1 = prev1, cur
-    return prev1
+    with _GEGENBAUER_LOCK:
+        seq = _GEGENBAUER.get(lam)
+        if seq is None:
+            seq = _GEGENBAUER[lam] = [RationalPoly.one(), RationalPoly.monomial(2 * lam, 1)]
+        for m in range(len(seq), n + 1):
+            seq.append(
+                shift_combination(
+                    seq[m - 1], 2 * (m + lam - 1) / m, seq[m - 2], -(m + 2 * lam - 2) / m
+                )
+            )
+        return seq[n]
 
 
 def verify_gegenbauer_link(n: int) -> bool:

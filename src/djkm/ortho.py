@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import RationalPoly
+from .exact import RationalPoly, shift_combination
 from .families import FamilyId, get_family
 
 Scalar = Union[int, Fraction]
@@ -363,10 +363,9 @@ def assoc_ultraspherical(nu: Scalar, assoc_c: Scalar, count: int) -> List[Ration
         denom = n + assoc_c + 1
         if denom == 0:
             raise ZeroDivisionError(f"degenerate association parameter at step n={n}")
-        nxt = (
-            cur.scale_shift(2 * (n + nu + assoc_c), 1)
-            - prev * (2 * nu + n + assoc_c - 1)
-        ) / denom
+        nxt = shift_combination(
+            cur, 2 * (n + nu + assoc_c) / denom, prev, -(2 * nu + n + assoc_c - 1) / denom
+        )
         prev, cur = cur, nxt
         out.append(cur)
     return out

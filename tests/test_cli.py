@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from djkm import diffops
+from djkm import diffops, families
 from djkm.cli import main
 from djkm.exact import RationalPoly
 
@@ -92,6 +92,39 @@ def test_verify_ode_reports_wrong_operators(capsys, monkeypatch):
             assert all(i["identity"] == "pass" for i in data["items"])
         else:
             assert all(i["member_zero"] for i in data["items"] if i["status"] == "pass")
+    # `all` names the first failing index of each failing sweep and of the link
+    real_gegenbauer = families.gegenbauer
+
+    def wrong_from_5(lam, n):
+        return real_gegenbauer(lam, n) + (RationalPoly.one() if n >= 5 else RationalPoly.zero())
+
+    monkeypatch.setattr(families, "gegenbauer", wrong_from_5)
+    code, out = run_cli(capsys, "all", "--profile", "quick")
+    assert code == 1
+    items = {i["check"]: i for i in json.loads(out)["items"]}
+    assert items["ode-P-4"] == {
+        "check": "ode-P-4", "status": "fail", "cases": 61, "first_failure": 0
+    }
+    assert items["ode-P-1"] == {
+        "check": "ode-P-1", "status": "fail", "cases": 39, "first_failure": 2
+    }
+    assert items["ode-P-2"] == {"check": "ode-P-2", "status": "pass", "cases": 61}
+    assert items["gegenbauer-link"] == {
+        "check": "gegenbauer-link", "status": "fail", "first_failure": 5
+    }
+
+
+def test_verification_error_exits_1(capsys, monkeypatch):
+    fam = families.PolynomialFamily(families.FamilyId.P4)
+    fam._vals[1] = RationalPoly.one()  # tamper with P_{-3}, which must be zero
+    monkeypatch.setitem(families._REGISTRY, families.FamilyId.P4, fam)
+    code = main(["gen", "--family", "P-4", "--max-n", "8"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: verification failed: P-4: parity entry k=1")
 
 
 def test_second_order_verify_includes_identity(capsys):

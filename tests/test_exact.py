@@ -14,6 +14,8 @@ from djkm.exact import (
     NotSquareError,
     RationalPoly,
     ResidueError,
+    diff_combination,
+    shift_combination,
 )
 
 C = RationalPoly.variable()
@@ -171,6 +173,26 @@ def assert_canonical(p):
         assert (num, den) == ((), 1)
 
 
+def ref_derivative(a):
+    return trimmed(i * y for i, y in enumerate(a))[1:]
+
+
+def ref_diff_combination(fs, a):
+    out, deriv = [], a
+    for i, f in enumerate(fs):
+        if i:
+            deriv = ref_derivative(deriv)
+        out = ref_add(out, ref_mul(f, deriv))
+    return out
+
+
+def ref_float_horner(ref, x):
+    value = 0 * x
+    for y in reversed(ref):
+        value = value * x + float(y)
+    return value
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(rationals(), max_size=7),
@@ -178,10 +200,17 @@ def assert_canonical(p):
     rationals(),
     st.integers(min_value=0, max_value=4),
     rationals(),
+    # operator coefficients f_0..f_4, with degrees above i and zero entries
+    st.lists(
+        st.one_of(st.just([]), st.lists(st.one_of(st.just(F(0)), rationals()), max_size=7)),
+        max_size=5,
+    ),
+    rationals(),
 )
-def test_matches_fraction_list_reference(a, b, s, k, x):
+def test_matches_fraction_list_reference(a, b, s, k, x, fs, s2):
     pa, pb = RationalPoly(a), RationalPoly(b)
     ra, rb = trimmed(a), trimmed(b)
+    rfs = [trimmed(f) for f in fs]
     cases = {
         "a": (pa, ra),
         "add": (pa + pb, ref_add(ra, rb)),
@@ -191,7 +220,15 @@ def test_matches_fraction_list_reference(a, b, s, k, x):
         "scalar-mul": (pa * s, trimmed(y * s for y in ra)),
         "scalar-rmul": (s * pa, trimmed(y * s for y in ra)),
         "scale-shift": (pa.scale_shift(s, k), trimmed([0] * k + [y * s for y in ra])),
-        "derivative": (pa.derivative(), trimmed(i * y for i, y in enumerate(ra))[1:]),
+        "derivative": (pa.derivative(), ref_derivative(ra)),
+        "diff-combination": (
+            diff_combination([RationalPoly(f) for f in fs], pa),
+            ref_diff_combination(rfs, ra),
+        ),
+        "shift-combination": (
+            shift_combination(pa, s, pb, s2),
+            ref_add([u * s for u in [F(0)] + ra], [u * s2 for u in rb]),
+        ),
     }
     if s:
         cases["scalar-div"] = (pa / s, trimmed(y / s for y in ra))
@@ -215,6 +252,8 @@ def test_matches_fraction_list_reference(a, b, s, k, x):
         assert type(value) is F and value == sum(
             (y * x**i for i, y in enumerate(ref)), F(0)
         ), name
+        fx = float(x)
+        assert repr(p.evaluate(fx)) == repr(ref_float_horner(ref, fx)), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Family generation: published tables, recurrence re-assertion, closed forms."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import djkm
+from djkm import families
 from djkm.exact import RationalPoly, VerificationError
 from djkm.families import (
     FamilyId,
@@ -242,6 +244,46 @@ def test_gegenbauer_against_inline_recurrence():
             ) / F(n)
             assert gegenbauer(lam, n) == cur
             prev2, prev1 = prev1, cur
+
+
+def test_gegenbauer_matches_explicit_sum(monkeypatch):
+    # C_n^(lam)(c) = sum_k (-1)^k (lam)_{n-k} / (k! (n-2k)!) (2c)^{n-2k}
+    def rising(lam, m):
+        return math.prod((lam + j for j in range(m)), start=F(1))
+
+    def explicit(lam, n):
+        cs = [F(0)] * (n + 1)
+        for k in range(n // 2 + 1):
+            cs[n - 2 * k] = (
+                (-1) ** k * rising(lam, n - k) * 2 ** (n - 2 * k)
+                / (math.factorial(k) * math.factorial(n - 2 * k))
+            )
+        return RationalPoly(cs)
+
+    # start from an empty cache: descending requests extend it once, the
+    # ascending ones read it back
+    monkeypatch.setattr(families, "_GEGENBAUER", {})
+    for lam in (F(3, 2), F(-1, 2), 1, F(2, 3)):
+        for n in [*range(30, -1, -1), *range(31)]:
+            assert gegenbauer(lam, n) == explicit(F(lam), n), (lam, n)
+
+
+def test_concurrent_gegenbauer_is_consistent(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    # ascending degrees from a fresh cache, so the workers extend the same
+    # sequences at the same time
+    monkeypatch.setattr(families, "_GEGENBAUER", {})
+    requests = [(lam, n) for n in range(120) for lam in (F(1, 3), 2) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda a: gegenbauer(*a), requests, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(families, "_GEGENBAUER", {})
+    assert results == [gegenbauer(lam, n) for lam, n in requests]
 
 
 def test_gegenbauer_link_base_case():
