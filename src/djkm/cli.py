@@ -87,8 +87,11 @@ class RunReport:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"--out: {exc}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -111,17 +114,35 @@ def _cmd_gen(args) -> int:
         view = IndexView(args.view)
     with _usage_errors("--max-n"):
         polys = generate(family_id, view, args.max_n)
-    start = VIEW_START[view]
-    payload = {
-        "family": family_id.value,
-        "view": view.value,
-        "entries": [
-            {"n": start + offset, "poly": poly.to_json()}
-            for offset, poly in enumerate(polys)
-        ],
-    }
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(_gen_text(family_id, view, polys), args.out)
     return 0
+
+
+def _gen_text(family_id: FamilyId, view: IndexView, polys) -> str:
+    """The gen payload in exactly the layout of ``json.dumps(..., indent=2)``.
+
+    Written directly because ``json.dumps`` falls back to its pure-Python
+    encoder whenever ``indent`` is set.  Every string in the payload holds
+    only letters, digits and ``-``, so nothing needs escaping.  ``polys`` is
+    nonempty, as ``generate`` returns it.
+    """
+    start = VIEW_START[view]
+    entries = []
+    for offset, poly in enumerate(polys):
+        pairs = ",\n".join(
+            f'          [\n            "{num}",\n            "{den}"\n          ]'
+            for num, den in poly.to_json()["coeffs"]
+        )
+        coeffs = f"[\n{pairs}\n        ]" if pairs else "[]"
+        entries.append(
+            f'    {{\n      "n": {start + offset},\n      "poly": {{\n'
+            f'        "coeffs": {coeffs}\n      }}\n    }}'
+        )
+    body = ",\n".join(entries)
+    return (
+        f'{{\n  "family": "{family_id.value}",\n  "view": "{view.value}",\n'
+        f'  "entries": [\n{body}\n  ]\n}}'
+    )
 
 
 def _verify_ode_items(family: str, max_n: int) -> List[dict]:
@@ -297,9 +318,13 @@ def _cmd_all(args) -> int:
         item.update(extra)
         report.add(item)
 
-    def record_first_failure(name: str, failing: Optional[int], **extra) -> None:
+    def record_first_failure(
+        name: str, failing: Optional[int], residual: Optional[dict] = None, **extra
+    ) -> None:
         if failing is not None:
             extra["first_failure"] = failing
+        if residual is not None:
+            extra["residual"] = residual
         record(name, failing is None, **extra)
 
     record(
@@ -325,10 +350,9 @@ def _cmd_all(args) -> int:
     for fam in ("P-4", "P-2", "P-1", "P-3"):
         bound = prof["fourth_max"] if fam in ("P-4", "P-2") else prof["second_max"]
         items = _verify_ode_items(fam, bound)
+        failing = next((i for i in items if i["status"] == "fail"), {})
         record_first_failure(
-            f"ode-{fam}",
-            next((i["n"] for i in items if i["status"] == "fail"), None),
-            cases=len(items),
+            f"ode-{fam}", failing.get("n"), failing.get("residual"), cases=len(items)
         )
     record_first_failure(
         "gegenbauer-link",

@@ -350,10 +350,20 @@ class RationalPoly:
         return f"RationalPoly({self.to_str()})"
 
     def to_json(self) -> dict:
-        """{"coeffs": [[num, den], ...]} with decimal-string big integers."""
-        return {
-            "coeffs": [[str(x.numerator), str(x.denominator)] for x in self.coeffs]
-        }
+        """{"coeffs": [[num, den], ...]} with decimal-string big integers.
+
+        Each pair is the coefficient in lowest terms, read off the integer
+        numerators without building a Fraction.
+        """
+        den = self._den
+        coeffs = []
+        for x in self._num:
+            if x:
+                g = gcd(x, den)
+                coeffs.append([str(x // g), str(den // g)])
+            else:
+                coeffs.append(["0", "1"])
+        return {"coeffs": coeffs}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "RationalPoly":

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from djkm import diffops, families
-from djkm.cli import main
+from djkm.cli import GEN_FAMILIES, main
 from djkm.exact import RationalPoly
+from djkm.families import VIEW_START, IndexView, generate
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +49,54 @@ def test_gen_q_view_families(capsys):
     assert data["entries"][1]["poly"]["coeffs"] == [["1", "5"]]
 
 
+def _reference_gen_text(family, view_flag, max_n):
+    """gen's payload through json.dumps, from the Fraction coefficients."""
+    family_id, view = GEN_FAMILIES[family]
+    if view_flag is not None:
+        view = IndexView(view_flag)
+    start = VIEW_START[view]
+    payload = {
+        "family": family_id.value,
+        "view": view.value,
+        "entries": [
+            {
+                "n": start + offset,
+                "poly": {
+                    "coeffs": [
+                        [str(f.numerator), str(f.denominator)] for f in poly.coeffs
+                    ]
+                },
+            }
+            for offset, poly in enumerate(generate(family_id, view, max_n))
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
+def _gen_cases():
+    for family, (_, view) in sorted(GEN_FAMILIES.items()):
+        start = VIEW_START[view]
+        for max_n in (start, start + 1, 12, 40):
+            yield family, None, max_n
+    for family in ("P-4", "P-3"):
+        for view_flag in ("original", "shifted", "q"):
+            start = VIEW_START[IndexView(view_flag)]
+            for max_n in (start, start + 1, 12, 40):
+                yield family, view_flag, max_n
+
+
+def test_gen_bytes_match_json_dumps(capsys):
+    # zero members, negative n and one-entry tables, byte for byte
+    for family, view_flag, max_n in _gen_cases():
+        argv = ["gen", "--family", family, "--max-n", str(max_n)]
+        if view_flag is not None:
+            argv += ["--view", view_flag]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.endswith("\n")
+        assert out[:-1] == _reference_gen_text(family, view_flag, max_n), argv
+
+
 def test_gen_view_conflict_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "gen", "--family", "q", "--view", "shifted", "--max-n", "4")
@@ -79,6 +128,7 @@ def test_verify_ode_reports_wrong_operators(capsys, monkeypatch):
 
     monkeypatch.setattr(diffops, "build_elliptic1_op", wrong)
     monkeypatch.setattr(diffops, "build_case3_op", wrong)
+    first_residual = {}
     for family, max_n in (("P-4", "12"), ("P-1", "8")):
         code, out = run_cli(capsys, "verify-ode", "--family", family, "--max-n", max_n)
         assert code == 1
@@ -87,6 +137,7 @@ def test_verify_ode_reports_wrong_operators(capsys, monkeypatch):
         failing = [i for i in data["items"] if i["status"] == "fail"]
         assert failing
         assert all(isinstance(i["residual"], dict) for i in failing)
+        first_residual[family] = failing[0]["residual"]
         if family == "P-1":
             assert len(failing) == len(data["items"])
             assert all(i["identity"] == "pass" for i in data["items"])
@@ -102,6 +153,12 @@ def test_verify_ode_reports_wrong_operators(capsys, monkeypatch):
     code, out = run_cli(capsys, "all", "--profile", "quick")
     assert code == 1
     items = {i["check"]: i for i in json.loads(out)["items"]}
+    # a failing sweep also carries the residual of its first failing row
+    for family in ("P-4", "P-1"):
+        residual = items[f"ode-{family}"].pop("residual")
+        assert not RationalPoly.from_json(residual).is_zero()
+        assert RationalPoly.from_json(residual).to_json() == residual
+        assert residual == first_residual[family]
     assert items["ode-P-4"] == {
         "check": "ode-P-4", "status": "fail", "cases": 61, "first_failure": 0
     }
@@ -215,10 +272,13 @@ def test_nonclassical_report(capsys):
         ["verify-ode", "--family", "P-4", "--max-n", "-3"],
         ["gen", "--family", "P-4", "--max-n", "-10"],
         ["oracle-compare", "--family", "P-4", "--order", "2"],
+        ["gen", "--family", "P-4", "--max-n", "2", "--out", "{tmp}/missing/x.json"],
+        ["verify-ode", "--family", "P-4", "--max-n", "2", "--out", "{tmp}/missing/x.json"],
     ],
     ids=" ".join,
 )
-def test_bad_algebra_size_is_usage_error(argv):
+def test_bad_algebra_size_is_usage_error(argv, tmp_path):
+    argv = [a.format(tmp=tmp_path) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "djkm.cli", *argv], capture_output=True, text=True
     )
