@@ -13,11 +13,12 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, TextIO
 
 from . import diffops, oracle, ortho, reference
 from .cocycle import cocycle as cocycle_of, t_pow, t_pow_u, verify_items
@@ -85,20 +86,26 @@ class RunReport:
         }
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"--out: {exc}") from None
-    else:
+def _emit(text: str, out: Optional[TextIO]) -> None:
+    """Write text to the open --out file, or to stdout with a final newline.
+
+    A reader that closes stdout early (``djkm gen ... | head``) is not an
+    error: the rest of the output is dropped, and stdout is pointed at
+    os.devnull so the flush at exit stays quiet.
+    """
+    if out is not None:
+        out.write(text)
+        return
+    try:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _emit_report(report: RunReport, out: Optional[str]) -> int:
+def _emit_report(report: RunReport, out: Optional[TextIO]) -> int:
     _emit(json.dumps(report.to_json(), indent=2), out)
     return 0 if report.status == "pass" else 1
 
@@ -276,7 +283,6 @@ def _cmd_nonclassical(args) -> int:
 
 _PROFILES = {
     "desk": {
-        "table_n": 12,
         "oracle_order": 120,
         "funde_order": 40,
         "fourth_max": 400,
@@ -291,7 +297,6 @@ _PROFILES = {
         "quad_deg": 8,
     },
     "quick": {
-        "table_n": 12,
         "oracle_order": 40,
         "funde_order": 20,
         "fourth_max": 60,
@@ -329,9 +334,9 @@ def _cmd_all(args) -> int:
 
     record(
         "family-tables",
-        tuple(generate(FamilyId.P4, IndexView.SHIFTED, prof["table_n"]))
+        tuple(generate(FamilyId.P4, IndexView.SHIFTED, len(reference.P4_SHIFTED_TABLE) - 1))
         == reference.P4_SHIFTED_TABLE
-        and tuple(generate(FamilyId.P2, IndexView.SHIFTED, prof["table_n"]))
+        and tuple(generate(FamilyId.P2, IndexView.SHIFTED, len(reference.P2_SHIFTED_TABLE) - 1))
         == reference.P2_SHIFTED_TABLE
         and tuple(generate(FamilyId.P4, IndexView.Q, 3)) == reference.Q_BOX
         and tuple(generate(FamilyId.P2, IndexView.QBAR, 4))[1:] == reference.QBAR_BOX,
@@ -474,11 +479,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except VerificationError as exc:
-        print(f"error: verification failed: {exc}", file=sys.stderr)
-        return 1
+    with contextlib.ExitStack() as stack:
+        # --out is opened before the command runs, so an unwritable path is
+        # a usage error before any work is done.
+        if args.out is not None:
+            try:
+                args.out = stack.enter_context(open(args.out, "w"))
+            except OSError as exc:
+                raise UsageError(f"--out: {exc}") from None
+        try:
+            return args.func(args)
+        except VerificationError as exc:
+            print(f"error: verification failed: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

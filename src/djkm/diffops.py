@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .exact import Rational, RationalPoly, diff_combination
+from .exact import Rational, RationalPoly, diff_combination, specialise
 from .families import FamilyId, IndexView, get_family
 
 _C = RationalPoly.variable()
@@ -22,11 +22,6 @@ class LinearDiffOp:
     """sum_i coeffs[i] * (d/dc)^i with RationalPoly coefficients."""
 
     coeffs: Tuple[RationalPoly, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(_as_poly(p) for p in self.coeffs)
-        )
 
     @property
     def order(self) -> int:
@@ -56,10 +51,6 @@ class LinearDiffOp:
         return LinearDiffOp(tuple(p * factor for p in self.coeffs))
 
 
-def _as_poly(p) -> RationalPoly:
-    return p if isinstance(p, RationalPoly) else RationalPoly((p,))
-
-
 def build_gegenbauer_op(lam: Union[Rational, int], n: int) -> LinearDiffOp:
     """(1 - c^2) D^2 - (2 lam + 1) c D + n (n + 2 lam)."""
     lam = Fraction(lam)
@@ -72,18 +63,33 @@ def build_gegenbauer_op(lam: Union[Rational, int], n: int) -> LinearDiffOp:
     )
 
 
+# Each family operator as a table in Z[c, n]: row i holds the c-coefficients
+# of f_i, lowest power first, and each c-coefficient is an integer polynomial
+# in n, lowest power first.  The builders specialise a table at one n.
+CASE3_TABLE = ((-2,), (), (0, 1, -1)), ((), (2,), (), (2,)), ((), (), (-1,), (), (1,))
+CASE4_TABLE = ((2, 1, -1),), ((), (4,)), ((-1,), (), (1,))
+ELLIPTIC1_TABLE = (
+    ((0, 0, 16, -8, 1),),
+    ((), (144, 96, -24)),
+    ((-176, -32, 8), (), (368, 32, -8)),
+    ((), (-160,), (), (160,)),
+    ((16,), (), (-32,), (), (16,)),
+)
+ELLIPTIC2_TABLE = (
+    ((-48, 32, 8, -8, 1),),
+    ((), (48, 96, -24)),
+    ((-144, -32, 8), (), (336, 32, -8)),
+    ((), (-160,), (), (160,)),
+    ((16,), (), (-32,), (), (16,)),
+)
+
+
 def build_case3_op(n: int) -> LinearDiffOp:
     """Second-order annihilator of P_{-1, 2n-3} (original indexing), n >= 2:
 
         (c^4 - c^2) D^2 + 2c (c^2 + 1) D + (-c^2 n(n-1) - 2).
     """
-    return LinearDiffOp(
-        (
-            RationalPoly((-2, 0, -n * (n - 1))),
-            RationalPoly((0, 2, 0, 2)),
-            RationalPoly((0, 0, -1, 0, 1)),
-        )
-    )
+    return LinearDiffOp(specialise(CASE3_TABLE, n))
 
 
 def build_case4_op(n: int) -> LinearDiffOp:
@@ -91,13 +97,7 @@ def build_case4_op(n: int) -> LinearDiffOp:
 
         (c^2 - 1) D^2 + 4c D - (n+1)(n-2).
     """
-    return LinearDiffOp(
-        (
-            RationalPoly.constant(-(n + 1) * (n - 2)),
-            RationalPoly((0, 4)),
-            RationalPoly((-1, 0, 1)),
-        )
-    )
+    return LinearDiffOp(specialise(CASE4_TABLE, n))
 
 
 def build_elliptic1_op(n: int) -> LinearDiffOp:
@@ -107,16 +107,7 @@ def build_elliptic1_op(n: int) -> LinearDiffOp:
         - 8 (c^2 (n^2-4n-46) - n^2+4n+22) D^2
         - 24 c (n^2-4n-6) D + (n-4)^2 n^2.
     """
-    s = n * n - 4 * n
-    return LinearDiffOp(
-        (
-            RationalPoly.constant((n - 4) ** 2 * n * n),
-            RationalPoly.monomial(-24 * (s - 6), 1),
-            RationalPoly((8 * s - 176, 0, -8 * (s - 46))),
-            RationalPoly((0, -160, 0, 160)),
-            RationalPoly((16, 0, -32, 0, 16)),
-        )
-    )
+    return LinearDiffOp(specialise(ELLIPTIC1_TABLE, n))
 
 
 def build_elliptic2_op(n: int) -> LinearDiffOp:
@@ -126,16 +117,7 @@ def build_elliptic2_op(n: int) -> LinearDiffOp:
         - 8 (c^2 (n^2-4n-42) - n^2+4n+18) D^2
         - 24 c (n^2-4n-2) D + (n-6)(n-2)^2 (n+2).
     """
-    s = n * n - 4 * n
-    return LinearDiffOp(
-        (
-            RationalPoly.constant((n - 6) * (n - 2) ** 2 * (n + 2)),
-            RationalPoly.monomial(-24 * (s - 2), 1),
-            RationalPoly((8 * s - 144, 0, -8 * (s - 42))),
-            RationalPoly((0, -160, 0, 160)),
-            RationalPoly((16, 0, -32, 0, 16)),
-        )
-    )
+    return LinearDiffOp(specialise(ELLIPTIC2_TABLE, n))
 
 
 def build_qform_op(n: int) -> LinearDiffOp:
@@ -144,17 +126,10 @@ def build_qform_op(n: int) -> LinearDiffOp:
         (x^2-1)^2 D^4 + 10 x (x^2-1) D^3
         - (x^2 (2n^2+4n-23) - 2n^2-4n+11) D^2
         - 3 x (2n^2+4n-3) D + n^2 (n+2)^2.
+
+    It is the elliptic-1 operator at 2n + 4, divided by 16.
     """
-    s = 2 * n * n + 4 * n
-    return LinearDiffOp(
-        (
-            RationalPoly.constant(n * n * (n + 2) ** 2),
-            RationalPoly.monomial(-3 * (s - 3), 1),
-            RationalPoly((s - 11, 0, -(s - 23))),
-            RationalPoly((0, -10, 0, 10)),
-            RationalPoly((1, 0, -2, 0, 1)),
-        )
-    )
+    return build_elliptic1_op(2 * n + 4).scale(Fraction(1, 16))
 
 
 def build_wimp_op(

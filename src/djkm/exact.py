@@ -13,7 +13,8 @@ so a result never claims coefficients that were not actually computed.
 Two kernels build the results of the hot paths in one integer pass with one
 reduction per result: ``diff_combination`` applies a linear differential
 operator sum_i f_i (d/dc)^i, and ``shift_combination`` takes one step
-x c a + y b of a three-term recurrence.
+x c a + y b of a three-term recurrence.  ``specialise`` turns a table of
+integer polynomials in (c, n) into the polynomials in c at one integer n.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -197,9 +198,6 @@ class RationalPoly:
         if 0 <= power < len(self._num):
             return Fraction(self._num[power], self._den)
         return Fraction(0)
-
-    def leading_coefficient(self) -> Fraction:
-        return Fraction(self._num[-1], self._den) if self._num else Fraction(0)
 
     def is_constant(self) -> bool:
         return len(self._num) <= 1
@@ -436,6 +434,24 @@ def shift_combination(
     out = list(map(add, ta, tb))
     out.extend(ta[len(tb) :])
     return _from_parts(*_canonical(out, den))
+
+
+def specialise(rows: Iterable[tuple], n: int) -> tuple:
+    """The polynomials in c whose c-coefficients are integer polynomials in n,
+    evaluated at the integer n.
+
+    Row i holds the c-coefficients of the i-th polynomial, lowest power first;
+    each is a tuple of integers, the coefficients in n, lowest power first.
+    """
+    return tuple(_from_parts(*_canonical([_horner(t, n) for t in row], 1)) for row in rows)
+
+
+def _horner(coeffs: tuple, x: int) -> int:
+    """The integer polynomial coeffs (lowest power first) at the integer x."""
+    v = 0
+    for a in reversed(coeffs):
+        v = v * x + a
+    return v
 
 
 def _as_poly(x) -> RationalPoly:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from djkm import diffops, families
+from djkm import cli, diffops, families
 from djkm.cli import GEN_FAMILIES, main
 from djkm.exact import RationalPoly
 from djkm.families import VIEW_START, IndexView, generate
@@ -287,6 +287,36 @@ def test_bad_algebra_size_is_usage_error(argv, tmp_path):
     (line,) = proc.stderr.splitlines()
     assert line.startswith(f"error: {argv[-2]}: ")
     assert proc.stdout == ""
+
+
+def test_unwritable_out_fails_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(cli, "generate", stub)
+    with pytest.raises(SystemExit) as exc:
+        main(["all", "--profile", "desk", "--out", str(tmp_path / "missing" / "x.json")])
+    assert exc.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: --out: ")
+    assert calls == []
+
+
+def test_closed_stdout_is_not_an_error():
+    # 1.5 MB of output, far beyond a pipe buffer; the reader stops after 10 bytes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "djkm.cli", "gen", "--family", "P-4", "--max-n", "300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 def test_deterministic_output(capsys):

@@ -64,6 +64,74 @@ def test_all_builders_respect_the_degree_profile():
         assert not build_case3_op(n).degree_profile_ok()
 
 
+# The builders as hand-expanded from their docstring formulas, with plain
+# RationalPoly arithmetic: the reference for the tables in Z[c, n].
+
+
+def _case3_formula(n):
+    return (
+        RationalPoly((-2, 0, -n * (n - 1))),
+        RationalPoly((0, 2, 0, 2)),
+        RationalPoly((0, 0, -1, 0, 1)),
+    )
+
+
+def _case4_formula(n):
+    return (
+        RationalPoly.constant(-(n + 1) * (n - 2)),
+        RationalPoly((0, 4)),
+        RationalPoly((-1, 0, 1)),
+    )
+
+
+def _elliptic1_formula(n):
+    s = n * n - 4 * n
+    return (
+        RationalPoly.constant((n - 4) ** 2 * n * n),
+        RationalPoly.monomial(-24 * (s - 6), 1),
+        RationalPoly((8 * s - 176, 0, -8 * (s - 46))),
+        RationalPoly((0, -160, 0, 160)),
+        RationalPoly((16, 0, -32, 0, 16)),
+    )
+
+
+def _elliptic2_formula(n):
+    s = n * n - 4 * n
+    return (
+        RationalPoly.constant((n - 6) * (n - 2) ** 2 * (n + 2)),
+        RationalPoly.monomial(-24 * (s - 2), 1),
+        RationalPoly((8 * s - 144, 0, -8 * (s - 42))),
+        RationalPoly((0, -160, 0, 160)),
+        RationalPoly((16, 0, -32, 0, 16)),
+    )
+
+
+def _qform_formula(n):
+    s = 2 * n * n + 4 * n
+    return (
+        RationalPoly.constant(n * n * (n + 2) ** 2),
+        RationalPoly.monomial(-3 * (s - 3), 1),
+        RationalPoly((s - 11, 0, -(s - 23))),
+        RationalPoly((0, -10, 0, 10)),
+        RationalPoly((1, 0, -2, 0, 1)),
+    )
+
+
+def test_table_builders_match_the_displayed_formulas():
+    # == compares the canonical (numerators, denominator) pairs, so this also
+    # catches a coefficient that vanishes at one n and is left as a trailing zero
+    pairs = (
+        (build_case3_op, _case3_formula),
+        (build_case4_op, _case4_formula),
+        (build_elliptic1_op, _elliptic1_formula),
+        (build_elliptic2_op, _elliptic2_formula),
+        (build_qform_op, _qform_formula),
+    )
+    for build, formula in pairs:
+        for n in range(-8, 401):
+            assert build(n).coeffs == formula(n), (build.__name__, n)
+
+
 def test_operator_addition_and_scaling():
     a = LinearDiffOp((ONE,))
     b = LinearDiffOp((RationalPoly.zero(), ONE))
