@@ -268,9 +268,16 @@ def _cmd_quadrature(args) -> int:
 
 
 def _cmd_nonclassical(args) -> int:
+    # The eigen-system of both families has a 5-, 3- and 2-dimensional
+    # solution space at max-n 1, 2 and 3, and only the constants from 4 on:
+    # below 4 a failure would not be a counterexample.
+    if args.max_n < 4:
+        raise UsageError(
+            "--max-n: must be >= 4; below that the order <= 2 eigen-system "
+            "is underdetermined"
+        )
     started = time.perf_counter()
-    with _usage_errors("--max-n"):
-        witness = ortho.nonclassical_check(args.family, args.max_n)
+    witness = ortho.nonclassical_check(args.family, args.max_n)
     report = RunReport(
         command="nonclassical",
         parameters={"family": args.family, "max_n": args.max_n},

@@ -10,11 +10,15 @@ series in a second variable ``z`` whose coefficients are ``RationalPoly``
 values; the truncation order is tracked explicitly through every operation,
 so a result never claims coefficients that were not actually computed.
 
-Two kernels build the results of the hot paths in one integer pass with one
+Three kernels build the results of the hot paths in one integer pass with one
 reduction per result: ``diff_combination`` applies a linear differential
-operator sum_i f_i (d/dc)^i, and ``shift_combination`` takes one step
-x c a + y b of a three-term recurrence.  ``specialise`` turns a table of
-integer polynomials in (c, n) into the polynomials in c at one integer n.
+operator sum_i f_i (d/dc)^i, ``shift_combination`` takes one step
+x c a + y b of a three-term recurrence, and ``_product_sum`` forms a sum of
+weighted products w p q, split by the parity of the powers of c.  The
+series product computes each of its coefficients with ``_product_sum``, and
+so does each step of the recurrence behind ``sqrt`` and ``pow_neg_3_2``.
+``specialise`` turns a table of integer polynomials in (c, n) into the
+polynomials in c at one integer n.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -436,6 +440,50 @@ def shift_combination(
     return _from_parts(*_canonical(out, den))
 
 
+def _halves(p: RationalPoly) -> tuple:
+    """(even, odd, den, width): p's numerators at the even and at the odd powers.
+
+    A half with no nonzero entry is (), so a parity-pure p has one empty half.
+    Either half of a product p * q has fewer than p's width + q's width
+    entries.
+    """
+    ev, od = p._num[0::2], p._num[1::2]
+    return (ev if any(ev) else ()), (od if any(od) else ()), p._den, len(ev) + 1
+
+
+def _product_sum(terms: list) -> RationalPoly:
+    """sum w * p * q over (w, p, q) terms in one integer pass, reduced once.
+
+    w is a nonzero int or Fraction, and p and q are given as their
+    ``_halves``.  Over the lcm D of the terms' denominators, a term adds
+    w's numerator * D / its denominator times the convolution of p and q.
+    Even times even and odd times odd land on the even powers, the mixed
+    halves on the odd powers, and a pair with an empty half adds nothing.
+    """
+    if not terms:
+        return _ZERO
+    den = lcm(*(w.denominator * p[2] * q[2] for w, p, q in terms))
+    size = max(p[3] + q[3] for _, p, q in terms)
+    ev = [0] * size
+    od = [0] * size
+    for w, (pe, po, pd, _), (qe, qo, qd, _) in terms:
+        x = w.numerator * (den // (w.denominator * pd * qd))
+        for acc, a, b, at in ((ev, pe, qe, 0), (ev, po, qo, 1), (od, pe, qo, 0), (od, po, qe, 0)):
+            if not a or not b:
+                continue
+            if len(a) > len(b):
+                a, b = b, a
+            n = len(b)
+            for i, y in enumerate(a, at):
+                if y:
+                    row = slice(i, i + n)
+                    acc[row] = map(add, acc[row], map(mul, repeat(x * y), b))
+    out = [0] * (2 * size)
+    out[0::2] = ev
+    out[1::2] = od
+    return _from_parts(*_canonical(out, den))
+
+
 def specialise(rows: Iterable[tuple], n: int) -> tuple:
     """The polynomials in c whose c-coefficients are integer polynomials in n,
     evaluated at the integer n.
@@ -584,18 +632,12 @@ class LaurentSeries:
         size = trunc - low + 1
         if size <= 0:
             return LaurentSeries.zero(trunc)
-        out = [_ZERO] * size
-        for i, p in enumerate(self._coeffs):
-            if p.is_zero():
-                continue
-            ei = self._low + i
-            for j, q in enumerate(other._coeffs):
-                if q.is_zero():
-                    continue
-                e = ei + other._low + j
-                if e > trunc:
-                    break
-                out[e - low] = out[e - low] + p * q
+        a = [_halves(p) if p._num else None for p in self._coeffs[:size]]
+        b = [_halves(q) if q._num else None for q in other._coeffs[:size]]
+        out = [
+            _product_sum([(1, a[i], b[k - i]) for i in range(k + 1) if a[i] and b[k - i]])
+            for k in range(size)
+        ]
         return LaurentSeries(low, out, trunc)
 
     __rmul__ = __mul__
@@ -650,20 +692,24 @@ class LaurentSeries:
         """Coefficients of (self normalized to constant term 1)**alpha.
 
         Uses the first-order relation u * f' = alpha * u' * f satisfied by
-        f = u**alpha, which determines the coefficients by a single recurrence.
+        f = u**alpha, which determines the coefficients by a single recurrence:
+        m f[m] = sum over 1 <= i <= m of ((alpha + 1) i - m) u[i] f[m - i].
         """
-        rel = self._trunc - self._low
-        u = self._coeffs
-        nz = [(i, p) for i, p in enumerate(u) if i > 0 and not p.is_zero()]
-        f = [_ONE] + [_ZERO] * rel
-        for n in range(rel):
-            acc = _ZERO
+        nz = [(i, _halves(p)) for i, p in enumerate(self._coeffs) if i and p._num]
+        s, d = alpha.numerator + alpha.denominator, alpha.denominator  # alpha + 1 = s / d
+        f = [_ONE]
+        fh = [_halves(_ONE)]
+        for m in range(1, self._trunc - self._low + 1):
+            terms = []
             for i, ui in nz:
-                if i - 1 <= n:
-                    acc = acc + ui * (alpha * i) * f[n - i + 1]
-                if 1 <= i <= n:
-                    acc = acc - ui * (n - i + 1) * f[n - i + 1]
-            f[n + 1] = acc * Fraction(1, n + 1)
+                if i > m:
+                    break
+                w = Fraction(s * i - d * m, d * m)
+                if w:
+                    terms.append((w, ui, fh[m - i]))
+            p = _product_sum(terms)
+            f.append(p)
+            fh.append(_halves(p))
         return f
 
     def sqrt(self) -> "LaurentSeries":

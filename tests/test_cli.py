@@ -266,6 +266,7 @@ def test_nonclassical_report(capsys):
         ["orthogonality", "--family", "q", "--hankel", "0"],
         ["orthogonality", "--family", "q", "--gram", "0"],
         ["nonclassical", "--family", "q", "--max-n", "0"],
+        ["nonclassical", "--family", "q", "--max-n", "3"],
         ["cocycle", "--verify", "--bound", "0"],
         ["verify-ode", "--family", "P-1", "--max-n", "1"],
         ["verify-ode", "--family", "P-3", "--max-n", "-5"],

@@ -363,15 +363,33 @@ def test_differentiate_inverts_integrate(s):
     assert s.integrate().differentiate().agrees_with(s)
 
 
-@settings(max_examples=25, deadline=None)
-@given(even_unit_series(8), even_unit_series(8))
-def test_multiplication_matches_direct_convolution(a, b):
+def general_series():
+    """Any lowest order, interior zeros, mixed-parity coefficients over
+    different denominators, and a truncation order set by the length."""
+    coef = st.one_of(st.just(RationalPoly.zero()), polys(4))
+    return st.builds(
+        lambda low, cs: LaurentSeries(low, cs, low + len(cs) - 1),
+        st.integers(min_value=-5, max_value=5),
+        st.lists(coef, min_size=1, max_size=9),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(even_unit_series(8), even_unit_series(8)),
+        st.tuples(general_series(), general_series()),
+    )
+)
+def test_multiplication_matches_direct_convolution(pair):
+    a, b = pair
     prod = a * b
     for n in range(prod.lowest_order, prod.truncation_order + 1):
         direct = RationalPoly.zero()
         for i in range(a.lowest_order, min(n - b.lowest_order, a.truncation_order) + 1):
             direct = direct + a.coefficient(i) * b.coefficient(n - i)
         assert prod.coefficient(n) == direct
+        assert_canonical(prod.coefficient(n))
 
 
 def test_truncation_propagation_on_multiply():
