@@ -206,12 +206,17 @@ def _cmd_oracle_compare(args) -> int:
 def _cmd_cocycle(args) -> int:
     started = time.perf_counter()
     if args.verify:
-        report = RunReport(command="cocycle", parameters={"verify": True, "bound": args.bound})
+        if args.i is not None or args.j is not None:
+            raise UsageError("--i/--j: not allowed with --verify")
+        bound = 12 if args.bound is None else args.bound
+        report = RunReport(command="cocycle", parameters={"verify": True, "bound": bound})
         with _usage_errors("--bound"):
-            items = verify_items(args.bound)
+            items = verify_items(bound)
         for item in items:
             report.add(item)
         return _emit_report(report.finish(started), args.out)
+    if args.bound is not None:
+        raise UsageError("--bound: only used with --verify")
     if args.i is None or args.j is None:
         raise UsageError("cocycle requires --i and --j (or --verify)")
     vec = cocycle_of(t_pow_u(args.i - 1), t_pow(args.j))
@@ -450,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--bound", type=int, default=12)
+    p.add_argument("--bound", type=int, default=None)
     add_common(p)
     p.set_defaults(func=_cmd_cocycle)
 

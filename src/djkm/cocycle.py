@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .exact import RationalPoly
 from .families import FamilyId, get_family
@@ -29,48 +29,54 @@ _C = RationalPoly.variable()
 _ZERO = RationalPoly.zero()
 _ONE = RationalPoly.one()
 
-#: u-basis indices in storage order.
-_U_KEYS = (-1, -2, -3, -4)
+#: Basis names of the u-basis indices, and all five names in JSON order.
+_U_NAMES = {k: f"w{k}" for k in (-1, -2, -3, -4)}
+_NAMES = ("w0", *_U_NAMES.values())
+
+#: p(t) = t^4 - 2ct^2 + 1 and p'(t)/2 = 2t^3 - 2ct by power e of t in p:
+#: e -> (coefficient of t^e in p, coefficient of t^(e-1) in p'/2).
+_P_TERMS = {
+    4: (_ONE, RationalPoly.constant(2)),
+    2: (_C * -2, _C * -2),
+    0: (_ONE, _ZERO),
+}
 
 
-@dataclass(frozen=True)
 class OmegaVector:
-    """Exact coordinates over the center basis {w0, w-1, w-2, w-3, w-4}."""
+    """Exact coordinates over the center basis {w0, w-1, w-2, w-3, w-4}.
 
-    w0: RationalPoly
-    wu: Tuple[RationalPoly, RationalPoly, RationalPoly, RationalPoly]
+    Only the nonzero coordinates are stored, keyed by basis name, so equal
+    vectors have equal mappings and the zero vector is the empty mapping.
+    """
+
+    __slots__ = ("_coords",)
+
+    def __init__(self, coords: Mapping[str, RationalPoly]):
+        self._coords = {name: p for name, p in coords.items() if p}
 
     @classmethod
     def zero(cls) -> "OmegaVector":
-        return _ZERO_VEC
+        return cls({})
 
     @classmethod
     def basis_w0(cls) -> "OmegaVector":
-        return cls(_ONE, (_ZERO, _ZERO, _ZERO, _ZERO))
+        return cls({"w0": _ONE})
 
     @classmethod
     def basis_u(cls, k: int) -> "OmegaVector":
         """The basis vector w_k for k in {-1, -2, -3, -4}."""
-        if k not in _U_KEYS:
+        if k not in _U_NAMES:
             raise ValueError("u-basis index must be -1..-4")
-        wu = tuple(_ONE if key == k else _ZERO for key in _U_KEYS)
-        return cls(_ZERO, wu)
-
-    def u_coeff(self, k: int) -> RationalPoly:
-        return self.wu[_U_KEYS.index(k)]
+        return cls({_U_NAMES[k]: _ONE})
 
     def is_zero(self) -> bool:
-        return self.w0.is_zero() and all(p.is_zero() for p in self.wu)
+        return not self._coords
 
     def __add__(self, other: "OmegaVector") -> "OmegaVector":
-        if other is _ZERO_VEC:
-            return self
-        if self is _ZERO_VEC:
-            return other
-        return OmegaVector(
-            self.w0 + other.w0,
-            tuple(a + b for a, b in zip(self.wu, other.wu)),
-        )
+        coords = dict(self._coords)
+        for name, p in other._coords.items():
+            coords[name] = coords.get(name, _ZERO) + p
+        return OmegaVector(coords)
 
     def __sub__(self, other: "OmegaVector") -> "OmegaVector":
         return self + other.scale(-1)
@@ -79,18 +85,21 @@ class OmegaVector:
         return self.scale(-1)
 
     def scale(self, factor) -> "OmegaVector":
-        if self is _ZERO_VEC:
-            return self
-        return OmegaVector(self.w0 * factor, tuple(p * factor for p in self.wu))
+        return OmegaVector({name: p * factor for name, p in self._coords.items()})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OmegaVector):
+            return NotImplemented
+        return self._coords == other._coords
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._coords.items()))
+
+    def __repr__(self) -> str:
+        return f"OmegaVector({self._coords!r})"
 
     def to_json(self) -> dict:
-        out = {"w0": self.w0.to_json()}
-        for k in _U_KEYS:
-            out[f"w{k}"] = self.u_coeff(k).to_json()
-        return out
-
-
-_ZERO_VEC = OmegaVector(_ZERO, (_ZERO, _ZERO, _ZERO, _ZERO))
+        return {name: self._coords.get(name, _ZERO).to_json() for name in _NAMES}
 
 
 @dataclass(frozen=True)
@@ -110,7 +119,7 @@ def t_pow_u(exponent: int) -> RMonomial:
 
 
 # Reduction cache: a contiguous original-index window [_low, _high] of classes.
-_U_CACHE: Dict[int, OmegaVector] = {k: OmegaVector.basis_u(k) for k in _U_KEYS}
+_U_CACHE: Dict[int, OmegaVector] = {k: OmegaVector.basis_u(k) for k in _U_NAMES}
 _U_LOCK = threading.Lock()
 
 
@@ -123,26 +132,24 @@ def reduce_u_monomial(k: int) -> OmegaVector:
         while hi < k:
             hi += 1
             # downward rule; denominator 6 + 2 hi >= 6 for hi >= 0
-            vec = (
+            _U_CACHE[hi] = (
                 _U_CACHE[hi - 4].scale(-2 * (hi - 3))
                 + _U_CACHE[hi - 2].scale(_C * (4 * hi))
             ).scale(Fraction(1, 6 + 2 * hi))
-            _U_CACHE[hi] = vec
         lo = min(_U_CACHE)
         while lo > k:
             lo -= 1
             # upward rule from the same relation; 2(lo + 1) <= -8 for lo <= -5
-            vec = (
+            _U_CACHE[lo] = (
                 _U_CACHE[lo + 2].scale(_C * (4 * (lo + 4)))
                 - _U_CACHE[lo + 4].scale(14 + 2 * lo)
             ).scale(Fraction(1, 2 * (lo + 1)))
-            _U_CACHE[lo] = vec
     return _U_CACHE[k]
 
 
 def reduce_plain(a: int) -> OmegaVector:
     """Class of t^a dt: exact unless a = -1, where it is the basis vector w0."""
-    return OmegaVector.basis_w0() if a == -1 else OmegaVector.zero()
+    return OmegaVector({"w0": _ONE if a == -1 else _ZERO})
 
 
 def cocycle(f: RMonomial, g: RMonomial) -> OmegaVector:
@@ -152,18 +159,11 @@ def cocycle(f: RMonomial, g: RMonomial) -> OmegaVector:
         # t^a d(t^b) = b t^{a+b-1} dt
         return reduce_plain(a + b - 1).scale(b)
     if f.has_u and g.has_u:
-        # t^a u d(t^b u) = [b t^{a+b-1} p(t) + t^{a+b} p'(t)/2] dt, all plain;
-        # p = t^4 - 2ct^2 + 1, p'/2 = 2t^3 - 2ct.
-        vec = OmegaVector.zero()
-        for exp, coef in (
-            (a + b + 3, RationalPoly.constant(b)),
-            (a + b + 1, RationalPoly.monomial(-2 * b, 1)),
-            (a + b - 1, RationalPoly.constant(b)),
-            (a + b + 3, RationalPoly.constant(2)),
-            (a + b + 1, RationalPoly.monomial(-2, 1)),
-        ):
-            vec = vec + reduce_plain(exp).scale(coef)
-        return vec
+        # t^a u d(t^b u) = [b t^{a+b-1} p(t) + t^{a+b} p'(t)/2] dt is plain: its
+        # t^{a+b-1+e} dt term has coefficient b p_e + (p'/2)_{e-1}, and of
+        # those only t^-1 dt (e = -a-b) has a nonzero class.
+        p_e, half_dp = _P_TERMS.get(-a - b, (_ZERO, _ZERO))
+        return OmegaVector({"w0": p_e * b + half_dp})
     if f.has_u:
         # t^a u d(t^b) = b t^{a+b-1} u dt
         return reduce_u_monomial(a + b - 1).scale(b)
@@ -185,13 +185,11 @@ def psi(i: int, j: int) -> OmegaVector:
     if s % 2:
         p3 = get_family(FamilyId.P3).original(abs(s) - 2)
         if s >= 3:
-            weights = (OmegaVector.basis_u(-3) + OmegaVector.basis_u(-1).scale(_C))
-        else:
-            weights = (OmegaVector.basis_u(-3).scale(_C) + OmegaVector.basis_u(-1))
-        return weights.scale(p3)
+            return OmegaVector({"w-3": p3, "w-1": _C * p3})
+        return OmegaVector({"w-3": _C * p3, "w-1": p3})
     p4 = get_family(FamilyId.P4).original(abs(s) - 2)
     p2 = get_family(FamilyId.P2).original(abs(s) - 2)
-    return OmegaVector.basis_u(-4).scale(p4) + OmegaVector.basis_u(-2).scale(p2)
+    return OmegaVector({"w-4": p4, "w-2": p2})
 
 
 @dataclass(frozen=True)
@@ -238,12 +236,12 @@ def uu_central_term(i: int, j: int) -> OmegaVector:
     s = i + j
     coef = _ZERO
     if s == -2:
-        coef = coef + RationalPoly.constant(j + 1)
+        coef = RationalPoly.constant(j + 1)
     if s == 0:
-        coef = coef + RationalPoly.monomial(-2 * j, 1)
+        coef = _C * (-2 * j)
     if s == 2:
-        coef = coef + RationalPoly.constant(j - 1)
-    return OmegaVector.basis_w0().scale(coef)
+        coef = RationalPoly.constant(j - 1)
+    return OmegaVector({"w0": coef})
 
 
 def verify_items(bound: int) -> List[dict]:

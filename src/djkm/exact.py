@@ -530,9 +530,9 @@ class LaurentSeries:
             lowest_order += 1
         if not cs:
             lowest_order = truncation_order + 1
-        object.__setattr__(self, "_low", lowest_order)
-        object.__setattr__(self, "_coeffs", tuple(cs))
-        object.__setattr__(self, "_trunc", truncation_order)
+        self._low = lowest_order
+        self._coeffs = tuple(cs)
+        self._trunc = truncation_order
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, object], truncation_order: int) -> "LaurentSeries":

@@ -62,15 +62,6 @@ _INITIAL_INDEX = {
     FamilyId.P1: -1,
 }
 
-# Families seeded at an even original index are supported on even indices,
-# the others on odd indices; the complementary entries must come out zero.
-_PARITY = {
-    FamilyId.P4: 0,
-    FamilyId.P2: 0,
-    FamilyId.P3: 1,
-    FamilyId.P1: 1,
-}
-
 
 class PolynomialFamily:
     """Lazily generated, cached sequence P_k(c) for one choice of initials.
@@ -101,7 +92,10 @@ class PolynomialFamily:
                     self._vals[k],
                     Fraction(-2 * (k - 3), 6 + 2 * k),
                 )
-                if (k - _PARITY[self.id]) % 2 and not p.is_zero():
+                # A family seeded at an even original index is supported on
+                # even indices, the others on odd ones; the complementary
+                # entries must come out zero.
+                if (k - _INITIAL_INDEX[self.id]) % 2 and not p.is_zero():
                     raise VerificationError(
                         f"{self.id.value}: parity entry k={k} not zero"
                     )

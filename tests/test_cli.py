@@ -210,10 +210,21 @@ def test_cocycle_single_value(capsys):
     assert data["w-1"]["coeffs"] == [["0", "1"], ["1", "2"]]
 
 
-def test_cocycle_requires_indices_or_verify(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cocycle", "--i", "2"],
+        ["cocycle", "--verify", "--bound", "2", "--i", "3", "--j", "1"],
+        ["cocycle", "--i", "3", "--j", "1", "--bound", "99"],
+    ],
+    ids=" ".join,
+)
+def test_cocycle_requires_indices_or_verify(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "cocycle", "--i", "2")
+        run_cli(capsys, *argv)
     assert exc.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
 
 
 def test_cocycle_verify_report(capsys):

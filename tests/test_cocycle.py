@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from djkm.cocycle import (
     OmegaVector,
@@ -178,3 +180,61 @@ def test_omega_vector_json_shape():
     data = psi(2, 1).to_json()
     assert set(data) == {"w0", "w-1", "w-2", "w-3", "w-4"}
     assert data["w-3"] == {"coeffs": [["1", "2"]]}
+    zero = OmegaVector.zero().to_json()
+    assert list(zero) == ["w0", "w-1", "w-2", "w-3", "w-4"]
+    assert all(coord == {"coeffs": []} for coord in zero.values())
+
+
+# ---------------------------------------------------------------------------
+# the sparse vector against a dense reference
+# ---------------------------------------------------------------------------
+
+NAMES = ("w0", "w-1", "w-2", "w-3", "w-4")
+small_polys = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=3
+).map(RationalPoly)
+# five coordinates, with the zero polynomial drawn often
+dense_coords = st.lists(
+    st.one_of(st.just(RationalPoly.zero()), small_polys), min_size=5, max_size=5
+)
+
+
+def from_dense(coords):
+    out = OmegaVector.basis_w0().scale(coords[0])
+    for k, coef in zip((-1, -2, -3, -4), coords[1:]):
+        out = out + OmegaVector.basis_u(k).scale(coef)
+    return out
+
+
+def to_dense(v):
+    data = v.to_json()
+    assert tuple(data) == NAMES
+    return [RationalPoly.from_json(data[name]) for name in NAMES]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dense_coords,
+    dense_coords,
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    small_polys,
+)
+def test_sparse_vector_matches_dense_reference(xs, ys, n, q, poly):
+    u, v = from_dense(xs), from_dense(ys)
+    assert to_dense(u) == xs
+    results = [
+        (u + v, [x + y for x, y in zip(xs, ys)]),
+        (u - v, [x - y for x, y in zip(xs, ys)]),
+        (-u, [-x for x in xs]),
+    ]
+    for factor in (0, n, q, poly, RationalPoly.zero()):
+        results.append((u.scale(factor), [x * factor for x in xs]))
+    for got, want in results:
+        assert to_dense(got) == want
+        assert not any(p.is_zero() for p in got._coords.values())
+        same = from_dense(want)
+        assert got == same
+        assert hash(got) == hash(same)
+    assert (u + v) - v == u
+    assert hash((u + v) - v) == hash(u)
