@@ -225,6 +225,11 @@ def _cmd_cocycle(args) -> int:
 
 
 def _cmd_orthogonality(args) -> int:
+    # Both sizes are checked before any work, so a bad --gram does not wait
+    # for all the Hankel determinants.
+    for flag, size in (("--hankel", args.hankel), ("--gram", args.gram)):
+        if size < 1:
+            raise UsageError(f"{flag}: must be >= 1, got {size}")
     started = time.perf_counter()
     report = RunReport(
         command="orthogonality",
@@ -240,8 +245,7 @@ def _cmd_orthogonality(args) -> int:
             else "fail",
         }
     )
-    with _usage_errors("--hankel"):
-        dets = ortho.hankel(args.family, args.hankel)
+    dets = ortho.hankel(args.family, args.hankel)
     report.add(
         {
             "check": "hankel-positivity",
@@ -249,8 +253,7 @@ def _cmd_orthogonality(args) -> int:
             "status": "pass" if all(d > 0 for d in dets) else "fail",
         }
     )
-    with _usage_errors("--gram"):
-        ok = ortho.gram_check(args.family, args.gram)
+    ok = ortho.gram_check(args.family, args.gram)
     report.add({"check": "gram-diagonal", "status": "pass" if ok else "fail"})
     return _emit_report(report.finish(started), args.out)
 

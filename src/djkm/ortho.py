@@ -8,11 +8,14 @@ The orthogonal sequences are the degree-graded views of the even families:
 Both satisfy x p_n = A_{n+1} p_{n+1} + C_{n-1} p_{n-1} with zero diagonal and
 A_n C_{n-1} > 0, so Favard's theorem applies after symmetrization.  Exact work
 (moments, Hankel determinants, Gram matrices, the nonclassicality linear
-system) stays in Q throughout: the Jacobi matrix is handled through the
-squared off-diagonal entries beta_n^2 = A_n C_{n-1} via the similarity that
-puts beta_n^2 above the diagonal and 1 below, so no square root is ever taken.
-Floating point appears only in the Gauss quadrature realization
-(golub_welsch / quad_orthogonality) and in hyp2f1.
+system) runs on integer numerators over one denominator, like RationalPoly,
+and builds Fractions only for its results.  The Jacobi matrix enters through
+beta_n^2 = A_n C_{n-1} via the similarity that puts beta_n^2 above the
+diagonal and 1 below, so no square root is ever taken.  Its zero diagonal
+makes the odd moments vanish, so each Hankel determinant splits by parity
+into an even and an odd block.  Floating point appears only in the Gauss
+quadrature (golub_welsch checks each eigenpair block-wise from the SVD of the
+bidiagonal half of J, quad_orthogonality) and in hyp2f1.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import RationalPoly, shift_combination
+from .exact import RationalPoly, VerificationError, shift_combination
 from .families import FamilyId, get_family
 
 Scalar = Union[int, Fraction]
@@ -108,31 +113,37 @@ def favard_lambdas(count: int) -> List[Fraction]:
 # ---------------------------------------------------------------------------
 
 
+def _integer_row(row: Sequence[Scalar]) -> Tuple[List[int], int]:
+    """(s * row, s) for s the lcm of the denominators of the entries."""
+    s = lcm(*(x.denominator for x in row))
+    return [x.numerator * (s // x.denominator) for x in row], s
+
+
+def _moment_numerators(tag: str, max_order: int) -> Tuple[List[int], int]:
+    """(V, L) with m_k = V_k / L**k, L the lcm of the denominators of beta_n^2."""
+    data = three_term(tag)
+    size = max_order // 2 + 2
+    b, den = _integer_row([data.beta_sq(n) for n in range(1, size)] + [0])
+    v = [1] + [0] * (size - 1)
+    out = [1]
+    for _ in range(max_order):
+        # L (J v)[i] = L beta_{i+1}^2 v[i+1] + L v[i-1], all in Z
+        v = [x * y + den * z for x, y, z in zip(b, v[1:] + [0], [0] + v)]
+        out.append(v[0])
+    return out, den
+
+
 def moments(tag: str, max_order: int) -> List[Fraction]:
     """Exact moments m_k = (J^k)_{00}, k = 0..max_order, with m_0 = 1.
 
-    Works on the rational similarity of J (beta^2 above the diagonal, 1 below)
-    on a truncation strictly larger than max_order/2 + 1, which the walk
-    cannot leave, so truncation is exact.
+    Walks e_0 under the similarity of J (beta^2 above the diagonal, 1 below),
+    scaled to integers, on a truncation strictly larger than max_order/2 + 1,
+    which the walk cannot leave, so truncation is exact.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    data = three_term(tag)
-    size = max_order // 2 + 2
-    betas_sq = [data.beta_sq(n) for n in range(1, size)]
-    v = [Fraction(0)] * size
-    v[0] = Fraction(1)
-    out = [Fraction(1)]
-    for _ in range(max_order):
-        nxt = [Fraction(0)] * size
-        for i in range(size):
-            if i + 1 < size and v[i + 1]:
-                nxt[i] += betas_sq[i] * v[i + 1]
-            if i >= 1 and v[i - 1]:
-                nxt[i] += v[i - 1]
-        v = nxt
-        out.append(v[0])
-    return out
+    nums, den = _moment_numerators(tag, max_order)
+    return [Fraction(x, den**k) for k, x in enumerate(nums)]
 
 
 def _det_fraction(rows: List[List[Fraction]]) -> Fraction:
@@ -160,56 +171,72 @@ def _det_fraction(rows: List[List[Fraction]]) -> Fraction:
 def _leading_minors(rows: Sequence[Sequence[Scalar]]) -> List[Fraction]:
     """Exact determinants of the leading N x N blocks of rows, N = 1..len(rows).
 
-    One Gaussian elimination without row exchanges: adding multiples of
-    earlier rows to later ones keeps every leading minor, so the N-th minor is
-    the product of the first N pivots.  A zero pivot makes its minor exactly 0;
-    each larger minor then falls back to _det_fraction on the original rows.
+    Bareiss elimination without row exchanges on the rows scaled to integers:
+    the N-th pivot is the N-th leading minor of the scaled rows, and every
+    division by the previous pivot is exact.  A zero pivot makes its minor
+    exactly 0; each larger minor then falls back to _det_fraction on the
+    original rows.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    m = [row[:] for row in a]
+    n = len(rows)
+    scaled = [_integer_row(row) for row in rows]
+    m = [ints for ints, _ in scaled]
     out: List[Fraction] = []
-    det = Fraction(1)
-    for col in range(n):
-        pivot = m[col][col]
+    prev, den = 1, 1
+    for k in range(n):
+        pivot = m[k][k]
         if not pivot:
             out.append(Fraction(0))
             break
-        det *= pivot
-        out.append(det)
-        inv = 1 / pivot
-        pivot_row = m[col]
-        for r in range(col + 1, n):
-            row = m[r]
-            if row[col]:
-                factor = row[col] * inv
-                for cc in range(col + 1, n):
-                    if pivot_row[cc]:
-                        row[cc] -= factor * pivot_row[cc]
+        den *= scaled[k][1]
+        out.append(Fraction(pivot, den))
+        pivot_row = m[k]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
     for size in range(len(out) + 1, n + 1):
-        out.append(_det_fraction([row[:size] for row in a[:size]]))
+        block = [[Fraction(x) for x in row[:size]] for row in rows[:size]]
+        out.append(_det_fraction(block))
     return out
 
 
 def hankel(tag: str, max_size: int) -> List[Fraction]:
-    """Hankel determinants det[m_{i+j}]_{0<=i,j<N} for N = 1..max_size."""
+    """Hankel determinants det[m_{i+j}]_{0<=i,j<N} for N = 1..max_size.
+
+    Odd moments vanish, so in even-odd order H_N is block diagonal: det H_N is
+    the ceil(N/2)-th leading minor of [m_{2i+2j}] times the floor(N/2)-th of
+    [m_{2i+2j+2}], both on the moments times D, the lcm of their denominators.
+    """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     ms = moments(tag, 2 * max_size - 2)
-    return _leading_minors([[ms[i + j] for j in range(max_size)] for i in range(max_size)])
+    if any(ms[1::2]):
+        raise VerificationError(f"{tag}: a nonzero odd moment, H_N is not block diagonal")
+    even, den = _integer_row(ms[0::2])
+    half, rest = (max_size + 1) // 2, max_size // 2
+    e = [1] + _leading_minors([even[i : i + half] for i in range(half)])
+    o = [1] + _leading_minors([even[i + 1 : i + 1 + rest] for i in range(rest)])
+    return [e[(n + 1) // 2] * o[n // 2] / den**n for n in range(1, max_size + 1)]
 
 
 def gram_matrix(tag: str, max_deg: int) -> List[List[Fraction]]:
-    """Exact Gram matrix <p_i, p_j> of the sequence under its own moments."""
-    polys = [_member(tag, n) for n in range(max_deg + 1)]
-    ms = moments(tag, 2 * max_deg)
+    """Exact Gram matrix <p_i, p_j> of the sequence under its own moments.
+
+    With m_k = W_k / L**K, K = 2 max_deg, and p_i = num_i / den_i over the
+    lcm of its denominators, u_i[l] = sum_k num_i[k] W_{k+l} applies the
+    functional once per member: <p_i, p_j> = sum_l num_j[l] u_i[l] / (den_i
+    den_j L**K).
+    """
+    top = 2 * max_deg
+    nums, ell = _moment_numerators(tag, top)
+    w = [x * ell ** (top - k) for k, x in enumerate(nums)]
+    polys = [_integer_row(_member(tag, n).coeffs) for n in range(max_deg + 1)]
     out = []
-    for p in polys:
-        row = []
-        for r in polys:
-            prod = p * r
-            row.append(sum((coef * ms[k] for k, coef in enumerate(prod.coeffs)), Fraction(0)))
-        out.append(row)
+    for num_i, den_i in polys:
+        u = [sum(map(mul, num_i, w[l:])) for l in range(max_deg + 1)]
+        scale = den_i * ell**top
+        out.append([Fraction(sum(map(mul, num, u)), den * scale) for num, den in polys])
     return out
 
 
@@ -217,15 +244,11 @@ def gram_check(tag: str, max_deg: int) -> bool:
     """True iff the Gram matrix is diagonal with positive diagonal, exactly."""
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
-    gram = gram_matrix(tag, max_deg)
-    for i, row in enumerate(gram):
-        for j, entry in enumerate(row):
-            if i == j:
-                if entry <= 0:
-                    return False
-            elif entry != 0:
-                return False
-    return True
+    return all(
+        entry > 0 if i == j else entry == 0
+        for i, row in enumerate(gram_matrix(tag, max_deg))
+        for j, entry in enumerate(row)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +298,12 @@ class NonclassicalWitness:
 
 
 def _nullspace(rows: Sequence[Sequence[Fraction]], width: int):
-    """Reduced row echelon form nullspace basis over Q."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form nullspace basis over Q, fraction-free.
+
+    Rows are scaled to integers and divided by their gcd after each update,
+    so each stays a nonzero multiple of its Fraction RREF counterpart.
+    """
+    m = [_integer_row(r)[0] for r in rows]
     pivots: List[int] = []
     r = 0
     for col in range(width):
@@ -284,12 +311,14 @@ def _nullspace(rows: Sequence[Sequence[Fraction]], width: int):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
+        top = m[r]
+        lead = top[col]
         for i in range(len(m)):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+            factor = m[i][col]
+            if i != r and factor:
+                row = [lead * x - factor * y for x, y in zip(m[i], top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         r += 1
         if r == len(m):
@@ -300,7 +329,7 @@ def _nullspace(rows: Sequence[Sequence[Fraction]], width: int):
         vec = [Fraction(0)] * width
         vec[fc] = Fraction(1)
         for row_idx, pc in enumerate(pivots):
-            vec[pc] = -m[row_idx][fc]
+            vec[pc] = Fraction(-m[row_idx][fc], m[row_idx][pc])
         basis.append(tuple(vec))
     return basis
 
@@ -423,35 +452,41 @@ def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
     B = U diag(sigma) W^T the eigenpairs are +-sigma with [u; +-w] / sqrt(2),
     plus 0 with [u_0; 0] when n is odd: nodes come out exactly antisymmetric
     and mirrored weights exactly equal.  Every eigenpair must satisfy
-    ||J v - theta v|| <= 1e-12 or NoConvergenceError is raised.
+    ||J v - theta v|| <= 1e-12, checked on the blocks without forming v, or
+    NoConvergenceError is raised.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     data = three_term(tag)
     off = np.array([math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes)])
     rows, cols = (n_nodes + 1) // 2, n_nodes // 2
+    diag, sub = off[0::2], off[1::2]
     block = np.zeros((rows, cols))
-    block[np.arange(cols), np.arange(cols)] = off[0::2]  # J[2i, 2i+1] = beta_{2i+1}
-    block[np.arange(1, rows), np.arange(rows - 1)] = off[1::2]  # J[2i, 2i-1] = beta_{2i}
+    block[np.arange(cols), np.arange(cols)] = diag  # J[2i, 2i+1] = beta_{2i+1}
+    block[np.arange(1, rows), np.arange(rows - 1)] = sub  # J[2i, 2i-1] = beta_{2i}
     u, sigma, wt = np.linalg.svd(block)
-    # ascending order: -sigma as svd returns it (descending), 0, +sigma reversed
-    even = u[:, :cols] / math.sqrt(2.0)
-    odd = wt.T / math.sqrt(2.0)
-    eigvals = np.concatenate([-sigma, np.zeros(rows - cols), sigma[::-1]])
-    eigvecs = np.zeros((n_nodes, n_nodes))
-    eigvecs[0::2] = np.hstack([even, u[:, cols:], even[:, ::-1]])
-    eigvecs[1::2] = np.hstack([-odd, np.zeros((cols, rows - cols)), odd[:, ::-1]])
-    # J v - theta v from the off-diagonal alone, O(n^2) over all eigenvectors
-    residual = eigvecs * -eigvals
-    residual[:-1] += off[:, None] * eigvecs[1:]
-    residual[1:] += off[:, None] * eigvecs[:-1]
-    worst = float(np.max(np.linalg.norm(residual, axis=0)))
-    if worst > _EIGEN_RESIDUAL_BOUND:
+    w = wt.T
+    # ||J v - theta v|| from the blocks: B w - sigma u and B^T u - sigma w, each
+    # bidiagonal product two shifted slices; for odd n the last column of
+    # B^T u is the residual of the eigenvalue 0
+    bw = -sigma * u[:, :cols]
+    bw[:cols] += diag[:, None] * w
+    bw[1:] += sub[:, None] * w[: rows - 1]
+    btu = diag[:, None] * u[:cols]
+    btu[: rows - 1] += sub[:, None] * u[1:]
+    btu[:, :cols] -= sigma * w
+    pairs = np.hypot(np.linalg.norm(bw, axis=0), np.linalg.norm(btu[:, :cols], axis=0))
+    null = np.linalg.norm(btu[:, cols:], axis=0)
+    worst = float(np.max(np.concatenate([pairs / math.sqrt(2.0), null])))
+    if not worst <= _EIGEN_RESIDUAL_BOUND:  # a NaN residual fails too
         raise NoConvergenceError(
             f"eigen residual {worst:.3e} exceeds {_EIGEN_RESIDUAL_BOUND:.1e}"
         )
-    weights = eigvecs[0, :] ** 2  # m_0 = 1
-    return [float(x) for x in eigvals], [float(w) for w in weights]
+    # ascending order: -sigma as svd returns it (descending), 0, +sigma reversed
+    eigvals = np.concatenate([-sigma, np.zeros(rows - cols), sigma[::-1]])
+    half = (u[0, :cols] / math.sqrt(2.0)) ** 2  # m_0 = 1
+    weights = np.concatenate([half, u[0, cols:] ** 2, half[::-1]])
+    return [float(x) for x in eigvals], [float(x) for x in weights]
 
 
 def quad_orthogonality(tag: str, n_nodes: int, max_deg: int) -> float:

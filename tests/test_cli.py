@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from djkm import cli, diffops, families
+from djkm import cli, diffops, families, ortho
 from djkm.cli import GEN_FAMILIES, main
 from djkm.exact import RationalPoly
 from djkm.families import VIEW_START, IndexView, generate
@@ -314,6 +314,25 @@ def test_unwritable_out_fails_before_the_command_runs(tmp_path, capsys, monkeypa
     assert exc.value.code == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: --out: ")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "sizes, flag", [(["30", "0"], "--gram"), (["0", "16"], "--hankel")], ids=["gram", "hankel"]
+)
+def test_orthogonality_checks_sizes_before_any_work(sizes, flag, capsys, monkeypatch):
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        raise AssertionError("the Hankel determinants were computed")
+
+    monkeypatch.setattr(ortho, "hankel", stub)
+    with pytest.raises(SystemExit) as exc:
+        main(["orthogonality", "--family", "q", "--hankel", sizes[0], "--gram", sizes[1]])
+    assert exc.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {flag}: ")
     assert calls == []
 
 

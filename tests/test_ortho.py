@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from djkm.exact import RationalPoly
+import djkm.ortho as ortho_mod
+from djkm.exact import RationalPoly, VerificationError
 from djkm.families import FamilyId, get_family
 from djkm.ortho import (
     NoConvergenceError,
     _det_fraction,
     _leading_minors,
+    _nullspace,
     assoc_jacobi,
     assoc_ultraspherical,
     favard_lambdas,
@@ -186,6 +188,7 @@ def square_matrices():
 @given(square_matrices())
 @example([[0, 1], [1, 0]])  # zero first pivot
 @example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])  # zero second pivot, nonzero after
+@example([[F(1, 2), F(1, 3)], [F(1, 5), F(2, 7)]])  # rows over different denominators
 def test_leading_minors_match_det_fraction(rows):
     exact = [[F(x) for x in row] for row in rows]
     expected = [
@@ -199,12 +202,26 @@ def test_leading_minors_match_det_fraction(rows):
 
 @pytest.mark.parametrize("tag", ["q", "qbar"])
 def test_hankel_equals_determinant_of_each_size(tag):
-    ms = moments(tag, 26)
+    # the full moment matrix, not its parity blocks
+    ms = moments(tag, 38)
     expected = [
         _det_fraction([[ms[i + j] for j in range(size)] for i in range(size)])
-        for size in range(1, 15)
+        for size in range(1, 21)
     ]
-    assert hankel(tag, 14) == expected
+    assert hankel(tag, 20) == expected
+
+
+def test_hankel_rejects_a_nonzero_odd_moment(monkeypatch):
+    real = ortho_mod.moments
+
+    def odd_moment(tag, max_order):
+        ms = real(tag, max_order)
+        ms[3] = F(1, 3)
+        return ms
+
+    monkeypatch.setattr(ortho_mod, "moments", odd_moment)
+    with pytest.raises(VerificationError):
+        hankel("q", 4)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +309,64 @@ def test_nonclassical_basis_solves_every_equation(tag, max_n):
     for vec in witness.basis:
         for row in witness.equations:
             assert sum(r * v for r, v in zip(row, vec)) == 0
+
+
+def fraction_nullspace(rows, width):
+    """Reference: RREF nullspace on Fraction rows, normalizing each pivot to 1."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for col in range(width):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [F(0)] * width
+        vec[fc] = F(1)
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -m[row_idx][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+@st.composite
+def rational_systems(draw):
+    """Up to 12 rows x 6 columns of small rationals: some rows drawn freely,
+    the rest rational combinations of them (zero rows when none are free),
+    shuffled, so zero rows and rank deficiency are common."""
+    width = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=4))
+    free = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6))
+    base = [[F(x) for x in row] for row in free]
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 12 - len(base)))):
+        coefs = draw(st.lists(entry, min_size=len(base), max_size=len(base)))
+        rows.append([sum((c * row[j] for c, row in zip(coefs, base)), F(0)) for j in range(width)])
+    return draw(st.permutations(rows)), width
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+@example(([[F(0), F(1)], [F(1), F(0)]], 2))  # the first pivot needs a row swap
+@example(([[F(0), F(0)], [F(1, 2), F(1, 3)], [F(1, 5), F(2, 7)]], 2))
+def test_nullspace_matches_fraction_reference(system):
+    rows, width = system
+    got = _nullspace(rows, width)
+    assert got == fraction_nullspace(rows, width)
+    assert all(type(x) is F for vec in got for x in vec)
 
 
 def test_nonclassical_underdetermined_reported_honestly():
@@ -438,10 +513,6 @@ def test_golub_welsch_matches_dense_eigh(tag, n_nodes):
 
 
 def test_golub_welsch_enforces_eigen_residual_bound(monkeypatch):
-    import numpy as np
-
-    import djkm.ortho as ortho_mod
-
     def bad_svd(block):
         rows, cols = block.shape
         # wrong singular triplets, hence wrong eigenpairs: J v != theta v
@@ -450,6 +521,70 @@ def test_golub_welsch_enforces_eigen_residual_bound(monkeypatch):
     monkeypatch.setattr(ortho_mod.np.linalg, "svd", bad_svd)
     with pytest.raises(NoConvergenceError):
         golub_welsch("qbar", 4)
+
+
+def wrap_svd(monkeypatch, corrupt):
+    """Route golub_welsch's SVD through corrupt(u, sigma, wt)."""
+    real = np.linalg.svd
+    monkeypatch.setattr(ortho_mod.np.linalg, "svd", lambda block: corrupt(*real(block)))
+
+
+@pytest.mark.parametrize("n_nodes", [5, 7])
+def test_golub_welsch_bound_bites_for_odd_n(monkeypatch, n_nodes):
+    wrap_svd(
+        monkeypatch,
+        lambda u, sigma, wt: (np.eye(len(u)), np.zeros_like(sigma), np.eye(len(wt))),
+    )
+    with pytest.raises(NoConvergenceError):
+        golub_welsch("q", n_nodes)
+
+
+@pytest.mark.parametrize("n_nodes", [6, 7, 20])
+def test_golub_welsch_bound_bites_on_swapped_singular_values(monkeypatch, n_nodes):
+    def swap(u, sigma, wt):
+        sigma = sigma.copy()
+        sigma[[0, 1]] = sigma[[1, 0]]
+        return u, sigma, wt
+
+    wrap_svd(monkeypatch, swap)
+    with pytest.raises(NoConvergenceError):
+        golub_welsch("qbar", n_nodes)
+
+
+@pytest.mark.parametrize("n_nodes", [3, 7, 21])
+def test_golub_welsch_bound_bites_on_a_wrong_null_vector(monkeypatch, n_nodes):
+    def replace_null(u, sigma, wt):
+        u = u.copy()
+        u[:, len(sigma)] = np.eye(len(u))[0]  # e_0 in place of the kernel of B^T
+        return u, sigma, wt
+
+    wrap_svd(monkeypatch, replace_null)
+    with pytest.raises(NoConvergenceError):
+        golub_welsch("q", n_nodes)
+
+
+def dense_assembly_rule(tag, n_nodes):
+    """Reference: the same SVD assembled into the dense n x n eigenvector matrix."""
+    data = three_term(tag)
+    off = np.array([math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes)])
+    rows, cols = (n_nodes + 1) // 2, n_nodes // 2
+    block = np.zeros((rows, cols))
+    block[np.arange(cols), np.arange(cols)] = off[0::2]
+    block[np.arange(1, rows), np.arange(rows - 1)] = off[1::2]
+    u, sigma, wt = np.linalg.svd(block)
+    even = u[:, :cols] / math.sqrt(2.0)
+    odd = wt.T / math.sqrt(2.0)
+    eigvals = np.concatenate([-sigma, np.zeros(rows - cols), sigma[::-1]])
+    eigvecs = np.zeros((n_nodes, n_nodes))
+    eigvecs[0::2] = np.hstack([even, u[:, cols:], even[:, ::-1]])
+    eigvecs[1::2] = np.hstack([-odd, np.zeros((cols, rows - cols)), odd[:, ::-1]])
+    return [float(x) for x in eigvals], [float(w) for w in eigvecs[0, :] ** 2]
+
+
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+@pytest.mark.parametrize("n_nodes", [1, 2, 3, 7, 20, 999, 1000])
+def test_golub_welsch_equals_dense_assembly_bitwise(tag, n_nodes):
+    assert golub_welsch(tag, n_nodes) == dense_assembly_rule(tag, n_nodes)
 
 
 # ---------------------------------------------------------------------------
