@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Dict, List, Union
 
 from .exact import (
-    NonDivisibleError,
     Rational,
     RationalPoly,
     VerificationError,
@@ -194,17 +193,13 @@ def verify_gegenbauer_link(n: int) -> bool:
 
         (c^2 - 1) P_{-3, 2n-3} = -C_n^(-1/2)   and   P_{-1, 2n-3} = c P_{-3, 2n-3},
 
-    where the family members come from the recurrence.  Exact division must
-    succeed; a nonzero remainder counts as a verification failure.
+    where the family members come from the recurrence.  The first identity is
+    checked as one product, which decides it exactly because c^2 - 1 is not
+    zero.
     """
     if n < 2:
         raise ValueError("link holds for n >= 2")
-    q_n = gegenbauer(Fraction(-1, 2), n)
-    denom = RationalPoly((-1, 0, 1))  # c^2 - 1
-    try:
-        expected_p3 = (-q_n).exact_divide(denom)
-    except NonDivisibleError:
-        return False
     p3 = get_family(FamilyId.P3).original(2 * n - 3)
     p1 = get_family(FamilyId.P1).original(2 * n - 3)
-    return p3 == expected_p3 and p1 == _C * p3
+    c2_minus_1 = RationalPoly((-1, 0, 1))
+    return c2_minus_1 * p3 == -gegenbauer(Fraction(-1, 2), n) and p1 == _C * p3

@@ -12,11 +12,15 @@ the families by a route that never touches the recurrence, which makes the
 two engines mutual oracles.  All comparisons are coefficient-exact; there is
 no tolerance anywhere in this module.
 
-The indefinite integrals determine the odd part of the result only up to a
-multiple of z sqrt(1 - 2cz^2 + z^4).  The constant is pinned by requiring the
-z^1 coefficient of the final series to vanish, which is what the vanishing
-initial entries demand; for both integrals the construction is already even
-in z, so the computed adjustment comes out 0 and is checked to be constant.
+Every expansion ends the same way: an odd series in z (the antiderivative,
+or the Gegenbauer bracket) times z sqrt(1 - 2cz^2 + z^4), compared with the
+family through z^order.  The antiderivatives are taken with integration
+constant 0 and nothing is pinned afterwards.  That is the right constant:
+z sqrt(...) is odd in z, the antiderivative of an even integrand is odd, and
+so is the Gegenbauer bracket, so any other constant adds a multiple of
+z sqrt(...) and shows up as a nonzero odd coefficient.  The odd shifted
+entries of P-4 and P-2 are zero, so such a coefficient is a mismatch that the
+comparison reports like any other.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import LaurentSeries, RationalPoly, VerificationError
+from .exact import LaurentSeries, RationalPoly, VerificationError, shift_combination
 from .families import FamilyId, gegenbauer, get_family
 
 
@@ -59,17 +63,9 @@ def _z_sqrt_quartic(trunc: int) -> LaurentSeries:
     return _quartic(trunc).sqrt().shift(1)
 
 
-def _pin_odd_constant(series: LaurentSeries, z_sqrt: LaurentSeries) -> LaurentSeries:
-    """Add the unique kappa * z sqrt(...) making the z^1 coefficient vanish."""
-    kappa = -series.coefficient(1)
-    if not kappa.is_constant():
-        raise VerificationError("integration constant must be a scalar")
-    if kappa.is_zero():
-        return series
-    return series + z_sqrt.scale(kappa)
-
-
-def _compare(series: LaurentSeries, family_id: FamilyId, order: int) -> OracleResult:
+def _compare(odd_series: LaurentSeries, family_id: FamilyId, order: int) -> OracleResult:
+    """z sqrt(1 - 2cz^2 + z^4) * odd_series against the family through z^order."""
+    series = _z_sqrt_quartic(order + 4) * odd_series
     fam = get_family(family_id)
     first_bad = None
     for n in range(order + 1):
@@ -85,36 +81,31 @@ def _compare(series: LaurentSeries, family_id: FamilyId, order: int) -> OracleRe
     )
 
 
+def _antiderivative(integrand: LaurentSeries, name: str) -> LaurentSeries:
+    # The integrand is even in z, so no logarithmic term can appear.
+    if not integrand.coefficient(-1).is_zero():
+        raise VerificationError(f"{name} integrand has a nonzero z^-1 coefficient")
+    return integrand.integrate()
+
+
 def expand_elliptic1(order: int) -> OracleResult:
     """Rebuild the P-4 family from its elliptic-integral generating function."""
     if order < 4:
         raise ValueError("order must be >= 4")
     t = order + 4
-    quart = _quartic(t)
     prefactor = LaurentSeries.from_terms(
         {-2: RationalPoly.constant(-1), 0: RationalPoly((0, 4))}, t
     )
-    integrand = prefactor * quart.pow_neg_3_2()
-    # The integrand is even in z, so no logarithmic term can appear.
-    if not integrand.coefficient(-1).is_zero():
-        raise VerificationError("elliptic-1 integrand has a nonzero z^-1 coefficient")
-    z_sqrt = _z_sqrt_quartic(t)
-    series = _pin_odd_constant(z_sqrt * integrand.integrate(), z_sqrt)
-    return _compare(series, FamilyId.P4, order)
+    integrand = prefactor * _quartic(t).pow_neg_3_2()
+    return _compare(_antiderivative(integrand, "elliptic-1"), FamilyId.P4, order)
 
 
 def expand_elliptic2(order: int) -> OracleResult:
     """Rebuild the P-2 family from its elliptic-integral generating function."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    t = order + 4
-    integrand = _quartic(t).pow_neg_3_2()
-    z_sqrt = _z_sqrt_quartic(t)
-    series = z_sqrt * integrand.integrate()
-    # Odd series times odd series: the product must be even outright.
-    if any(not series.coefficient(n).is_zero() for n in range(1, order + 1, 2)):
-        raise VerificationError("P-2 generating function must be even")
-    return _compare(series, FamilyId.P2, order)
+    integrand = _quartic(order + 4).pow_neg_3_2()
+    return _compare(_antiderivative(integrand, "elliptic-2"), FamilyId.P2, order)
 
 
 def expand_gegenbauer_sum(order: int) -> OracleResult:
@@ -122,26 +113,21 @@ def expand_gegenbauer_sum(order: int) -> OracleResult:
 
         z sqrt(1-2cz^2+z^4) ( sum_n 4c C_n^(3/2) z^{2n+1} / (2n+1)
                               - sum_n C_n^(3/2) z^{2n-1} / (2n-1) ).
+
+    The bracket's z^-1 coefficient is 1, and its z^{2m+1} coefficient is
+    (4c C_m - C_{m+1}) / (2m+1).
     """
     if order < 4:
         raise ValueError("order must be >= 4")
-    t = order + 4
-    inner = order + 1
-    terms: dict = {}
-    c4 = RationalPoly((0, 4))
-    n = 0
-    while 2 * n - 1 <= inner:
-        q_n = gegenbauer(Fraction(3, 2), n)
-        hi = 2 * n + 1
-        if hi <= inner:
-            terms[hi] = terms.get(hi, RationalPoly.zero()) + c4 * q_n * Fraction(1, hi)
-        lo = 2 * n - 1
-        terms[lo] = terms.get(lo, RationalPoly.zero()) - q_n * Fraction(1, lo)
-        n += 1
-    bracket = LaurentSeries.from_terms(terms, inner)
-    z_sqrt = _z_sqrt_quartic(t)
-    series = _pin_odd_constant(z_sqrt * bracket, z_sqrt)
-    return _compare(series, FamilyId.P4, order)
+    lam = Fraction(3, 2)
+    terms = {-1: RationalPoly.one()}
+    for m in range((order + 2) // 2):
+        w = Fraction(1, 2 * m + 1)
+        terms[2 * m + 1] = shift_combination(
+            gegenbauer(lam, m), 4 * w, gegenbauer(lam, m + 1), -w
+        )
+    bracket = LaurentSeries.from_terms(terms, order + 1)
+    return _compare(bracket, FamilyId.P4, order)
 
 
 def check_funde(order: int, family_id: FamilyId) -> bool:

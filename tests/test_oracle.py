@@ -1,10 +1,11 @@
 """Generating-function reconstructions against the recurrence engine."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from djkm import oracle
+from djkm import cli, oracle
 from djkm.exact import LaurentSeries, RationalPoly, VerificationError
 from djkm.families import FamilyId
 from djkm.oracle import (
@@ -131,14 +132,38 @@ def test_elliptic1_nonzero_residue_raises(monkeypatch):
         expand_elliptic1(8)
 
 
-def test_elliptic2_odd_series_raises(monkeypatch):
+def test_elliptic2_odd_series_is_a_reported_mismatch(monkeypatch):
     monkeypatch.setattr(oracle, "_quartic", _quartic_with_odd_term)
-    with pytest.raises(VerificationError, match="even"):
-        expand_elliptic2(8)
+    res = expand_elliptic2(8)
+    assert res.matched is False
+    assert res.first_mismatch % 2 == 1
 
 
-def test_non_scalar_integration_constant_raises():
-    z_sqrt = oracle._z_sqrt_quartic(8)
-    series = LaurentSeries.from_terms({1: RationalPoly((0, 1))}, 8)  # c z
-    with pytest.raises(VerificationError, match="scalar"):
-        oracle._pin_odd_constant(series, z_sqrt)
+def _integrate_plus_one(monkeypatch):
+    """Make LaurentSeries.integrate return the right antiderivative plus 1."""
+    integrate = LaurentSeries.integrate
+
+    def wrong(self):
+        right = integrate(self)
+        return right + LaurentSeries.from_terms({0: ONE}, right.truncation_order)
+
+    monkeypatch.setattr(LaurentSeries, "integrate", wrong)
+
+
+@pytest.mark.parametrize("expand", [expand_elliptic1, expand_elliptic2])
+def test_wrong_integration_constant_is_a_mismatch(monkeypatch, expand):
+    _integrate_plus_one(monkeypatch)
+    res = expand(40)
+    assert res.matched is False
+    assert res.first_mismatch == 1
+
+
+def test_wrong_integration_constant_fails_in_the_full_report(monkeypatch, tmp_path):
+    _integrate_plus_one(monkeypatch)
+    out = tmp_path / "all.json"
+    assert cli.main(["all", "--profile", "quick", "--out", str(out)]) == 1
+    items = {item["check"]: item for item in json.loads(out.read_text())["items"]}
+    assert len(items) == 26
+    for name in ("oracle-elliptic-1", "oracle-elliptic-2"):
+        assert items[name]["status"] == "fail"
+        assert items[name]["first_mismatch"] == 1
