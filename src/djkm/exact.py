@@ -203,9 +203,6 @@ class RationalPoly:
             return Fraction(self._num[power], self._den)
         return Fraction(0)
 
-    def is_constant(self) -> bool:
-        return len(self._num) <= 1
-
     def parity_pure(self) -> bool:
         """True if the polynomial is purely even or purely odd in c."""
         # The powers of the wrong parity start at len % 2.

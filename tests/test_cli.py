@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -10,6 +11,37 @@ from djkm import cli, diffops, families, ortho
 from djkm.cli import GEN_FAMILIES, main
 from djkm.exact import RationalPoly
 from djkm.families import VIEW_START, IndexView, generate
+
+
+#: The items of `djkm all`, in report order.
+ALL_ITEMS = [
+    "family-tables",
+    "oracle-elliptic-1",
+    "oracle-elliptic-2",
+    "oracle-gegenbauer-sum",
+    "generating-function-ode",
+    "ode-P-4",
+    "ode-P-2",
+    "ode-P-1",
+    "ode-P-3",
+    "gegenbauer-link",
+    "wimp-discrepancy",
+    "cocycle-psi-table",
+    "cocycle-uu-central-terms",
+    "cocycle-antisymmetry",
+    "favard-lambdas",
+    "hankel-q",
+    "gram-q",
+    "nonclassical-q",
+    "hankel-qbar",
+    "gram-qbar",
+    "nonclassical-qbar",
+    "assoc-ultraspherical-identification",
+    "quadrature-q",
+    "quadrature-qbar",
+    "hyp2f1-log-identity",
+    "hyp2f1-domain-guard",
+]
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +216,28 @@ def test_verification_error_exits_1(capsys, monkeypatch):
     assert lines[0].startswith("error: verification failed: P-4: parity entry k=1")
 
 
+def test_all_reports_a_raising_check_as_a_failing_item(capsys, monkeypatch, tmp_path):
+    # the same tamper under `all`: the items that reach P-4 past k = 0 fail
+    # with the message, the others still run, and the report is written
+    fam = families.PolynomialFamily(families.FamilyId.P4)
+    fam._vals[1] = RationalPoly.one()
+    monkeypatch.setitem(families._REGISTRY, families.FamilyId.P4, fam)
+    target = tmp_path / "all.json"
+    code = main(["all", "--profile", "quick", "--out", str(target)])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    data = json.loads(target.read_text())
+    assert data["status"] == "fail"
+    assert [i["check"] for i in data["items"]] == ALL_ITEMS
+    items = {i["check"]: i for i in data["items"]}
+    assert items["family-tables"]["status"] == "fail"
+    assert items["family-tables"]["error"].startswith("P-4: parity entry k=1")
+    assert items["cocycle-psi-table"]["error"] == items["family-tables"]["error"]
+    for name in ("ode-P-2", "hyp2f1-log-identity", "hyp2f1-domain-guard"):
+        assert items[name]["status"] == "pass"
+        assert "error" not in items[name]
+
+
 def test_second_order_verify_includes_identity(capsys):
     code, out = run_cli(capsys, "verify-ode", "--family", "P-1", "--max-n", "20")
     assert code == 0
@@ -196,9 +250,13 @@ def test_oracle_compare_both_routes(capsys):
     code, out = run_cli(capsys, "oracle-compare", "--family", "P-4", "--order", "20")
     assert code == 0
     data = json.loads(out)
-    oracles = {i["oracle"] for i in data["items"]}
-    assert oracles == {"elliptic-integral", "gegenbauer-sum"}
+    assert [i["oracle"] for i in data["items"]] == ["elliptic-integral", "gegenbauer-sum"]
     assert all(i["matched"] for i in data["items"])
+    code, out = run_cli(capsys, "oracle-compare", "--family", "P-2", "--order", "20")
+    assert code == 0
+    data = json.loads(out)
+    assert [i["oracle"] for i in data["items"]] == ["elliptic-integral"]
+    assert [i["family"] for i in data["items"]] == ["P-2"]
 
 
 def test_cocycle_single_value(capsys):
@@ -372,6 +430,7 @@ def test_quick_profile_all(capsys):
     data = json.loads(out)
     assert data["status"] == "pass"
     assert all(i["status"] == "pass" for i in data["items"])
+    assert [i["check"] for i in data["items"]] == ALL_ITEMS
 
 
 def test_desk_profile_all_within_budget(capsys):
@@ -384,16 +443,15 @@ def test_desk_profile_all_within_budget(capsys):
 
 
 def test_failing_report_exits_1(capsys):
-    import time
-
-    from djkm.cli import RunReport, _emit_report
-
-    report = RunReport(command="demo", parameters={})
-    report.add({"check": "x", "status": "fail"})
-    code = _emit_report(report.finish(time.perf_counter()), None)
-    capsys.readouterr()
-    assert code == 1
-    assert report.status == "fail"
+    started = time.perf_counter()
+    items = [{"check": "x", "status": "pass"}, {"check": "y", "status": "fail"}]
+    assert cli._report("demo", {"k": 1}, items, started, None) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "fail"
+    assert list(data) == ["command", "parameters", "status", "items", "wall_time_ms"]
+    assert data["items"] == items
+    assert cli._report("demo", {}, items[:1], started, None) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 def test_console_entry_point_runs():
