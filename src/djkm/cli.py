@@ -100,9 +100,14 @@ def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-def _favard_ok(lambdas: List[Fraction]) -> bool:
-    """Favard's verdict on the normalisers: lambda_1^2 = 2/7 and every one > 0."""
-    return lambdas[1] == Fraction(2, 7) and all(x > 0 for x in lambdas)
+# lambda_1^2 = C_0 / A_1 of each orthogonal sequence, written out.
+_LAMBDA1_SQ = {"q": Fraction(1, 10), "qbar": Fraction(2, 7)}
+
+
+def _favard_ok(tag: str, lambdas: List[Fraction]) -> bool:
+    """Favard's verdict on the normalisers: the sequence's own lambda_1^2 and
+    every one > 0."""
+    return lambdas[1] == _LAMBDA1_SQ[tag] and all(x > 0 for x in lambdas)
 
 
 # The generating-function oracles: the ``all`` item, the family, the
@@ -218,13 +223,13 @@ def _cmd_orthogonality(args) -> int:
         if size < 1:
             raise UsageError(f"{flag}: must be >= 1, got {size}")
     started = time.perf_counter()
-    lambdas = ortho.favard_lambdas(max(args.hankel, 8))
+    lambdas = ortho.favard_lambdas(args.family, max(args.hankel, 8))
     dets = ortho.hankel(args.family, args.hankel)
     items = [
         {
             "check": "favard-lambdas",
             "lambda1_sq": str(lambdas[1]),
-            "status": _status(_favard_ok(lambdas)),
+            "status": _status(_favard_ok(args.family, lambdas)),
         },
         {
             "check": "hankel-positivity",
@@ -387,7 +392,7 @@ def _cmd_all(args) -> int:
     record("wimp-discrepancy", wimp_check)
     for check in ("psi-table", "uu-central-terms", "antisymmetry"):
         record(f"cocycle-{check}", lambda check: cocycle_verdicts()[check], check)
-    record("favard-lambdas", lambda: _favard_ok(ortho.favard_lambdas(200)))
+    record("favard-lambdas", lambda: _favard_ok("qbar", ortho.favard_lambdas("qbar", 200)))
     for fam in ("q", "qbar"):
         record(f"hankel-{fam}", lambda f: all(d > 0 for d in ortho.hankel(f, prof["hankel"])), fam)
         record(f"gram-{fam}", ortho.gram_check, fam, prof["gram"])

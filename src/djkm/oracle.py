@@ -14,20 +14,28 @@ no tolerance anywhere in this module.
 
 Every expansion ends the same way: an odd series in z (the antiderivative,
 or the Gegenbauer bracket) times z sqrt(1 - 2cz^2 + z^4), compared with the
-family through z^order.  The antiderivatives are taken with integration
-constant 0 and nothing is pinned afterwards.  That is the right constant:
-z sqrt(...) is odd in z, the antiderivative of an even integrand is odd, and
-so is the Gegenbauer bracket, so any other constant adds a multiple of
-z sqrt(...) and shows up as a nonzero odd coefficient.  The odd shifted
-entries of P-4 and P-2 are zero, so such a coefficient is a mismatch that the
-comparison reports like any other.
+family through z^order.  Both factors are cut to what z^order needs, so the
+product is formed only through the compared order.  P-4's antiderivative and
+its Gegenbauer bracket are the same series (the C_n^(3/2) generating function
+integrated termwise), so a small memo of products, keyed by the operands and
+compared with ==, forms that product once when both P-4 routes run at one
+order; a bracket that differs is multiplied afresh.
+
+The antiderivatives are taken with integration constant 0 and nothing is
+pinned afterwards.  That is the right constant: z sqrt(...) is odd in z, the
+antiderivative of an even integrand is odd, and so is the Gegenbauer bracket,
+so any other constant adds a multiple of z sqrt(...) and shows up as a
+nonzero odd coefficient.  The odd shifted entries of P-4 and P-2 are zero,
+so such a coefficient is a mismatch that the comparison reports like any
+other.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from .exact import LaurentSeries, RationalPoly, VerificationError, shift_combination
 from .families import FamilyId, gegenbauer, get_family
@@ -53,19 +61,50 @@ class OracleResult:
 
 def _quartic(trunc: int) -> LaurentSeries:
     """1 - 2c z^2 + z^4 as a series known through z^trunc."""
-    return LaurentSeries.from_terms(
-        {0: RationalPoly.one(), 2: RationalPoly((0, -2)), 4: RationalPoly.one()},
-        trunc,
-    )
+    terms = {0: RationalPoly.one(), 2: RationalPoly((0, -2)), 4: RationalPoly.one()}
+    return LaurentSeries.from_terms({k: p for k, p in terms.items() if k <= trunc}, trunc)
 
 
 def _z_sqrt_quartic(trunc: int) -> LaurentSeries:
-    return _quartic(trunc).sqrt().shift(1)
+    """z sqrt(1 - 2cz^2 + z^4) as a series known through z^trunc."""
+    return _quartic(trunc - 1).sqrt().shift(1)
+
+
+# Recent products (z sqrt factor, odd series, product).  An entry is dropped
+# when it is reused, and at most two are held: in ``all`` the elliptic-2
+# product sits between P-4's two routes.
+_PRODUCTS: List[Tuple[LaurentSeries, LaurentSeries, LaurentSeries]] = []
+_PRODUCTS_LOCK = threading.Lock()
+
+
+def _product(root: LaurentSeries, odd: LaurentSeries) -> LaurentSeries:
+    """root * odd, taken from the memo when an equal pair was just multiplied.
+
+    Operands are compared with ==, never hashed: hashing a series builds a
+    Fraction per coefficient, which costs more than the comparison.
+    """
+    with _PRODUCTS_LOCK:
+        for i, (a, b, product) in enumerate(_PRODUCTS):
+            if a == root and b == odd:
+                del _PRODUCTS[i]
+                return product
+    product = root * odd
+    with _PRODUCTS_LOCK:
+        _PRODUCTS.append((root, odd, product))
+        del _PRODUCTS[:-2]
+    return product
 
 
 def _compare(odd_series: LaurentSeries, family_id: FamilyId, order: int) -> OracleResult:
-    """z sqrt(1 - 2cz^2 + z^4) * odd_series against the family through z^order."""
-    series = _z_sqrt_quartic(order + 4) * odd_series
+    """z sqrt(1 - 2cz^2 + z^4) * odd_series against the family through z^order.
+
+    The odd series is cut to z^(order-1) and z sqrt(...) is built through
+    z^(order - lowest order of the odd series), so the product is known
+    through z^order exactly and no further.  (z sqrt(...) keeps at least its
+    z^1 term, for an odd series that vanishes through z^(order-1).)
+    """
+    odd = odd_series.truncate(order - 1)
+    series = _product(_z_sqrt_quartic(max(order - odd.lowest_order, 1)), odd)
     fam = get_family(family_id)
     first_bad = None
     for n in range(order + 1):
@@ -75,7 +114,7 @@ def _compare(odd_series: LaurentSeries, family_id: FamilyId, order: int) -> Orac
     return OracleResult(
         family=family_id,
         truncation=order,
-        series=series.truncate(order),
+        series=series,
         matched=first_bad is None,
         first_mismatch=first_bad,
     )
@@ -92,11 +131,10 @@ def expand_elliptic1(order: int) -> OracleResult:
     """Rebuild the P-4 family from its elliptic-integral generating function."""
     if order < 4:
         raise ValueError("order must be >= 4")
-    t = order + 4
     prefactor = LaurentSeries.from_terms(
-        {-2: RationalPoly.constant(-1), 0: RationalPoly((0, 4))}, t
+        {-2: RationalPoly.constant(-1), 0: RationalPoly((0, 4))}, order
     )
-    integrand = prefactor * _quartic(t).pow_neg_3_2()
+    integrand = prefactor * _quartic(order).pow_neg_3_2()
     return _compare(_antiderivative(integrand, "elliptic-1"), FamilyId.P4, order)
 
 
@@ -104,7 +142,7 @@ def expand_elliptic2(order: int) -> OracleResult:
     """Rebuild the P-2 family from its elliptic-integral generating function."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    integrand = _quartic(order + 4).pow_neg_3_2()
+    integrand = _quartic(order).pow_neg_3_2()
     return _compare(_antiderivative(integrand, "elliptic-2"), FamilyId.P2, order)
 
 
@@ -115,18 +153,19 @@ def expand_gegenbauer_sum(order: int) -> OracleResult:
                               - sum_n C_n^(3/2) z^{2n-1} / (2n-1) ).
 
     The bracket's z^-1 coefficient is 1, and its z^{2m+1} coefficient is
-    (4c C_m - C_{m+1}) / (2m+1).
+    (4c C_m - C_{m+1}) / (2m+1); it is built through z^(order-1), all that
+    the comparison reads.
     """
     if order < 4:
         raise ValueError("order must be >= 4")
     lam = Fraction(3, 2)
     terms = {-1: RationalPoly.one()}
-    for m in range((order + 2) // 2):
+    for m in range(order // 2):
         w = Fraction(1, 2 * m + 1)
         terms[2 * m + 1] = shift_combination(
             gegenbauer(lam, m), 4 * w, gegenbauer(lam, m + 1), -w
         )
-    bracket = LaurentSeries.from_terms(terms, order + 1)
+    bracket = LaurentSeries.from_terms(terms, order - 1)
     return _compare(bracket, FamilyId.P4, order)
 
 

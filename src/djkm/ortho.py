@@ -93,18 +93,21 @@ def three_term(tag: str) -> ThreeTermData:
     return ThreeTermData(tag)
 
 
-def favard_lambdas(count: int) -> List[Fraction]:
-    """Exact lambda_n^2 normalizers for the qbar sequence, lambda_0^2 = 1,
+def favard_lambdas(tag: str, count: int) -> List[Fraction]:
+    """Exact lambda_n^2 normalizers of the sequence, lambda_0^2 = 1,
 
-        lambda_n^2 = (n+1)(2n+1) / ((n+2)(2n+5)) * lambda_{n-1}^2,
+        lambda_n^2 = lambda_{n-1}^2 C_{n-1} / A_n,
 
-    the unique positive ratio making the rescaled recurrence symmetric.
+    the unique positive ratio making the rescaled recurrence symmetric.  The
+    ratio is (n+1)(2n+1) / ((n+2)(2n+5)) for qbar and
+    n(2n-1) / ((n+1)(2n+3)) for q.
     """
+    data = three_term(tag)
     if count < 0:
         raise ValueError("count must be >= 0")
     out = [Fraction(1)]
     for n in range(1, count + 1):
-        out.append(out[-1] * Fraction((n + 1) * (2 * n + 1), (n + 2) * (2 * n + 5)))
+        out.append(out[-1] * data.C(n - 1) / data.A(n))
     return out
 
 

@@ -166,7 +166,7 @@ def test_criterion_06_cocycle():
 
 def test_criterion_07_orthogonality():
     with Budget("07 orthogonality"):
-        lams = favard_lambdas(200)
+        lams = favard_lambdas("qbar", 200)
         assert lams[1] == F(2, 7)
         assert all(lam > 0 for lam in lams)
         for tag in ("q", "qbar"):

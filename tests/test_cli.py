@@ -298,15 +298,17 @@ def test_cocycle_verify_report(capsys):
 
 
 def test_orthogonality_report(capsys):
-    code, out = run_cli(
-        capsys, "orthogonality", "--family", "qbar", "--hankel", "6", "--gram", "4"
-    )
-    assert code == 0
-    data = json.loads(out)
-    checks = {i["check"]: i for i in data["items"]}
-    assert checks["favard-lambdas"]["lambda1_sq"] == "2/7"
-    assert len(checks["hankel-positivity"]["determinants"]) == 6
-    assert data["status"] == "pass"
+    # each family reports its own lambda_1^2
+    for family, lambda1_sq in (("q", "1/10"), ("qbar", "2/7")):
+        code, out = run_cli(
+            capsys, "orthogonality", "--family", family, "--hankel", "6", "--gram", "4"
+        )
+        assert code == 0
+        data = json.loads(out)
+        checks = {i["check"]: i for i in data["items"]}
+        assert checks["favard-lambdas"]["lambda1_sq"] == lambda1_sq
+        assert len(checks["hankel-positivity"]["determinants"]) == 6
+        assert data["status"] == "pass"
 
 
 def test_quadrature_csv_format(capsys):

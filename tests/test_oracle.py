@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from djkm import cli, oracle
-from djkm.exact import LaurentSeries, RationalPoly, VerificationError
-from djkm.families import FamilyId
+from djkm import cli, families, oracle
+from djkm.exact import LaurentSeries, RationalPoly, VerificationError, shift_combination
+from djkm.families import FamilyId, gegenbauer, get_family
 from djkm.oracle import (
+    OracleResult,
     check_funde,
     expand_elliptic1,
     expand_elliptic2,
@@ -127,12 +128,15 @@ def _quartic_with_odd_term(trunc):
 
 
 def test_elliptic1_nonzero_residue_raises(monkeypatch):
+    # an untampered run at the same order first, so the memo holds its product
+    assert expand_elliptic1(8).matched
     monkeypatch.setattr(oracle, "_quartic", _quartic_with_odd_term)
     with pytest.raises(VerificationError, match="z\\^-1"):
         expand_elliptic1(8)
 
 
 def test_elliptic2_odd_series_is_a_reported_mismatch(monkeypatch):
+    assert expand_elliptic2(8).matched
     monkeypatch.setattr(oracle, "_quartic", _quartic_with_odd_term)
     res = expand_elliptic2(8)
     assert res.matched is False
@@ -167,3 +171,91 @@ def test_wrong_integration_constant_fails_in_the_full_report(monkeypatch, tmp_pa
     for name in ("oracle-elliptic-1", "oracle-elliptic-2"):
         assert items[name]["status"] == "fail"
         assert items[name]["first_mismatch"] == 1
+
+
+# -- operand trimming and the product memo -------------------------------------
+
+
+def _untrimmed(expand, order):
+    """The expansion as it was before its operands were trimmed: Q^(-3/2) and
+    z sqrt(Q) from Q through z^(order+4), the Gegenbauer bracket through
+    z^(order+1), and the product cut to z^order only at the end."""
+    quartic = LaurentSeries.from_terms({0: ONE, 2: RationalPoly((0, -2)), 4: ONE}, order + 4)
+    if expand is expand_elliptic1:
+        prefactor = LaurentSeries.from_terms(
+            {-2: RationalPoly.constant(-1), 0: RationalPoly((0, 4))}, order + 4
+        )
+        family, odd = FamilyId.P4, (prefactor * quartic.pow_neg_3_2()).integrate()
+    elif expand is expand_elliptic2:
+        family, odd = FamilyId.P2, quartic.pow_neg_3_2().integrate()
+    else:
+        terms = {-1: ONE}
+        for m in range((order + 2) // 2):
+            w = F(1, 2 * m + 1)
+            terms[2 * m + 1] = shift_combination(
+                gegenbauer(F(3, 2), m), 4 * w, gegenbauer(F(3, 2), m + 1), -w
+            )
+        family, odd = FamilyId.P4, LaurentSeries.from_terms(terms, order + 1)
+    series = quartic.sqrt().shift(1) * odd
+    fam = get_family(family)
+    bad = [n for n in range(order + 1) if series.coefficient(n) != fam.shifted(n)]
+    return OracleResult(family, order, series.truncate(order), not bad, min(bad, default=None))
+
+
+@pytest.mark.parametrize(
+    "expand, order",
+    [(e, o) for e in (expand_elliptic1, expand_elliptic2, expand_gegenbauer_sum)
+     for o in (4, 5, 7, 8, 40)]
+    + [(expand_elliptic2, 2), (expand_elliptic2, 3)],
+)
+def test_trimmed_operands_match_the_untrimmed_reference(monkeypatch, expand, order):
+    monkeypatch.setattr(oracle, "_PRODUCTS", [])
+    assert expand(order).to_json() == _untrimmed(expand, order).to_json()
+
+
+def _count_dense_products(monkeypatch) -> list:
+    """Record every series product whose operands both have > 3 nonzero terms."""
+    calls = []
+    mul = LaurentSeries.__mul__
+
+    def counted(self, other):
+        if isinstance(other, LaurentSeries) and min(
+            sum(1 for p in s.coeffs if p) for s in (self, other)
+        ) > 3:
+            calls.append((self.lowest_order, other.lowest_order))
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    return calls
+
+
+def test_gegenbauer_sum_reuses_the_elliptic1_product(monkeypatch):
+    monkeypatch.setattr(oracle, "_PRODUCTS", [])
+    calls = _count_dense_products(monkeypatch)
+    assert expand_elliptic1(40).matched
+    assert len(calls) == 1
+    assert expand_elliptic2(40).matched
+    assert len(calls) == 2
+    assert len(oracle._PRODUCTS) == 2
+    assert expand_gegenbauer_sum(40).matched
+    assert len(calls) == 2
+    # the reused entry is dropped; elliptic-2's stays
+    assert len(oracle._PRODUCTS) == 1
+
+
+def test_memo_holds_at_most_two_products(monkeypatch):
+    monkeypatch.setattr(oracle, "_PRODUCTS", [])
+    for order in (8, 9, 10):
+        expand_elliptic2(order)
+    assert [e[2].truncation_order for e in oracle._PRODUCTS] == [9, 10]
+
+
+def test_tampered_gegenbauer_misses_the_memo(monkeypatch):
+    monkeypatch.setattr(oracle, "_PRODUCTS", [])
+    assert expand_elliptic1(40).matched
+    # C_1^(3/2) = 4c instead of 3c: the bracket's z^1 coefficient becomes 0
+    wrong = {F(3, 2): [ONE, RationalPoly.monomial(4, 1)]}
+    monkeypatch.setattr(families, "_GEGENBAUER", wrong)
+    res = expand_gegenbauer_sum(40)
+    assert res.matched is False
+    assert res.first_mismatch == 2

@@ -84,18 +84,34 @@ def test_positivity_of_adjacent_products():
 
 
 def test_favard_lambda_values():
-    lams = favard_lambdas(200)
+    lams = favard_lambdas("qbar", 200)
     assert lams[0] == 1
     assert lams[1] == F(2, 7)  # (2*3)/(3*7)
     assert all(x > 0 for x in lams)
     for n in range(1, 201):
         assert lams[n] == lams[n - 1] * F((n + 1) * (2 * n + 1), (n + 2) * (2 * n + 5))
+    lams = favard_lambdas("q", 200)
+    assert lams[:2] == [1, F(1, 10)]
+    for n in range(1, 201):
+        assert lams[n] == lams[n - 1] * F(n * (2 * n - 1), (n + 1) * (2 * n + 3))
+
+
+@pytest.mark.parametrize(
+    "tag, first",
+    [("q", [1, F(1, 10), F(1, 35), F(1, 84)]), ("qbar", [1, F(2, 7), F(5, 42), F(2, 33)])],
+)
+def test_favard_lambdas_are_the_gram_diagonal(tag, first):
+    # lambda_n^2 = <p_n, p_n> / <p_0, p_0> for the generated members p_n
+    lams = favard_lambdas(tag, 8)
+    gram = gram_matrix(tag, 8)
+    assert lams[:4] == first
+    assert lams == [gram[n][n] / gram[0][0] for n in range(9)]
 
 
 def test_symmetrization_identity():
     # A_{n+1} lambda_{n+1}^2 = C_n lambda_n^2 makes the rescaled coefficients
     # equal (A_n = C_{n-1} after dividing by lambda), Fraction-exactly
-    lams = favard_lambdas(201)
+    lams = favard_lambdas("qbar", 201)
     data = three_term("qbar")
     for n in range(0, 200):
         assert data.A(n + 1) * lams[n + 1] == data.C(n) * lams[n]
@@ -234,7 +250,7 @@ def test_gram_diagonal_exact_values():
     # Gram diagonal is the squared constant relating p_n to the family member:
     # <qbar_n, qbar_n> = lambda_n^2 / 25 (qbar_0 = 1/5), <q_n, q_n> = mu_n^2
     # with mu_0 = 1 and mu_n^2 = n(2n-1)/((n+1)(2n+3)) mu_{n-1}^2
-    lams = favard_lambdas(8)
+    lams = favard_lambdas("qbar", 8)
     gram = gram_matrix("qbar", 8)
     for n in range(9):
         assert gram[n][n] == lams[n] / 25
