@@ -44,12 +44,12 @@ class NotSquareError(ArithmeticError):
     """Series square root requested outside the supported unit-leading case."""
 
 
-class ResidueError(ArithmeticError):
-    """Termwise integration hit a nonzero z^-1 coefficient (logarithmic term)."""
-
-
 class VerificationError(ArithmeticError):
     """An exact internal consistency check of a computed object failed."""
+
+
+class ResidueError(VerificationError):
+    """Termwise integration hit a nonzero z^-1 coefficient (logarithmic term)."""
 
 
 def _as_rational(x) -> Scalar:
@@ -581,7 +581,8 @@ class LaurentSeries:
         )
 
     def __hash__(self) -> int:
-        return hash((self._low, self._trunc, self._coeffs))
+        # the canonical pairs that __eq__ compares, so no Fraction is built
+        return hash((self._low, self._trunc, tuple((p._num, p._den) for p in self._coeffs)))
 
     def agrees_with(self, other: "LaurentSeries", upto: Optional[int] = None) -> bool:
         """Coefficientwise equality on the common known exponent range."""

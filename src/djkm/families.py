@@ -134,17 +134,16 @@ class PolynomialFamily:
         return self.qbar(n)
 
 
-_REGISTRY: Dict[FamilyId, PolynomialFamily] = {}
-_REGISTRY_LOCK = threading.Lock()
+_REGISTRY: Dict[FamilyId, PolynomialFamily] = {fid: PolynomialFamily(fid) for fid in FamilyId}
 
 
 def get_family(family_id: FamilyId) -> PolynomialFamily:
-    """Shared per-process instance (families are immutable once generated)."""
-    family_id = FamilyId(family_id)
-    with _REGISTRY_LOCK:
-        if family_id not in _REGISTRY:
-            _REGISTRY[family_id] = PolynomialFamily(family_id)
-        return _REGISTRY[family_id]
+    """The shared per-process instance, built at import for every family.
+
+    Nothing inserts into the registry afterwards, so lookups need no lock;
+    each family serialises its own extension.
+    """
+    return _REGISTRY[FamilyId(family_id)]
 
 
 def generate(family_id: FamilyId, view: IndexView, max_index: int) -> List[RationalPoly]:

@@ -17,9 +17,9 @@ or the Gegenbauer bracket) times z sqrt(1 - 2cz^2 + z^4), compared with the
 family through z^order.  Both factors are cut to what z^order needs, so the
 product is formed only through the compared order.  P-4's antiderivative and
 its Gegenbauer bracket are the same series (the C_n^(3/2) generating function
-integrated termwise), so a small memo of products, keyed by the operands and
-compared with ==, forms that product once when both P-4 routes run at one
-order; a bracket that differs is multiplied afresh.
+integrated termwise), so the product goes through a two-entry
+functools.lru_cache keyed by the operand values, and is formed once when both
+P-4 routes run at one order; a bracket that differs is multiplied afresh.
 
 The antiderivatives are taken with integration constant 0 and nothing is
 pinned afterwards.  That is the right constant: z sqrt(...) is odd in z, the
@@ -27,17 +27,18 @@ antiderivative of an even integrand is odd, and so is the Gegenbauer bracket,
 so any other constant adds a multiple of z sqrt(...) and shows up as a
 nonzero odd coefficient.  The odd shifted entries of P-4 and P-2 are zero,
 so such a coefficient is a mismatch that the comparison reports like any
-other.
+other.  A nonzero z^-1 coefficient in an integrand (a logarithmic term) makes
+LaurentSeries.integrate raise ResidueError, which is a VerificationError.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from .exact import LaurentSeries, RationalPoly, VerificationError, shift_combination
+from .exact import LaurentSeries, RationalPoly, shift_combination
 from .families import FamilyId, gegenbauer, get_family
 
 
@@ -70,29 +71,12 @@ def _z_sqrt_quartic(trunc: int) -> LaurentSeries:
     return _quartic(trunc - 1).sqrt().shift(1)
 
 
-# Recent products (z sqrt factor, odd series, product).  An entry is dropped
-# when it is reused, and at most two are held: in ``all`` the elliptic-2
-# product sits between P-4's two routes.
-_PRODUCTS: List[Tuple[LaurentSeries, LaurentSeries, LaurentSeries]] = []
-_PRODUCTS_LOCK = threading.Lock()
-
-
+# In ``all`` the elliptic-2 product sits between P-4's two routes, so two
+# entries let the Gegenbauer bracket find elliptic-1's product.
+@functools.lru_cache(maxsize=2)
 def _product(root: LaurentSeries, odd: LaurentSeries) -> LaurentSeries:
-    """root * odd, taken from the memo when an equal pair was just multiplied.
-
-    Operands are compared with ==, never hashed: hashing a series builds a
-    Fraction per coefficient, which costs more than the comparison.
-    """
-    with _PRODUCTS_LOCK:
-        for i, (a, b, product) in enumerate(_PRODUCTS):
-            if a == root and b == odd:
-                del _PRODUCTS[i]
-                return product
-    product = root * odd
-    with _PRODUCTS_LOCK:
-        _PRODUCTS.append((root, odd, product))
-        del _PRODUCTS[:-2]
-    return product
+    """root * odd, from the cache when an equal pair was multiplied recently."""
+    return root * odd
 
 
 def _compare(odd_series: LaurentSeries, family_id: FamilyId, order: int) -> OracleResult:
@@ -120,13 +104,6 @@ def _compare(odd_series: LaurentSeries, family_id: FamilyId, order: int) -> Orac
     )
 
 
-def _antiderivative(integrand: LaurentSeries, name: str) -> LaurentSeries:
-    # The integrand is even in z, so no logarithmic term can appear.
-    if not integrand.coefficient(-1).is_zero():
-        raise VerificationError(f"{name} integrand has a nonzero z^-1 coefficient")
-    return integrand.integrate()
-
-
 def expand_elliptic1(order: int) -> OracleResult:
     """Rebuild the P-4 family from its elliptic-integral generating function."""
     if order < 4:
@@ -135,7 +112,7 @@ def expand_elliptic1(order: int) -> OracleResult:
         {-2: RationalPoly.constant(-1), 0: RationalPoly((0, 4))}, order
     )
     integrand = prefactor * _quartic(order).pow_neg_3_2()
-    return _compare(_antiderivative(integrand, "elliptic-1"), FamilyId.P4, order)
+    return _compare(integrand.integrate(), FamilyId.P4, order)
 
 
 def expand_elliptic2(order: int) -> OracleResult:
@@ -143,7 +120,7 @@ def expand_elliptic2(order: int) -> OracleResult:
     if order < 2:
         raise ValueError("order must be >= 2")
     integrand = _quartic(order).pow_neg_3_2()
-    return _compare(_antiderivative(integrand, "elliptic-2"), FamilyId.P2, order)
+    return _compare(integrand.integrate(), FamilyId.P2, order)
 
 
 def expand_gegenbauer_sum(order: int) -> OracleResult:

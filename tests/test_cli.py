@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from djkm import cli, diffops, families, ortho
+from djkm import cli, cocycle, diffops, families, oracle, ortho
 from djkm.cli import GEN_FAMILIES, main
 from djkm.exact import RationalPoly
 from djkm.families import VIEW_START, IndexView, generate
@@ -414,6 +414,23 @@ def test_deterministic_output(capsys):
     _, out1 = run_cli(capsys, "gen", "--family", "P-4", "--max-n", "10")
     _, out2 = run_cli(capsys, "gen", "--family", "P-4", "--max-n", "10")
     assert out1 == out2
+
+
+def test_cold_and_warm_caches_give_the_same_report(monkeypatch, tmp_path):
+    # every process-global cache back to its import state
+    oracle._product.cache_clear()
+    for fid in families.FamilyId:
+        monkeypatch.setitem(families._REGISTRY, fid, families.PolynomialFamily(fid))
+    monkeypatch.setattr(families, "_GEGENBAUER", {})
+    basis = {k: cocycle.OmegaVector.basis_u(k) for k in cocycle._U_NAMES}
+    monkeypatch.setattr(cocycle, "_U_CACHE", basis)
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    assert main(["all", "--profile", "quick", "--out", str(cold)]) == 0
+    assert main(["all", "--profile", "quick", "--out", str(warm)]) == 0
+    reports = [json.loads(path.read_text()) for path in (cold, warm)]
+    for report in reports:
+        del report["wall_time_ms"]
+    assert reports[0] == reports[1]
 
 
 def test_out_file(tmp_path, capsys):

@@ -14,6 +14,7 @@ from djkm.exact import (
     NotSquareError,
     RationalPoly,
     ResidueError,
+    VerificationError,
     diff_combination,
     shift_combination,
 )
@@ -355,6 +356,7 @@ def test_integrate_power_rule():
 def test_integrate_residue_error():
     with pytest.raises(ResidueError):
         LaurentSeries.from_terms({-1: 1}, 5).integrate()
+    assert issubclass(ResidueError, VerificationError)
 
 
 @settings(max_examples=30, deadline=None)
@@ -372,6 +374,30 @@ def general_series():
         st.integers(min_value=-5, max_value=5),
         st.lists(coef, min_size=1, max_size=9),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(general_series(), general_series())
+def test_equal_series_hash_equal(a, b):
+    # rebuilt from the Fraction coefficients, so nothing is shared with a
+    low, trunc = a.lowest_order, a.truncation_order
+    copy = LaurentSeries(
+        low, [RationalPoly(a.coefficient(n).coeffs) for n in range(low, trunc + 1)], trunc
+    )
+    assert copy == a and hash(copy) == hash(a)
+    assert a != b or hash(a) == hash(b)
+
+
+def test_series_hash_builds_no_fraction(monkeypatch):
+    a = LaurentSeries.from_terms({-1: F(1, 3), 2: RationalPoly([F(-5, 2), 0, 7])}, 6)
+    b = LaurentSeries.from_terms({-1: F(2, 6), 2: RationalPoly([F(-10, 4), 0, 7])}, 6)
+
+    def no_fractions(self):
+        raise AssertionError("hashing built Fraction coefficients")
+
+    monkeypatch.setattr(RationalPoly, "coeffs", property(no_fractions))
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) != hash(a.truncate(5))
 
 
 @settings(max_examples=60, deadline=None)

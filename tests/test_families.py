@@ -205,6 +205,20 @@ def test_parity_check_survives_python_O():
     assert proc.returncode == 3, proc.stderr
 
 
+def test_registry_is_shared_across_threads():
+    from concurrent.futures import ThreadPoolExecutor
+
+    keys = ["P-4", FamilyId.P4] * 32
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(get_family, keys, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(fam is families._REGISTRY[FamilyId.P4] for fam in results)
+
+
 def test_generate_rejects_index_below_view_start():
     with pytest.raises(ValueError):
         generate(FamilyId.P4, IndexView.SHIFTED, -1)

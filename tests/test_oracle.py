@@ -1,6 +1,7 @@
 """Generating-function reconstructions against the recurrence engine."""
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -128,7 +129,7 @@ def _quartic_with_odd_term(trunc):
 
 
 def test_elliptic1_nonzero_residue_raises(monkeypatch):
-    # an untampered run at the same order first, so the memo holds its product
+    # an untampered run at the same order first, so the cache holds its product
     assert expand_elliptic1(8).matched
     monkeypatch.setattr(oracle, "_quartic", _quartic_with_odd_term)
     with pytest.raises(VerificationError, match="z\\^-1"):
@@ -173,7 +174,17 @@ def test_wrong_integration_constant_fails_in_the_full_report(monkeypatch, tmp_pa
         assert items[name]["first_mismatch"] == 1
 
 
-# -- operand trimming and the product memo -------------------------------------
+def test_nonzero_residue_fails_only_its_item_in_the_full_report(monkeypatch, tmp_path):
+    monkeypatch.setattr(oracle, "_quartic", _quartic_with_odd_term)
+    out = tmp_path / "all.json"
+    assert cli.main(["all", "--profile", "quick", "--out", str(out)]) == 1
+    items = {item["check"]: item for item in json.loads(out.read_text())["items"]}
+    assert len(items) == 26
+    assert items["oracle-elliptic-1"]["status"] == "fail"
+    assert "z^-1" in items["oracle-elliptic-1"]["error"]
+
+
+# -- operand trimming and the product cache ------------------------------------
 
 
 def _untrimmed(expand, order):
@@ -208,8 +219,8 @@ def _untrimmed(expand, order):
      for o in (4, 5, 7, 8, 40)]
     + [(expand_elliptic2, 2), (expand_elliptic2, 3)],
 )
-def test_trimmed_operands_match_the_untrimmed_reference(monkeypatch, expand, order):
-    monkeypatch.setattr(oracle, "_PRODUCTS", [])
+def test_trimmed_operands_match_the_untrimmed_reference(expand, order):
+    oracle._product.cache_clear()
     assert expand(order).to_json() == _untrimmed(expand, order).to_json()
 
 
@@ -230,28 +241,35 @@ def _count_dense_products(monkeypatch) -> list:
 
 
 def test_gegenbauer_sum_reuses_the_elliptic1_product(monkeypatch):
-    monkeypatch.setattr(oracle, "_PRODUCTS", [])
+    oracle._product.cache_clear()
     calls = _count_dense_products(monkeypatch)
     assert expand_elliptic1(40).matched
     assert len(calls) == 1
     assert expand_elliptic2(40).matched
     assert len(calls) == 2
-    assert len(oracle._PRODUCTS) == 2
+    assert oracle._product.cache_info().currsize == 2
     assert expand_gegenbauer_sum(40).matched
     assert len(calls) == 2
-    # the reused entry is dropped; elliptic-2's stays
-    assert len(oracle._PRODUCTS) == 1
+    info = oracle._product.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
 
 
-def test_memo_holds_at_most_two_products(monkeypatch):
-    monkeypatch.setattr(oracle, "_PRODUCTS", [])
+def test_memo_holds_at_most_two_products():
+    oracle._product.cache_clear()
     for order in (8, 9, 10):
         expand_elliptic2(order)
-    assert [e[2].truncation_order for e in oracle._PRODUCTS] == [9, 10]
+    info = oracle._product.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (2, 2, 3)
+    # orders 9 and 10 are held, order 8 was evicted
+    for order in (10, 9):
+        expand_elliptic2(order)
+    assert oracle._product.cache_info().hits == 2
+    expand_elliptic2(8)
+    assert oracle._product.cache_info().misses == 4
 
 
 def test_tampered_gegenbauer_misses_the_memo(monkeypatch):
-    monkeypatch.setattr(oracle, "_PRODUCTS", [])
+    oracle._product.cache_clear()
     assert expand_elliptic1(40).matched
     # C_1^(3/2) = 4c instead of 3c: the bracket's z^1 coefficient becomes 0
     wrong = {F(3, 2): [ONE, RationalPoly.monomial(4, 1)]}
@@ -259,3 +277,23 @@ def test_tampered_gegenbauer_misses_the_memo(monkeypatch):
     res = expand_gegenbauer_sum(40)
     assert res.matched is False
     assert res.first_mismatch == 2
+    info = oracle._product.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
+
+
+def test_concurrent_expansions_are_consistent():
+    from concurrent.futures import ThreadPoolExecutor
+
+    expansions = [expand_elliptic1, expand_elliptic2, expand_gegenbauer_sum] * 8
+    # from a cleared cache, so the workers form and look up the same products
+    # at the same time
+    oracle._product.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda e: e(40).to_json(), expansions, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    oracle._product.cache_clear()
+    assert results == [e(40).to_json() for e in expansions]
