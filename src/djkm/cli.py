@@ -366,6 +366,27 @@ def _cmd_all(args) -> int:
         p4 = get_family(FamilyId.P4)
         return all(ultra[n] == p4.q(n) for n in range(prof["assoc_max"] + 1))
 
+    # hankel and favard_lambdas read ortho.ThreeTermData, never the family:
+    # their items first check that data exactly on the generated members
+    recurrence = functools.cache(
+        lambda tag: ortho.recurrence_mismatch(tag, 2 * prof["hankel"])
+    )
+
+    def favard_check():
+        for tag in ortho.ORTHO_TAGS:
+            bad = recurrence(tag)
+            if bad is not None:
+                return False, {"family": tag, "first_failure": bad}
+            if not _favard_ok(tag, ortho.favard_lambdas(tag, 200)):
+                return False, {"family": tag}
+        return True
+
+    def hankel_check(tag: str):
+        bad = recurrence(tag)
+        if bad is not None:
+            return False, {"family": tag, "first_failure": bad}
+        return all(d > 0 for d in ortho.hankel(tag, prof["hankel"]))
+
     def quadrature_check(family: str):
         err = ortho.quad_orthogonality(family, prof["quad_nodes"], prof["quad_deg"])
         return err <= 1e-10, {"max_offdiag": f"{err:.3e}"}
@@ -392,9 +413,9 @@ def _cmd_all(args) -> int:
     record("wimp-discrepancy", wimp_check)
     for check in ("psi-table", "uu-central-terms", "antisymmetry"):
         record(f"cocycle-{check}", lambda check: cocycle_verdicts()[check], check)
-    record("favard-lambdas", lambda: _favard_ok("qbar", ortho.favard_lambdas("qbar", 200)))
+    record("favard-lambdas", favard_check)
     for fam in ("q", "qbar"):
-        record(f"hankel-{fam}", lambda f: all(d > 0 for d in ortho.hankel(f, prof["hankel"])), fam)
+        record(f"hankel-{fam}", hankel_check, fam)
         record(f"gram-{fam}", ortho.gram_check, fam, prof["gram"])
         record(
             f"nonclassical-{fam}",

@@ -14,8 +14,11 @@ beta_n^2 = A_n C_{n-1} via the similarity that puts beta_n^2 above the
 diagonal and 1 below, so no square root is ever taken.  Its zero diagonal
 makes the odd moments vanish, so each Hankel determinant splits by parity
 into an even and an odd block.  Floating point appears only in the Gauss
-quadrature (golub_welsch checks each eigenpair block-wise from the SVD of the
-bidiagonal half of J, quad_orthogonality) and in hyp2f1.
+quadrature (golub_welsch, quad_orthogonality) and in hyp2f1: golub_welsch
+takes LAPACK eigenvalues of the tridiagonal B^T B, B the bidiagonal half of
+J, refines each node by one Newton step, builds the eigenvectors from a
+twisted three-term recurrence, and checks every eigenpair's residual and the
+nodes' strict order.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -91,6 +94,26 @@ def three_term(tag: str) -> ThreeTermData:
     if tag not in ORTHO_TAGS:
         raise ValueError(f"unknown orthogonal sequence tag {tag!r}")
     return ThreeTermData(tag)
+
+
+def recurrence_mismatch(tag: str, count: int) -> Optional[int]:
+    """First n < count at which the generated members break
+
+        x p_n = A_{n+1} p_{n+1} + C_{n-1} p_{n-1},
+
+    exactly, or None.  Moments, Hankel determinants, the Favard normalisers
+    and the Gauss rule read ThreeTermData, never the family; this ties that
+    data to the members it describes.
+    """
+    data = three_term(tag)
+    prev, cur = RationalPoly.zero(), _member(tag, 0)
+    for n in range(count):
+        nxt = _member(tag, n + 1)
+        a = data.A(n + 1)
+        if shift_combination(cur, 1 / a, prev, -data.C(n - 1) / a) != nxt:
+            return n
+        prev, cur = cur, nxt
+    return None
 
 
 def favard_lambdas(tag: str, count: int) -> List[Fraction]:
@@ -443,6 +466,58 @@ def assoc_jacobi(
 # ---------------------------------------------------------------------------
 
 _EIGEN_RESIDUAL_BOUND = 1e-12
+_NODE_GAP = 2e-12
+
+
+def _newton_step(beta: List[float], theta: np.ndarray) -> np.ndarray:
+    """theta - p_n(theta) / p_n'(theta) for the orthonormal p_n, beta = beta_1..beta_n.
+
+    At a zero of p_n the Christoffel-Darboux identity gives
+    p_n' = sum_{k<n} p_k^2 / (beta_n p_{n-1}), so one forward walk of the
+    recurrence beta_{k+1} p_{k+1} = theta p_k - beta_k p_{k-1} suffices.
+    """
+    prev, cur = np.zeros_like(theta), np.ones_like(theta)
+    total = np.zeros_like(theta)
+    below = 0.0
+    for b in beta:
+        total += cur * cur
+        prev, cur = cur, (theta * cur - below * prev) / b
+        below = b
+    return theta - beta[-1] * cur * prev / total
+
+
+def _twisted_vectors(beta: List[float], theta: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of J, one column per theta, from a twisted recurrence.
+
+    The forward walk p_0 = 1, p_1, ... fills every row; each column is then
+    twisted at its row r of largest |p_k|: rows r..n-1 are replaced by a
+    backward walk from q_{n-1} = 1, q_n = 0, scaled to meet the forward value
+    at r (Parlett & Dhillon, Linear Algebra Appl. 267, 1997), so each walk is
+    used only where it is accurate.  The backward walk keeps O(len(theta))
+    state and writes into the forward walk's array.
+    """
+    n, m = len(beta), len(theta)
+    vec = np.empty((n, m))
+    vec[0] = 1.0
+    if n > 1:
+        vec[1] = theta / beta[0]
+    for k in range(2, n):
+        vec[k] = (theta * vec[k - 1] - beta[k - 2] * vec[k - 2]) / beta[k - 1]
+    cols = np.arange(m)
+    twist = np.where(vec.max(axis=0) >= -vec.min(axis=0), vec.argmax(axis=0), vec.argmin(axis=0))
+    forward = vec[twist, cols]
+    tail = np.arange(n)[:, None] >= twist
+    after, cur = np.zeros(m), np.ones(m)
+    for k in range(n - 1, int(twist.min()) - 1, -1):
+        np.copyto(vec[k], cur, where=tail[k])
+        if k:
+            # row k of J v = theta v, solved for v_{k-1}; beta_n multiplies q_n = 0
+            after, cur = cur, (theta * cur - beta[k] * after) / beta[k - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a theta off the spectrum can make q_r = 0: the NaN fails the residual
+        np.multiply(vec, forward / vec[twist, cols], out=vec, where=tail)
+    vec /= np.sqrt(np.einsum("ij,ij->j", vec, vec))
+    return vec
 
 
 def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
@@ -451,45 +526,49 @@ def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
     Nodes are eigenvalues of the n x n symmetric tridiagonal truncation J,
     weights are m_0 times the squared first eigenvector components.  J has a
     zero diagonal, so in even-odd index order it is [[0, B], [B^T, 0]] with B
-    the ceil(n/2) x floor(n/2) lower bidiagonal block (Golub-Kahan).  From
-    B = U diag(sigma) W^T the eigenpairs are +-sigma with [u; +-w] / sqrt(2),
-    plus 0 with [u_0; 0] when n is odd: nodes come out exactly antisymmetric
-    and mirrored weights exactly equal.  Every eigenpair must satisfy
-    ||J v - theta v|| <= 1e-12, checked on the blocks without forming v, or
-    NoConvergenceError is raised.
+    the ceil(n/2) x floor(n/2) lower bidiagonal block (Golub-Kahan), and its
+    eigenvalues are +-sigma, sigma^2 the eigenvalues of the tridiagonal B^T B,
+    plus an exact 0 when n is odd.  Each sigma takes one Newton step on the
+    orthonormal p_n.  The eigenvectors of the ceil(n/2) nonnegative nodes come
+    from a twisted three-term recurrence, and the mirrored node -theta has the
+    same vector up to the signs of its odd rows: nodes come out exactly
+    antisymmetric and mirrored weights exactly equal.  Every eigenpair must
+    satisfy ||J v - theta v|| <= 1e-12 over all n rows, and the nodes must be
+    strictly ascending with every gap above 2e-12, which certifies n distinct
+    eigenpairs of J; otherwise NoConvergenceError is raised.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     data = three_term(tag)
-    off = np.array([math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes)])
-    rows, cols = (n_nodes + 1) // 2, n_nodes // 2
-    diag, sub = off[0::2], off[1::2]
-    block = np.zeros((rows, cols))
-    block[np.arange(cols), np.arange(cols)] = diag  # J[2i, 2i+1] = beta_{2i+1}
-    block[np.arange(1, rows), np.arange(rows - 1)] = sub  # J[2i, 2i-1] = beta_{2i}
-    u, sigma, wt = np.linalg.svd(block)
-    w = wt.T
-    # ||J v - theta v|| from the blocks: B w - sigma u and B^T u - sigma w, each
-    # bidiagonal product two shifted slices; for odd n the last column of
-    # B^T u is the residual of the eigenvalue 0
-    bw = -sigma * u[:, :cols]
-    bw[:cols] += diag[:, None] * w
-    bw[1:] += sub[:, None] * w[: rows - 1]
-    btu = diag[:, None] * u[:cols]
-    btu[: rows - 1] += sub[:, None] * u[1:]
-    btu[:, :cols] -= sigma * w
-    pairs = np.hypot(np.linalg.norm(bw, axis=0), np.linalg.norm(btu[:, :cols], axis=0))
-    null = np.linalg.norm(btu[:, cols:], axis=0)
-    worst = float(np.max(np.concatenate([pairs / math.sqrt(2.0), null])))
+    # beta_1..beta_n: beta_n is not in J, it enters only p_n for the Newton step
+    beta = [math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes + 1)]
+    cols = n_nodes // 2
+    # B^T B is the odd-index block of J^2: diagonal beta_{2j+1}^2 + beta_{2j+2}^2
+    # and subdiagonal beta_{2j+2} beta_{2j+3}, with beta_n read as 0
+    off = np.append(beta[:-1], 0.0)
+    upper, lower = off[0 : 2 * cols : 2], off[1 : 2 * cols : 2]
+    gram = np.diag(upper**2 + lower**2) + np.diag(lower[:-1] * upper[1:], -1)
+    sigma = np.sqrt(np.linalg.eigvalsh(gram))  # ascending, as LAPACK returns them
+    theta = _newton_step(beta, np.concatenate([np.zeros(n_nodes - 2 * cols), sigma]))
+    vec = _twisted_vectors(beta, theta)
+    res = vec * -theta
+    res[:-1] += off[:-1, None] * vec[1:]
+    res[1:] += off[:-1, None] * vec[:-1]
+    worst = float(np.sqrt(np.max(np.einsum("ij,ij->j", res, res))))
     if not worst <= _EIGEN_RESIDUAL_BOUND:  # a NaN residual fails too
         raise NoConvergenceError(
             f"eigen residual {worst:.3e} exceeds {_EIGEN_RESIDUAL_BOUND:.1e}"
         )
-    # ascending order: -sigma as svd returns it (descending), 0, +sigma reversed
-    eigvals = np.concatenate([-sigma, np.zeros(rows - cols), sigma[::-1]])
-    half = (u[0, :cols] / math.sqrt(2.0)) ** 2  # m_0 = 1
-    weights = np.concatenate([half, u[0, cols:] ** 2, half[::-1]])
-    return [float(x) for x in eigvals], [float(x) for x in weights]
+    # every residual can pass on a repeated or misplaced eigenpair; J has a
+    # simple spectrum, so n strictly ascending nodes are n distinct eigenvalues
+    nodes = np.concatenate([-theta[::-1][:cols], theta])
+    if not np.all(np.diff(nodes) > _NODE_GAP):  # a NaN node fails too
+        raise NoConvergenceError(
+            f"nodes are not strictly ascending with gaps above {_NODE_GAP:.0e}"
+        )
+    half = vec[0] ** 2  # m_0 = 1
+    weights = np.concatenate([half[::-1][:cols], half])
+    return [float(x) for x in nodes], [float(w) for w in weights]
 
 
 def quad_orthogonality(tag: str, n_nodes: int, max_deg: int) -> float:

@@ -233,9 +233,27 @@ def test_all_reports_a_raising_check_as_a_failing_item(capsys, monkeypatch, tmp_
     assert items["family-tables"]["status"] == "fail"
     assert items["family-tables"]["error"].startswith("P-4: parity entry k=1")
     assert items["cocycle-psi-table"]["error"] == items["family-tables"]["error"]
-    for name in ("ode-P-2", "hyp2f1-log-identity", "hyp2f1-domain-guard"):
+    # both reach P-4 through their three-term check on the members
+    for name in ("hankel-q", "favard-lambdas"):
+        assert items[name]["error"] == items["family-tables"]["error"]
+    for name in ("ode-P-2", "hankel-qbar", "hyp2f1-log-identity", "hyp2f1-domain-guard"):
         assert items[name]["status"] == "pass"
         assert "error" not in items[name]
+
+
+def test_hankel_and_favard_items_check_the_three_term_data(monkeypatch, tmp_path):
+    real = ortho.ThreeTermData.A
+    monkeypatch.setattr(ortho.ThreeTermData, "A", lambda self, n: real(self, n) + (n == 5))
+    target = tmp_path / "all.json"
+    assert main(["all", "--profile", "quick", "--out", str(target)]) == 1
+    items = {i["check"]: i for i in json.loads(target.read_text())["items"]}
+    assert items["favard-lambdas"] == {
+        "check": "favard-lambdas", "status": "fail", "family": "q", "first_failure": 4
+    }
+    for tag in ("q", "qbar"):
+        assert items[f"hankel-{tag}"] == {
+            "check": f"hankel-{tag}", "status": "fail", "family": tag, "first_failure": 4
+        }
 
 
 def test_second_order_verify_includes_identity(capsys):

@@ -15,6 +15,7 @@ from djkm.families import FamilyId, get_family
 from djkm.ortho import (
     NoConvergenceError,
     _det_fraction,
+    _integer_row,
     _leading_minors,
     _nullspace,
     assoc_jacobi,
@@ -28,6 +29,7 @@ from djkm.ortho import (
     moments,
     nonclassical_check,
     quad_orthogonality,
+    recurrence_mismatch,
     three_term,
 )
 
@@ -74,6 +76,15 @@ def test_three_term_recurrence_holds_on_members():
         lhs = x * p2.qbar(n)
         rhs = p2.qbar(n + 1) * qb.A(n + 1) + p2.qbar(n - 1) * qb.C(n - 1)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+def test_recurrence_mismatch_ties_the_data_to_the_members(tag, monkeypatch):
+    assert recurrence_mismatch(tag, 60) is None
+    real = ortho_mod.ThreeTermData.C
+    monkeypatch.setattr(ortho_mod.ThreeTermData, "C", lambda self, n: real(self, n) * (1 + (n == 6)))
+    assert recurrence_mismatch(tag, 7) is None
+    assert recurrence_mismatch(tag, 60) == 7
 
 
 def test_positivity_of_adjacent_products():
@@ -528,59 +539,79 @@ def test_golub_welsch_matches_dense_eigh(tag, n_nodes):
     assert weights == weights[::-1]
 
 
+def wrap_eigvalsh(monkeypatch, corrupt):
+    """Route golub_welsch's eigenvalues of B^T B (sigma^2, ascending) through corrupt."""
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(ortho_mod.np.linalg, "eigvalsh", lambda gram: corrupt(real(gram).copy()))
+
+
+def assert_rejected(n_nodes, match):
+    for tag in ("q", "qbar"):
+        with pytest.raises(NoConvergenceError, match=match):
+            golub_welsch(tag, n_nodes)
+
+
+def move_largest(sigma_sq):
+    # sigma moved by 1e-3, beyond what one Newton step repairs
+    sigma_sq[-1] = (math.sqrt(sigma_sq[-1]) + 1e-3) ** 2
+    return sigma_sq
+
+
 def test_golub_welsch_enforces_eigen_residual_bound(monkeypatch):
-    def bad_svd(block):
-        rows, cols = block.shape
-        # wrong singular triplets, hence wrong eigenpairs: J v != theta v
-        return np.eye(rows), np.zeros(cols), np.eye(cols)
-
-    monkeypatch.setattr(ortho_mod.np.linalg, "svd", bad_svd)
-    with pytest.raises(NoConvergenceError):
-        golub_welsch("qbar", 4)
-
-
-def wrap_svd(monkeypatch, corrupt):
-    """Route golub_welsch's SVD through corrupt(u, sigma, wt)."""
-    real = np.linalg.svd
-    monkeypatch.setattr(ortho_mod.np.linalg, "svd", lambda block: corrupt(*real(block)))
+    with monkeypatch.context() as patch:
+        wrap_eigvalsh(patch, np.zeros_like)
+        for n_nodes in (4, 6):
+            assert_rejected(n_nodes, "eigen residual")
+    wrap_eigvalsh(monkeypatch, move_largest)
+    for n_nodes in (6, 7, 20, 21):
+        assert_rejected(n_nodes, "eigen residual")
 
 
 @pytest.mark.parametrize("n_nodes", [5, 7])
 def test_golub_welsch_bound_bites_for_odd_n(monkeypatch, n_nodes):
-    wrap_svd(
-        monkeypatch,
-        lambda u, sigma, wt: (np.eye(len(u)), np.zeros_like(sigma), np.eye(len(wt))),
-    )
-    with pytest.raises(NoConvergenceError):
-        golub_welsch("q", n_nodes)
+    # an all-zero spectrum: for odd n the kernel vector of J is a true
+    # eigenpair at 0, so only the ordering check can see the repeated node
+    wrap_eigvalsh(monkeypatch, np.zeros_like)
+    assert_rejected(n_nodes, "ascending")
 
 
 @pytest.mark.parametrize("n_nodes", [6, 7, 20])
 def test_golub_welsch_bound_bites_on_swapped_singular_values(monkeypatch, n_nodes):
-    def swap(u, sigma, wt):
-        sigma = sigma.copy()
-        sigma[[0, 1]] = sigma[[1, 0]]
-        return u, sigma, wt
+    # each node keeps its own true eigenvector, so every residual passes
+    def swap(sigma_sq):
+        sigma_sq[[0, 1]] = sigma_sq[[1, 0]]
+        return sigma_sq
 
-    wrap_svd(monkeypatch, swap)
-    with pytest.raises(NoConvergenceError):
-        golub_welsch("qbar", n_nodes)
+    wrap_eigvalsh(monkeypatch, swap)
+    assert_rejected(n_nodes, "ascending")
+
+
+@pytest.mark.parametrize("n_nodes", [6, 7, 20])
+def test_golub_welsch_bound_bites_on_a_duplicated_singular_value(monkeypatch, n_nodes):
+    def duplicate(sigma_sq):
+        sigma_sq[1] = sigma_sq[0]
+        return sigma_sq
+
+    wrap_eigvalsh(monkeypatch, duplicate)
+    assert_rejected(n_nodes, "ascending")
 
 
 @pytest.mark.parametrize("n_nodes", [3, 7, 21])
 def test_golub_welsch_bound_bites_on_a_wrong_null_vector(monkeypatch, n_nodes):
-    def replace_null(u, sigma, wt):
-        u = u.copy()
-        u[:, len(sigma)] = np.eye(len(u))[0]  # e_0 in place of the kernel of B^T
-        return u, sigma, wt
+    real = ortho_mod._twisted_vectors
 
-    wrap_svd(monkeypatch, replace_null)
-    with pytest.raises(NoConvergenceError):
-        golub_welsch("q", n_nodes)
+    def replace_null(beta, theta):
+        vec = real(beta, theta)
+        vec[:, 0] = np.eye(len(beta))[0]  # e_0 in place of the kernel vector of J
+        return vec
+
+    monkeypatch.setattr(ortho_mod, "_twisted_vectors", replace_null)
+    assert_rejected(n_nodes, "eigen residual")
 
 
 def dense_assembly_rule(tag, n_nodes):
-    """Reference: the same SVD assembled into the dense n x n eigenvector matrix."""
+    """Reference: the rule from the full SVD of the bidiagonal block, assembled
+    into the dense n x n eigenvector matrix."""
     data = three_term(tag)
     off = np.array([math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes)])
     rows, cols = (n_nodes + 1) // 2, n_nodes // 2
@@ -599,8 +630,60 @@ def dense_assembly_rule(tag, n_nodes):
 
 @pytest.mark.parametrize("tag", ["q", "qbar"])
 @pytest.mark.parametrize("n_nodes", [1, 2, 3, 7, 20, 999, 1000])
-def test_golub_welsch_equals_dense_assembly_bitwise(tag, n_nodes):
-    assert golub_welsch(tag, n_nodes) == dense_assembly_rule(tag, n_nodes)
+def test_golub_welsch_agrees_with_dense_assembly(tag, n_nodes):
+    nodes, weights = golub_welsch(tag, n_nodes)
+    ref_nodes, ref_weights = dense_assembly_rule(tag, n_nodes)
+    assert np.max(np.abs(np.subtract(nodes, ref_nodes))) <= 4e-15
+    assert np.max(np.abs(np.subtract(weights, ref_weights))) <= 4e-15
+
+
+def sign_at(numerators, top, bottom):
+    """Sign of sum_i numerators[i] (top/bottom)^i for bottom > 0, exactly."""
+    acc, scale = 0, 1
+    for c in numerators:  # ascending powers: bottom^d p(top/bottom), homogenised
+        acc = acc * bottom + c * scale
+        scale *= top
+    return (acc > 0) - (acc < 0)
+
+
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+def test_golub_welsch_nodes_bracket_the_exact_zeros(tag):
+    # the member of degree N changes sign, exactly, within 2^-52 of each node
+    for n_nodes in range(1, 61):
+        numerators, _ = _integer_row(ortho_mod._member(tag, n_nodes).coeffs)
+        nodes, _ = golub_welsch(tag, n_nodes)
+        for x in nodes:
+            top, bottom = (F(x) * 2**52).as_integer_ratio()
+            below = sign_at(numerators, top - bottom, bottom * 2**52)
+            above = sign_at(numerators, top + bottom, bottom * 2**52)
+            assert below * above <= 0, (n_nodes, x)
+
+
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+def test_golub_welsch_residual_floor(monkeypatch, tag):
+    # at n = 1000 forward-only vectors leave a worst residual of 2.1-2.3e-13,
+    # and nodes without the Newton step 3.7e-13 (q) and 1.3e-12 (qbar)
+    seen = []
+    real = ortho_mod._twisted_vectors
+
+    def keep(beta, theta):
+        seen.append((theta, real(beta, theta)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(ortho_mod, "_twisted_vectors", keep)
+    golub_welsch(tag, 1000)
+    (theta, vec), = seen
+    data = three_term(tag)
+    off = [math.sqrt(data.beta_sq(k)) for k in range(1, 1000)]
+    jacobi = np.diag(off, 1) + np.diag(off, -1)
+    assert np.max(np.linalg.norm(jacobi @ vec - vec * theta, axis=0)) <= 1e-14
+
+
+def test_golub_welsch_large_rule():
+    nodes, weights = golub_welsch("q", 3001)
+    assert nodes == sorted(nodes)
+    assert nodes == [-x for x in reversed(nodes)]
+    assert abs(sum(weights) - 1) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
