@@ -637,6 +637,30 @@ def test_golub_welsch_agrees_with_dense_assembly(tag, n_nodes):
     assert np.max(np.abs(np.subtract(weights, ref_weights))) <= 4e-15
 
 
+def dense_signed_rule(tag, n_nodes):
+    """Reference: the Newton step and the twisted vectors run on all n signed
+    eigenvalues, giving the dense n x n eigenvector matrix, with no mirroring."""
+    data = three_term(tag)
+    beta = [math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes + 1)]
+    cols = n_nodes // 2
+    off = np.append(beta[:-1], 0.0)
+    upper, lower = off[0 : 2 * cols : 2], off[1 : 2 * cols : 2]
+    gram = np.diag(upper**2 + lower**2) + np.diag(lower[:-1] * upper[1:], -1)
+    sigma = np.sqrt(np.linalg.eigvalsh(gram))
+    signed = np.concatenate([-sigma[::-1], np.zeros(n_nodes - 2 * cols), sigma])
+    theta = ortho_mod._newton_step(beta, signed)
+    eigvecs = ortho_mod._twisted_vectors(beta, theta)
+    assert eigvecs.shape == (n_nodes, n_nodes)
+    return [float(x) for x in theta], [float(w) for w in eigvecs[0] ** 2]
+
+
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+@pytest.mark.parametrize("n_nodes", [1, 2, 3, 7, 20, 999, 1000])
+def test_golub_welsch_equals_dense_assembly_bitwise(tag, n_nodes):
+    # the half-spectrum walks, mirrored, are bit for bit the full-spectrum ones
+    assert golub_welsch(tag, n_nodes) == dense_signed_rule(tag, n_nodes)
+
+
 def sign_at(numerators, top, bottom):
     """Sign of sum_i numerators[i] (top/bottom)^i for bottom > 0, exactly."""
     acc, scale = 0, 1
