@@ -9,6 +9,8 @@ sequences through exact Favard data, moments, Hankel determinants, and Gauss
 quadrature.
 """
 
+import importlib
+
 # The bare cocycle(f, g) function stays in djkm.cocycle: re-exporting it here
 # would shadow the submodule attribute of the same name.
 from .cocycle import (
@@ -62,23 +64,20 @@ from .oracle import (
     expand_elliptic2,
     expand_gegenbauer_sum,
 )
-from .ortho import (
-    NoConvergenceError,
-    NonclassicalWitness,
-    ThreeTermData,
-    assoc_jacobi,
-    assoc_ultraspherical,
-    favard_lambdas,
-    golub_welsch,
-    gram_check,
-    gram_matrix,
-    hankel,
-    hyp2f1,
-    moments,
-    nonclassical_check,
-    quad_orthogonality,
-    three_term,
-)
+
+
+# djkm.ortho imports numpy, which only its Gauss quadrature needs, so it loads
+# on first access to it or to one of its names (PEP 562): `import djkm` and the
+# commands that never call it stay on the standard library.  Every name of
+# __all__ not bound by the imports above is one of djkm.ortho's.
+def __getattr__(name: str):
+    if name == "ortho" or name in __all__:
+        # importlib, not `from . import ortho`: that form tests hasattr(djkm,
+        # "ortho") first, which would call back into this function
+        ortho = importlib.import_module(".ortho", __name__)
+        return ortho if name == "ortho" else getattr(ortho, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

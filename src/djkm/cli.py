@@ -22,7 +22,9 @@ import time
 from fractions import Fraction
 from typing import Callable, List, Optional, TextIO
 
-from . import diffops, oracle, ortho, reference
+# djkm.ortho, which loads numpy, is imported only by the four commands that
+# use it: orthogonality, quadrature, nonclassical and all.
+from . import diffops, oracle, reference
 from .cocycle import cocycle as cocycle_of, t_pow, t_pow_u, verify_items
 from .cocycle import verify_psi_table  # noqa: F401  (perfbench's span test reads this binding)
 from .exact import VerificationError
@@ -217,25 +219,34 @@ def _cmd_cocycle(args) -> int:
 
 
 def _cmd_orthogonality(args) -> int:
+    from . import ortho
+
     # Both sizes are checked before any work, so a bad --gram does not wait
     # for all the Hankel determinants.
     for flag, size in (("--hankel", args.hankel), ("--gram", args.gram)):
         if size < 1:
             raise UsageError(f"{flag}: must be >= 1, got {size}")
     started = time.perf_counter()
-    lambdas = ortho.favard_lambdas(args.family, max(args.hankel, 8))
-    dets = ortho.hankel(args.family, args.hankel)
-    items = [
-        {
-            "check": "favard-lambdas",
+    count = max(args.hankel, 8)
+    # favard_lambdas and hankel read ortho.ThreeTermData, never the family:
+    # that data is first checked exactly on the generated members, as in all
+    bad = ortho.recurrence_mismatch(args.family, 2 * count)
+    if bad is None:
+        lambdas = ortho.favard_lambdas(args.family, count)
+        dets = ortho.hankel(args.family, args.hankel)
+        favard = {
             "lambda1_sq": str(lambdas[1]),
             "status": _status(_favard_ok(args.family, lambdas)),
-        },
-        {
-            "check": "hankel-positivity",
+        }
+        hankel = {
             "determinants": [str(d) for d in dets],
             "status": _status(all(d > 0 for d in dets)),
-        },
+        }
+    else:
+        favard = hankel = {"first_failure": bad, "status": "fail"}
+    items = [
+        {"check": "favard-lambdas", **favard},
+        {"check": "hankel-positivity", **hankel},
         {"check": "gram-diagonal", "status": _status(ortho.gram_check(args.family, args.gram))},
     ]
     parameters = {"family": args.family, "hankel": args.hankel, "gram": args.gram}
@@ -243,6 +254,8 @@ def _cmd_orthogonality(args) -> int:
 
 
 def _cmd_quadrature(args) -> int:
+    from . import ortho
+
     with _usage_errors("--nodes"):
         nodes, weights = ortho.golub_welsch(args.family, args.nodes)
     if args.json:
@@ -260,6 +273,8 @@ def _cmd_quadrature(args) -> int:
 
 
 def _cmd_nonclassical(args) -> int:
+    from . import ortho
+
     # The eigen-system of both families has a 5-, 3- and 2-dimensional
     # solution space at max-n 1, 2 and 3, and only the constants from 4 on:
     # below 4 a failure would not be a counterexample.
@@ -311,6 +326,8 @@ _PROFILES = {
 
 
 def _cmd_all(args) -> int:
+    from . import ortho
+
     started = time.perf_counter()
     prof = _PROFILES[args.profile]
     items: List[dict] = []

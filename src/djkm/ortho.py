@@ -69,25 +69,42 @@ class ThreeTermData:
 
     family: str
 
-    def A(self, n: int) -> Fraction:
+    def A_pair(self, n: int) -> Tuple[int, int]:
+        """A_n as an integer (numerator, denominator) pair, not reduced."""
         if n < 1:
             raise ValueError("A_n is defined for n >= 1")
         if self.family == "q":
-            return Fraction(2 * n + 3, 4 * n)
-        return Fraction(2 * n + 5, 4 * (n + 1))
+            return 2 * n + 3, 4 * n
+        return 2 * n + 5, 4 * (n + 1)
 
-    def C(self, n: int) -> Fraction:
+    def C_pair(self, n: int) -> Tuple[int, int]:
+        """C_n as an integer (numerator, denominator) pair, not reduced."""
         if n == -1:
-            return Fraction(0)
+            return 0, 1
         if n < -1:
             raise ValueError("C_n is defined for n >= -1")
         if self.family == "q":
-            return Fraction(2 * n + 1, 4 * (n + 2))
-        return Fraction(2 * n + 3, 4 * (n + 3))
+            return 2 * n + 1, 4 * (n + 2)
+        return 2 * n + 3, 4 * (n + 3)
+
+    def A(self, n: int) -> Fraction:
+        return Fraction(*self.A_pair(n))
+
+    def C(self, n: int) -> Fraction:
+        return Fraction(*self.C_pair(n))
 
     def beta_sq(self, n: int) -> Fraction:
         """Squared symmetrized off-diagonal entry, beta_n^2 = A_n C_{n-1} > 0."""
         return self.A(n) * self.C(n - 1)
+
+    def beta(self, n: int) -> float:
+        """beta_n = sqrt(A_n C_{n-1}) in floating point, with no Fraction built.
+
+        Integer true division is correctly rounded, so the square root is
+        taken of the float nearest A_n C_{n-1}, as float(beta_sq(n)) is.
+        """
+        (an, ad), (cn, cd) = self.A_pair(n), self.C_pair(n - 1)
+        return math.sqrt(an * cn / (ad * cd))
 
 
 def three_term(tag: str) -> ThreeTermData:
@@ -467,6 +484,7 @@ def assoc_jacobi(
 
 _EIGEN_RESIDUAL_BOUND = 1e-12
 _NODE_GAP = 2e-12
+_RESIDUAL_ROWS = 128
 
 
 def _newton_step(beta: List[float], theta: np.ndarray) -> np.ndarray:
@@ -541,7 +559,7 @@ def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
         raise ValueError("n_nodes must be >= 1")
     data = three_term(tag)
     # beta_1..beta_n: beta_n is not in J, it enters only p_n for the Newton step
-    beta = [math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes + 1)]
+    beta = [data.beta(k) for k in range(1, n_nodes + 1)]
     cols = n_nodes // 2
     # B^T B is the odd-index block of J^2: diagonal beta_{2j+1}^2 + beta_{2j+2}^2
     # and subdiagonal beta_{2j+2} beta_{2j+3}, with beta_n read as 0
@@ -551,10 +569,18 @@ def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
     sigma = np.sqrt(np.linalg.eigvalsh(gram))  # ascending, as LAPACK returns them
     theta = _newton_step(beta, np.concatenate([np.zeros(n_nodes - 2 * cols), sigma]))
     vec = _twisted_vectors(beta, theta)
-    res = vec * -theta
-    res[:-1] += off[:-1, None] * vec[1:]
-    res[1:] += off[:-1, None] * vec[:-1]
-    worst = float(np.sqrt(np.max(np.einsum("ij,ij->j", res, res))))
+    # ||J v - theta v||^2 per column, summed over blocks of rows so that no
+    # temporary is as large as vec; row i of J holds off[i-1] and off[i]
+    sq_norms = np.zeros(len(theta))
+    for lo in range(0, n_nodes, _RESIDUAL_ROWS):
+        hi = min(lo + _RESIDUAL_ROWS, n_nodes)
+        res = vec[lo:hi] * -theta
+        up = min(hi, n_nodes - 1)  # the last row has no right neighbour
+        res[: up - lo] += off[lo:up, None] * vec[lo + 1 : up + 1]
+        down = max(lo, 1)  # the first row has no left neighbour
+        res[down - lo :] += off[down - 1 : hi - 1, None] * vec[down - 1 : hi - 1]
+        sq_norms += np.einsum("ij,ij->j", res, res)
+    worst = float(np.sqrt(np.max(sq_norms)))
     if not worst <= _EIGEN_RESIDUAL_BOUND:  # a NaN residual fails too
         raise NoConvergenceError(
             f"eigen residual {worst:.3e} exceeds {_EIGEN_RESIDUAL_BOUND:.1e}"

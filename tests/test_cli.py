@@ -256,6 +256,20 @@ def test_hankel_and_favard_items_check_the_three_term_data(monkeypatch, tmp_path
         }
 
 
+def test_orthogonality_checks_the_three_term_data(monkeypatch, capsys):
+    real = ortho.ThreeTermData.A
+    monkeypatch.setattr(ortho.ThreeTermData, "A", lambda self, n: real(self, n) + (n == 5))
+    code, out = run_cli(
+        capsys, "orthogonality", "--family", "q", "--hankel", "8", "--gram", "8"
+    )
+    assert code == 1
+    items = json.loads(out)["items"]
+    assert items[:2] == [
+        {"check": "favard-lambdas", "status": "fail", "first_failure": 4},
+        {"check": "hankel-positivity", "status": "fail", "first_failure": 4},
+    ]
+
+
 def test_second_order_verify_includes_identity(capsys):
     code, out = run_cli(capsys, "verify-ode", "--family", "P-1", "--max-n", "20")
     assert code == 0

@@ -1,0 +1,98 @@
+"""What `import djkm` loads: numpy only with djkm.ortho, and djkm.ortho only
+for the commands that run it.  Each test starts a fresh interpreter, since
+this process has long since imported both."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import djkm
+
+LOADED = "[m for m in ('numpy', 'djkm.ortho') if m in sys.modules]"
+
+
+def fresh(script: str, *args: str) -> str:
+    """Stdout of script run with args in a new interpreter that imports djkm
+    from here."""
+    env = {**os.environ, "PYTHONPATH": str(Path(djkm.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_after(*commands) -> dict:
+    """{step: the lazy modules loaded after it} for import, then each command."""
+    script = (
+        "import json, os, sys\n"
+        "import djkm, djkm.cli\n"
+        f"seen = {{'import': {LOADED}}}\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = djkm.cli.main(argv + ['--out', os.devnull])\n"
+        "    if code:\n"
+        "        sys.exit(f'{argv[0]} exited {code}')\n"
+        f"    seen[argv[0]] = {LOADED}\n"
+        "print(json.dumps(seen))\n"
+    )
+    return json.loads(fresh(script, json.dumps(commands)))
+
+
+def test_stdlib_commands_never_load_numpy():
+    seen = loaded_after(
+        ["gen", "--family", "P-4", "--max-n", "6"],
+        ["verify-ode", "--family", "P-1", "--max-n", "6"],
+        ["oracle-compare", "--family", "P-4", "--order", "6"],
+        ["cocycle", "--verify", "--bound", "2"],
+    )
+    assert seen == dict.fromkeys(
+        ["import", "gen", "verify-ode", "oracle-compare", "cocycle"], []
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orthogonality", "--family", "q", "--hankel", "4", "--gram", "3"],
+        ["quadrature", "--family", "qbar", "--nodes", "5"],
+        ["nonclassical", "--family", "q", "--max-n", "4"],
+        ["all", "--profile", "quick"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_ortho_commands_load_it(argv):
+    assert loaded_after(argv) == {"import": [], argv[0]: ["numpy", "djkm.ortho"]}
+
+
+def test_ortho_names_resolve_to_the_module():
+    script = (
+        "import sys, djkm\n"
+        "assert djkm.golub_welsch is djkm.ortho.golub_welsch\n"
+        "assert djkm.ThreeTermData is sys.modules['djkm.ortho'].ThreeTermData\n"
+        "print('ok')\n"
+    )
+    assert fresh(script) == "ok\n"
+
+
+def test_star_import_binds_all():
+    script = (
+        "from djkm import *\n"
+        "import djkm\n"
+        "print(sorted(name for name in djkm.__all__ if name not in globals()))\n"
+    )
+    assert fresh(script) == "[]\n"
+
+
+def test_unknown_name_is_an_attribute_error():
+    script = (
+        "import sys, djkm\n"
+        "try:\n"
+        "    djkm.no_such_name\n"
+        "except AttributeError as exc:\n"
+        f"    print(exc, {LOADED})\n"
+    )
+    assert fresh(script) == "module 'djkm' has no attribute 'no_such_name' []\n"

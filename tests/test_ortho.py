@@ -563,7 +563,8 @@ def test_golub_welsch_enforces_eigen_residual_bound(monkeypatch):
         for n_nodes in (4, 6):
             assert_rejected(n_nodes, "eigen residual")
     wrap_eigvalsh(monkeypatch, move_largest)
-    for n_nodes in (6, 7, 20, 21):
+    # 127 and 129 sit on each side of the 128-row blocks of the residual sum
+    for n_nodes in (6, 7, 20, 21, 127, 129):
         assert_rejected(n_nodes, "eigen residual")
 
 
@@ -596,7 +597,7 @@ def test_golub_welsch_bound_bites_on_a_duplicated_singular_value(monkeypatch, n_
     assert_rejected(n_nodes, "ascending")
 
 
-@pytest.mark.parametrize("n_nodes", [3, 7, 21])
+@pytest.mark.parametrize("n_nodes", [3, 7, 21, 127, 129])
 def test_golub_welsch_bound_bites_on_a_wrong_null_vector(monkeypatch, n_nodes):
     real = ortho_mod._twisted_vectors
 
@@ -606,6 +607,24 @@ def test_golub_welsch_bound_bites_on_a_wrong_null_vector(monkeypatch, n_nodes):
         return vec
 
     monkeypatch.setattr(ortho_mod, "_twisted_vectors", replace_null)
+    assert_rejected(n_nodes, "eigen residual")
+
+
+@pytest.mark.parametrize(
+    "n_nodes, row",
+    [(20, 0), (20, 19), (127, 126), (128, 127), (129, 127), (129, 128), (257, 256)],
+)
+def test_golub_welsch_residual_covers_every_row(monkeypatch, n_nodes, row):
+    # the residual is summed over blocks of 128 rows: one bad row of the
+    # vectors, first or last, on either side of a block boundary, must fail
+    real = ortho_mod._twisted_vectors
+
+    def bump(beta, theta):
+        vec = real(beta, theta)
+        vec[row] += 1e-6
+        return vec
+
+    monkeypatch.setattr(ortho_mod, "_twisted_vectors", bump)
     assert_rejected(n_nodes, "eigen residual")
 
 
