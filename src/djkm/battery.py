@@ -1,0 +1,232 @@
+"""One table of checks for ``djkm all`` and the checking subcommands.
+
+A check returns ok, or ok and the extra fields of its report item.  ``all``
+runs every row of ROWS; the other checking subcommands call the same checks
+at the bounds their flags give.  Checks look library functions up through
+their module when they run, so patches and traces of a module see the call.
+``favard`` and ``hankel`` first tie exactly the A_n and C_n they read from
+``ortho.ThreeTermData`` to the generated members.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Callable, List
+
+import djkm  # djkm.ortho, which loads numpy, is imported on first use
+from . import cocycle, diffops, families, oracle, reference
+from .exact import VerificationError
+from .families import FamilyId, IndexView
+
+PROFILES = ("desk", "quick")
+
+
+def status(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def item(name: str, check: Callable, *args) -> dict:
+    """The report item of check(*args): name, status, then the check's fields."""
+    result = check(*args)
+    ok, extra = result if isinstance(result, tuple) else (result, {})
+    return {"check": name, "status": status(ok), **extra}
+
+
+def run(profile: str) -> List[dict]:
+    """The items of ``djkm all``; a raised VerificationError fails its item alone."""
+    column = PROFILES.index(profile)
+    items = []
+    for name, check, args in ROWS:
+        try:
+            items.append(item(name, check, *args[column]))
+        except VerificationError as exc:
+            items.append({"check": name, "status": "fail", "error": str(exc)})
+    return items
+
+
+def family_tables() -> bool:
+    p4, p2 = reference.P4_SHIFTED_TABLE, reference.P2_SHIFTED_TABLE
+    return (
+        tuple(families.generate(FamilyId.P4, IndexView.SHIFTED, len(p4) - 1)) == p4
+        and tuple(families.generate(FamilyId.P2, IndexView.SHIFTED, len(p2) - 1)) == p2
+        and tuple(families.generate(FamilyId.P4, IndexView.Q, 3)) == reference.Q_BOX
+        and tuple(families.generate(FamilyId.P2, IndexView.QBAR, 4))[1:] == reference.QBAR_BOX
+    )
+
+
+#: The generating-function oracles: the ``all`` item, the family, the
+#: ``oracle-compare`` name and the expansion in djkm.oracle.
+ORACLES = (
+    ("oracle-elliptic-1", "P-4", "elliptic-integral", "expand_elliptic1"),
+    ("oracle-elliptic-2", "P-2", "elliptic-integral", "expand_elliptic2"),
+    ("oracle-gegenbauer-sum", "P-4", "gegenbauer-sum", "expand_gegenbauer_sum"),
+)
+
+
+def oracle_expansion(expand: str, order: int):
+    """Whether the expansion named expand matched its family, and the OracleResult."""
+    res = getattr(oracle, expand)(order)
+    return res.matched, res
+
+
+def funde(order: int) -> bool:
+    return oracle.check_funde(order, FamilyId.P4) and oracle.check_funde(order, FamilyId.P2)
+
+
+def ode_rows(family: str, max_n: int) -> List[dict]:
+    """Per-index residual status; failures carry the residual polynomial."""
+    items = []
+    for row in diffops.ode_sweep(FamilyId(family), max_n):
+        entry = {"n": row.n}
+        if family in ("P-4", "P-2"):
+            entry["member_zero"] = row.member_zero
+        if row.identity is not None:
+            entry["identity"] = status(row.identity)
+        entry["status"] = status(row.ok)
+        if not row.residual.is_zero():
+            entry["residual"] = row.residual.to_json()
+        items.append(entry)
+    return items
+
+
+def ode(family: str, max_n: int):
+    """The sweep's case count, and its first failing index and residual."""
+    rows = ode_rows(family, max_n)
+    failing = next((i for i in rows if i["status"] == "fail"), None)
+    if failing is None:
+        return True, {"cases": len(rows)}
+    residual = {"residual": failing["residual"]} if "residual" in failing else {}
+    return False, {"cases": len(rows), "first_failure": failing["n"], **residual}
+
+
+def gegenbauer_link(max_n: int):
+    links = range(2, max_n + 1)
+    failing = next((n for n in links if not families.verify_gegenbauer_link(n)), None)
+    return failing is None, {} if failing is None else {"first_failure": failing}
+
+
+def wimp_discrepancy() -> bool:
+    q2 = families.get_family(FamilyId.P4).q(2)
+    wimp_residual = diffops.build_wimp_op(2, -1, -1, Fraction(3, 2)).apply(q2)
+    return not wimp_residual.is_zero() and diffops.build_qform_op(2).apply(q2).is_zero()
+
+
+def psi_table(bound: int):
+    report = cocycle.verify_psi_table(bound)
+    return report.passed, report.to_json()
+
+
+def uu_central_terms(bound: int) -> bool:
+    return cocycle.verify_uu_terms(bound)
+
+
+def antisymmetry(bound: int) -> bool:
+    return cocycle.verify_antisymmetry(bound)
+
+
+def favard(tag: str, count: int):
+    """lambda_1^2..lambda_count^2 from A_1..A_count and C_0..C_{count-1}: the
+    sequence's own lambda_1^2, and every one > 0."""
+    bad = djkm.ortho.recurrence_mismatch(tag, count + 1)
+    if bad is not None:
+        return False, {"first_failure": bad}
+    lambdas = djkm.ortho.favard_lambdas(tag, count)
+    # lambda_1^2 = C_0 / A_1 of each orthogonal sequence, written out
+    own = {"q": Fraction(1, 10), "qbar": Fraction(2, 7)}[tag]
+    ok = lambdas[1] == own and all(x > 0 for x in lambdas)
+    return ok, {"lambda1_sq": str(lambdas[1])}
+
+
+def hankel(tag: str, size: int):
+    """H_1..H_size > 0, from moments that read A_1..A_size and C_0..C_{size-1}."""
+    bad = djkm.ortho.recurrence_mismatch(tag, size + 1)
+    if bad is not None:
+        return False, {"first_failure": bad}
+    dets = djkm.ortho.hankel(tag, size)
+    return all(d > 0 for d in dets), {"determinants": [str(d) for d in dets]}
+
+
+def gram(tag: str, max_deg: int) -> bool:
+    return djkm.ortho.gram_check(tag, max_deg)
+
+
+def nonclassical(tag: str, max_n: int):
+    """Whether only the constants solve the eigen-system, and the witness."""
+    witness = djkm.ortho.nonclassical_check(tag, max_n)
+    return witness.verified, witness
+
+
+def assoc_ultraspherical(max_n: int) -> bool:
+    """C_n^(-1/2)(x; 3/2) = q_n for n <= max_n."""
+    ultra = djkm.ortho.assoc_ultraspherical(Fraction(-1, 2), Fraction(3, 2), max_n)
+    p4 = families.get_family(FamilyId.P4)
+    return all(ultra[n] == p4.q(n) for n in range(max_n + 1))
+
+
+def quadrature(tag: str, nodes: int, max_deg: int):
+    err = djkm.ortho.quad_orthogonality(tag, nodes, max_deg)
+    return err <= 1e-10, {"max_offdiag": f"{err:.3e}"}
+
+
+def hyp2f1_log_identity() -> bool:
+    return abs(djkm.ortho.hyp2f1(1, 1, 2, 0.5, tol=1e-15) - 2 * math.log(2)) <= 1e-12
+
+
+def hyp2f1_domain_guard() -> bool:
+    try:
+        djkm.ortho.hyp2f1(1, 1, 2, 1.5)
+    except djkm.ortho.NoConvergenceError:
+        return True
+    return False
+
+
+# -- the all items: the shared checks above, reduced to the fields all reports
+def _verdict(check: Callable, *args) -> bool:
+    return check(*args)[0]
+
+
+def _first_mismatch(expand: str, order: int):
+    ok, res = oracle_expansion(expand, order)
+    return ok, {"first_mismatch": res.first_mismatch}
+
+
+def _sequences(check: Callable, tags: tuple, bound: int):
+    """check on each sequence: a bare pass, or the first failure's tag and fields."""
+    for tag in tags:
+        ok, extra = check(tag, bound)
+        if not ok:
+            return False, {"family": tag, **extra}
+    return True
+
+
+#: The items of ``djkm all`` in report order: name, check, and the check's
+#: arguments under each of PROFILES.  With gamma_n eliminated the nonclassical
+#: system has six unknowns at every max-n, so its equations at max-n 6 are
+#: among those at any larger one, and its verdict at 6 holds for every n.
+ROWS = (
+    ("family-tables", family_tables, ((), ())),
+    *((name, _first_mismatch, ((expand, 120), (expand, 40))) for name, _, _, expand in ORACLES),
+    ("generating-function-ode", funde, ((40,), (20,))),
+    ("ode-P-4", ode, (("P-4", 400), ("P-4", 60))),
+    ("ode-P-2", ode, (("P-2", 400), ("P-2", 60))),
+    ("ode-P-1", ode, (("P-1", 200), ("P-1", 40))),
+    ("ode-P-3", ode, (("P-3", 200), ("P-3", 40))),
+    ("gegenbauer-link", gegenbauer_link, ((50,), (12,))),
+    ("wimp-discrepancy", wimp_discrepancy, ((), ())),
+    ("cocycle-psi-table", _verdict, ((psi_table, 12), (psi_table, 6))),
+    ("cocycle-uu-central-terms", uu_central_terms, ((12,), (6,))),
+    ("cocycle-antisymmetry", antisymmetry, ((12,), (6,))),
+    ("favard-lambdas", _sequences, ((favard, ("q", "qbar"), 200),) * 2),
+    ("hankel-q", _sequences, ((hankel, ("q",), 14), (hankel, ("q",), 8))),
+    ("gram-q", gram, (("q", 8), ("q", 6))),
+    ("nonclassical-q", _verdict, ((nonclassical, "q", 6),) * 2),
+    ("hankel-qbar", _sequences, ((hankel, ("qbar",), 14), (hankel, ("qbar",), 8))),
+    ("gram-qbar", gram, (("qbar", 8), ("qbar", 6))),
+    ("nonclassical-qbar", _verdict, ((nonclassical, "qbar", 6),) * 2),
+    ("assoc-ultraspherical-identification", assoc_ultraspherical, ((50,), (12,))),
+    ("quadrature-q", quadrature, (("q", 20, 8), ("q", 12, 6))),
+    ("quadrature-qbar", quadrature, (("qbar", 20, 8), ("qbar", 12, 6))),
+    ("hyp2f1-log-identity", hyp2f1_log_identity, ((), ())),
+    ("hyp2f1-domain-guard", hyp2f1_domain_guard, ((), ())),
+)

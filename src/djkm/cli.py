@@ -1,41 +1,29 @@
-"""Batch driver exposing generation and every verification as subcommands.
+"""Command-line interface: argument parsing, usage errors and report writing.
 
-Output is JSON (CSV only for quadrature tables) and deterministic byte for
-byte for identical flags.  Exit codes: 0 all checks passed, 1 at least one
-verification failed, 2 usage error.  Verification failures never abort a
-sweep; they are collected into the report.  A failed internal consistency
-check (``VerificationError``) also exits 1: under ``all`` it fails its own
-item, which carries the message as ``error``, and the battery goes on; any
-other command prints one ``error:`` line instead of a report.
+Every check, and every bound of ``all``, lives in ``djkm.battery``.  Output
+is JSON (CSV only for quadrature tables) and deterministic byte for byte for
+identical flags.  Exit codes: 0 all checks passed, 1 at least one failed, 2
+usage error.  A failed internal consistency check (``VerificationError``)
+also exits 1: under ``all`` it fails its own item, which carries the message
+as ``error``, and the battery goes on; any other command prints one
+``error:`` line instead of a report.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
-import math
 import os
 import sys
 import time
-from fractions import Fraction
-from typing import Callable, List, Optional, TextIO
+from typing import List, Optional, TextIO
 
-# djkm.ortho, which loads numpy, is imported only by the four commands that
-# use it: orthogonality, quadrature, nonclassical and all.
-from . import diffops, oracle, reference
-from .cocycle import cocycle as cocycle_of, t_pow, t_pow_u, verify_items
+from . import battery
+from .cocycle import cocycle as cocycle_of, t_pow, t_pow_u
 from .cocycle import verify_psi_table  # noqa: F401  (perfbench's span test reads this binding)
 from .exact import VerificationError
-from .families import (
-    FamilyId,
-    IndexView,
-    VIEW_START,
-    generate,
-    get_family,
-    verify_gegenbauer_link,
-)
+from .families import FamilyId, IndexView, VIEW_START, generate
 
 GEN_FAMILIES = {
     "P-4": (FamilyId.P4, IndexView.SHIFTED),
@@ -98,34 +86,10 @@ def _report(
     return 0 if status == "pass" else 1
 
 
-def _status(ok: bool) -> str:
-    return "pass" if ok else "fail"
-
-
-# lambda_1^2 = C_0 / A_1 of each orthogonal sequence, written out.
-_LAMBDA1_SQ = {"q": Fraction(1, 10), "qbar": Fraction(2, 7)}
-
-
-def _favard_ok(tag: str, lambdas: List[Fraction]) -> bool:
-    """Favard's verdict on the normalisers: the sequence's own lambda_1^2 and
-    every one > 0."""
-    return lambdas[1] == _LAMBDA1_SQ[tag] and all(x > 0 for x in lambdas)
-
-
-# The generating-function oracles: the ``all`` item, the family, the
-# ``oracle-compare`` name and the expansion in djkm.oracle.  The expansion is
-# looked up by name at call time, so patches and traces of the module see it.
-_ORACLES = (
-    ("oracle-elliptic-1", "P-4", "elliptic-integral", "expand_elliptic1"),
-    ("oracle-elliptic-2", "P-2", "elliptic-integral", "expand_elliptic2"),
-    ("oracle-gegenbauer-sum", "P-4", "gegenbauer-sum", "expand_gegenbauer_sum"),
-)
-
-
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     family_id, view = GEN_FAMILIES[args.family]
     if args.view is not None:
         if args.family in ("q", "qbar"):
@@ -134,7 +98,6 @@ def _cmd_gen(args) -> int:
     with _usage_errors("--max-n"):
         polys = generate(family_id, view, args.max_n)
     _emit(_gen_text(family_id, view, polys), args.out)
-    return 0
 
 
 def _gen_text(family_id: FamilyId, view: IndexView, polys) -> str:
@@ -164,97 +127,59 @@ def _gen_text(family_id: FamilyId, view: IndexView, polys) -> str:
     )
 
 
-def _verify_ode_items(family: str, max_n: int) -> List[dict]:
-    """Per-index residual status; failures carry the residual polynomial."""
-    items = []
-    for row in diffops.ode_sweep(FamilyId(family), max_n):
-        item = {"n": row.n}
-        if family in ("P-4", "P-2"):
-            item["member_zero"] = row.member_zero
-        if row.identity is not None:
-            item["identity"] = _status(row.identity)
-        item["status"] = _status(row.ok)
-        if not row.residual.is_zero():
-            item["residual"] = row.residual.to_json()
-        items.append(item)
-    return items
-
-
-def _cmd_verify_ode(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify_ode(args) -> tuple:
     with _usage_errors("--max-n"):
-        items = _verify_ode_items(args.family, args.max_n)
-    parameters = {"family": args.family, "max_n": args.max_n}
-    return _report("verify-ode", parameters, items, started, args.out)
+        items = battery.ode_rows(args.family, args.max_n)
+    return {"family": args.family, "max_n": args.max_n}, items
 
 
-def _cmd_oracle_compare(args) -> int:
-    started = time.perf_counter()
+def _cmd_oracle_compare(args) -> tuple:
     items = []
-    for _, family, name, expand in _ORACLES:
+    for _, family, name, expand in battery.ORACLES:
         if family == args.family:
             with _usage_errors("--order"):
-                res = getattr(oracle, expand)(args.order)
-            items.append({**res.to_json(), "oracle": name, "status": _status(res.matched)})
-    parameters = {"family": args.family, "order": args.order}
-    return _report("oracle-compare", parameters, items, started, args.out)
+                ok, res = battery.oracle_expansion(expand, args.order)
+            items.append({**res.to_json(), "oracle": name, "status": battery.status(ok)})
+    return {"family": args.family, "order": args.order}, items
 
 
-def _cmd_cocycle(args) -> int:
-    started = time.perf_counter()
+def _cmd_cocycle(args) -> Optional[tuple]:
     if args.verify:
         if args.i is not None or args.j is not None:
             raise UsageError("--i/--j: not allowed with --verify")
         bound = 12 if args.bound is None else args.bound
         with _usage_errors("--bound"):
-            items = verify_items(bound)
-        return _report("cocycle", {"verify": True, "bound": bound}, items, started, args.out)
+            items = [
+                battery.item("psi-table", battery.psi_table, bound),
+                battery.item("uu-central-terms", battery.uu_central_terms, bound),
+                battery.item("antisymmetry", battery.antisymmetry, bound),
+            ]
+        return {"verify": True, "bound": bound}, items
     if args.bound is not None:
         raise UsageError("--bound: only used with --verify")
     if args.i is None or args.j is None:
         raise UsageError("cocycle requires --i and --j (or --verify)")
     vec = cocycle_of(t_pow_u(args.i - 1), t_pow(args.j))
     _emit(json.dumps(vec.to_json(), indent=2), args.out)
-    return 0
+    return None
 
 
-def _cmd_orthogonality(args) -> int:
-    from . import ortho
-
+def _cmd_orthogonality(args) -> tuple:
     # Both sizes are checked before any work, so a bad --gram does not wait
     # for all the Hankel determinants.
     for flag, size in (("--hankel", args.hankel), ("--gram", args.gram)):
         if size < 1:
             raise UsageError(f"{flag}: must be >= 1, got {size}")
-    started = time.perf_counter()
-    count = max(args.hankel, 8)
-    # favard_lambdas and hankel read ortho.ThreeTermData, never the family:
-    # that data is first checked exactly on the generated members, as in all
-    bad = ortho.recurrence_mismatch(args.family, 2 * count)
-    if bad is None:
-        lambdas = ortho.favard_lambdas(args.family, count)
-        dets = ortho.hankel(args.family, args.hankel)
-        favard = {
-            "lambda1_sq": str(lambdas[1]),
-            "status": _status(_favard_ok(args.family, lambdas)),
-        }
-        hankel = {
-            "determinants": [str(d) for d in dets],
-            "status": _status(all(d > 0 for d in dets)),
-        }
-    else:
-        favard = hankel = {"first_failure": bad, "status": "fail"}
     items = [
-        {"check": "favard-lambdas", **favard},
-        {"check": "hankel-positivity", **hankel},
-        {"check": "gram-diagonal", "status": _status(ortho.gram_check(args.family, args.gram))},
+        battery.item("favard-lambdas", battery.favard, args.family, max(args.hankel, 8)),
+        battery.item("hankel-positivity", battery.hankel, args.family, args.hankel),
+        battery.item("gram-diagonal", battery.gram, args.family, args.gram),
     ]
-    parameters = {"family": args.family, "hankel": args.hankel, "gram": args.gram}
-    return _report("orthogonality", parameters, items, started, args.out)
+    return {"family": args.family, "hankel": args.hankel, "gram": args.gram}, items
 
 
-def _cmd_quadrature(args) -> int:
-    from . import ortho
+def _cmd_quadrature(args) -> None:
+    from . import ortho  # loads numpy, so only the commands that need it import it
 
     with _usage_errors("--nodes"):
         nodes, weights = ortho.golub_welsch(args.family, args.nodes)
@@ -269,12 +194,9 @@ def _cmd_quadrature(args) -> int:
         lines = ["node,weight"]
         lines += [f"{x:.17g},{w:.17g}" for x, w in zip(nodes, weights)]
         _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
-def _cmd_nonclassical(args) -> int:
-    from . import ortho
-
+def _cmd_nonclassical(args) -> tuple:
     # The eigen-system of both families has a 5-, 3- and 2-dimensional
     # solution space at max-n 1, 2 and 3, and only the constants from 4 on:
     # below 4 a failure would not be a counterexample.
@@ -283,171 +205,13 @@ def _cmd_nonclassical(args) -> int:
             "--max-n: must be >= 4; below that the order <= 2 eigen-system "
             "is underdetermined"
         )
-    started = time.perf_counter()
-    witness = ortho.nonclassical_check(args.family, args.max_n)
-    items = [{**witness.to_json(), "status": _status(witness.verified)}]
-    parameters = {"family": args.family, "max_n": args.max_n}
-    return _report("nonclassical", parameters, items, started, args.out)
+    ok, witness = battery.nonclassical(args.family, args.max_n)
+    items = [{**witness.to_json(), "status": battery.status(ok)}]
+    return {"family": args.family, "max_n": args.max_n}, items
 
 
-# The nonclassical eigen-system has six unknowns for every max-n (gamma_n is
-# eliminated), so its equations at 6 are a subset of those at any larger
-# max-n, and a one-dimensional solution space at 6 holds for every n.
-_NONCLASSICAL_MAX = 6
-
-_PROFILES = {
-    "desk": {
-        "oracle_order": 120,
-        "funde_order": 40,
-        "fourth_max": 400,
-        "second_max": 200,
-        "link_max": 50,
-        "cocycle_bound": 12,
-        "hankel": 14,
-        "gram": 8,
-        "assoc_max": 50,
-        "quad_nodes": 20,
-        "quad_deg": 8,
-    },
-    "quick": {
-        "oracle_order": 40,
-        "funde_order": 20,
-        "fourth_max": 60,
-        "second_max": 40,
-        "link_max": 12,
-        "cocycle_bound": 6,
-        "hankel": 8,
-        "gram": 6,
-        "assoc_max": 12,
-        "quad_nodes": 12,
-        "quad_deg": 6,
-    },
-}
-
-
-def _cmd_all(args) -> int:
-    from . import ortho
-
-    started = time.perf_counter()
-    prof = _PROFILES[args.profile]
-    items: List[dict] = []
-
-    def record(name: str, check: Callable, *check_args) -> None:
-        # check returns ok, or ok and the item's extra fields.  A raised
-        # VerificationError fails this item alone, with its message as "error".
-        try:
-            result = check(*check_args)
-        except VerificationError as exc:
-            result = False, {"error": str(exc)}
-        ok, extra = result if isinstance(result, tuple) else (result, {})
-        items.append({"check": name, "status": _status(ok), **extra})
-
-    def family_tables() -> bool:
-        p4, p2 = reference.P4_SHIFTED_TABLE, reference.P2_SHIFTED_TABLE
-        return (
-            tuple(generate(FamilyId.P4, IndexView.SHIFTED, len(p4) - 1)) == p4
-            and tuple(generate(FamilyId.P2, IndexView.SHIFTED, len(p2) - 1)) == p2
-            and tuple(generate(FamilyId.P4, IndexView.Q, 3)) == reference.Q_BOX
-            and tuple(generate(FamilyId.P2, IndexView.QBAR, 4))[1:] == reference.QBAR_BOX
-        )
-
-    def oracle_check(expand: str):
-        res = getattr(oracle, expand)(prof["oracle_order"])
-        return res.matched, {"first_mismatch": res.first_mismatch}
-
-    def ode_check(family: str, bound: int):
-        rows = _verify_ode_items(family, bound)
-        failing = next((i for i in rows if i["status"] == "fail"), None)
-        if failing is None:
-            return True, {"cases": len(rows)}
-        residual = {"residual": failing["residual"]} if "residual" in failing else {}
-        return False, {"cases": len(rows), "first_failure": failing["n"], **residual}
-
-    def link_check():
-        links = range(2, prof["link_max"] + 1)
-        failing = next((n for n in links if not verify_gegenbauer_link(n)), None)
-        return failing is None, {} if failing is None else {"first_failure": failing}
-
-    def wimp_check() -> bool:
-        q2 = get_family(FamilyId.P4).q(2)
-        wimp_residual = diffops.build_wimp_op(2, -1, -1, Fraction(3, 2)).apply(q2)
-        return not wimp_residual.is_zero() and diffops.build_qform_op(2).apply(q2).is_zero()
-
-    # verify_items makes the three cocycle items in one run.
-    cocycle_verdicts = functools.cache(
-        lambda: {i["check"]: i["status"] == "pass" for i in verify_items(prof["cocycle_bound"])}
-    )
-
-    def assoc_check() -> bool:
-        ultra = ortho.assoc_ultraspherical(Fraction(-1, 2), Fraction(3, 2), prof["assoc_max"])
-        p4 = get_family(FamilyId.P4)
-        return all(ultra[n] == p4.q(n) for n in range(prof["assoc_max"] + 1))
-
-    # hankel and favard_lambdas read ortho.ThreeTermData, never the family:
-    # their items first check that data exactly on the generated members
-    recurrence = functools.cache(
-        lambda tag: ortho.recurrence_mismatch(tag, 2 * prof["hankel"])
-    )
-
-    def favard_check():
-        for tag in ortho.ORTHO_TAGS:
-            bad = recurrence(tag)
-            if bad is not None:
-                return False, {"family": tag, "first_failure": bad}
-            if not _favard_ok(tag, ortho.favard_lambdas(tag, 200)):
-                return False, {"family": tag}
-        return True
-
-    def hankel_check(tag: str):
-        bad = recurrence(tag)
-        if bad is not None:
-            return False, {"family": tag, "first_failure": bad}
-        return all(d > 0 for d in ortho.hankel(tag, prof["hankel"]))
-
-    def quadrature_check(family: str):
-        err = ortho.quad_orthogonality(family, prof["quad_nodes"], prof["quad_deg"])
-        return err <= 1e-10, {"max_offdiag": f"{err:.3e}"}
-
-    def domain_guard() -> bool:
-        try:
-            ortho.hyp2f1(1, 1, 2, 1.5)
-        except ortho.NoConvergenceError:
-            return True
-        return False
-
-    record("family-tables", family_tables)
-    for name, _, _, expand in _ORACLES:
-        record(name, oracle_check, expand)
-    record(
-        "generating-function-ode",
-        lambda: oracle.check_funde(prof["funde_order"], FamilyId.P4)
-        and oracle.check_funde(prof["funde_order"], FamilyId.P2),
-    )
-    for family in ("P-4", "P-2", "P-1", "P-3"):
-        bound = prof["fourth_max"] if family in ("P-4", "P-2") else prof["second_max"]
-        record(f"ode-{family}", ode_check, family, bound)
-    record("gegenbauer-link", link_check)
-    record("wimp-discrepancy", wimp_check)
-    for check in ("psi-table", "uu-central-terms", "antisymmetry"):
-        record(f"cocycle-{check}", lambda check: cocycle_verdicts()[check], check)
-    record("favard-lambdas", favard_check)
-    for fam in ("q", "qbar"):
-        record(f"hankel-{fam}", hankel_check, fam)
-        record(f"gram-{fam}", ortho.gram_check, fam, prof["gram"])
-        record(
-            f"nonclassical-{fam}",
-            lambda f: ortho.nonclassical_check(f, _NONCLASSICAL_MAX).verified,
-            fam,
-        )
-    record("assoc-ultraspherical-identification", assoc_check)
-    for family in ("q", "qbar"):
-        record(f"quadrature-{family}", quadrature_check, family)
-    record(
-        "hyp2f1-log-identity",
-        lambda: abs(ortho.hyp2f1(1, 1, 2, 0.5, tol=1e-15) - 2 * math.log(2)) <= 1e-12,
-    )
-    record("hyp2f1-domain-guard", domain_guard)
-    return _report("all", {"profile": args.profile}, items, started, args.out)
+def _cmd_all(args) -> tuple:
+    return {"profile": args.profile}, battery.run(args.profile)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -492,9 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quadrature", help="Gauss nodes and weights")
     p.add_argument("--family", required=True, choices=["q", "qbar"])
     p.add_argument("--nodes", type=int, default=20)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--csv", action="store_true")
-    group.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_quadrature)
 
     p = sub.add_parser("nonclassical", help="order <= 2 eigenoperator system")
@@ -503,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nonclassical)
 
     p = sub.add_parser("all", help="run the full verification battery")
-    p.add_argument("--profile", choices=sorted(_PROFILES), default="desk")
+    p.add_argument("--profile", choices=battery.PROFILES, default="desk")
     p.set_defaults(func=_cmd_all)
 
     for p in sub.choices.values():
@@ -521,11 +283,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.out = stack.enter_context(open(args.out, "w"))
             except OSError as exc:
                 raise UsageError(f"--out: {exc}") from None
+        # A checking subcommand returns its report's parameters and items,
+        # written here; any other writes its own output and returns None.
+        started = time.perf_counter()
         try:
-            return args.func(args)
+            result = args.func(args)
         except VerificationError as exc:
             print(f"error: verification failed: {exc}", file=sys.stderr)
             return 1
+        if result is None:
+            return 0
+        return _report(args.subcommand, *result, started, args.out)
 
 
 if __name__ == "__main__":

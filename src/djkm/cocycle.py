@@ -244,32 +244,26 @@ def uu_central_term(i: int, j: int) -> OmegaVector:
     return OmegaVector({"w0": coef})
 
 
-def verify_items(bound: int) -> List[dict]:
-    """The cocycle battery for |i|, |j| <= bound as report items.
+def verify_uu_terms(bound: int) -> bool:
+    """The u-u bracket's central term equals uu_central_term for |i|, |j| <= bound."""
+    window = range(-bound, bound + 1)
+    return all(
+        (cocycle(t_pow_u(i - 1), t_pow_u(j - 1)) - uu_central_term(i, j)).is_zero()
+        for i in window
+        for j in window
+    )
 
-    Three items, each with "check" and "status": "psi-table" (the ψ table,
-    with the PsiReport fields), "uu-central-terms" (the u-u bracket against
-    its closed form) and "antisymmetry" (cocycle(f, g) = -cocycle(g, f) over
-    the plain-plain and u-u pairs).  A mixed pair is antisymmetric by
-    definition, because cocycle(plain, u-monomial) is computed as
-    -cocycle(u-monomial, plain), so it is not looped over.
+
+def verify_antisymmetry(bound: int) -> bool:
+    """cocycle(f, g) = -cocycle(g, f) over the plain-plain and u-u pairs with
+    exponents |i|, |j| <= bound.  A mixed pair is antisymmetric by definition,
+    because cocycle(plain, u-monomial) is computed as -cocycle(u-monomial,
+    plain), so it is not looped over.
     """
-    psi_report = verify_psi_table(bound)
-    item = psi_report.to_json()
-    item["check"] = "psi-table"
-    item["status"] = "pass" if psi_report.passed else "fail"
-    uu_ok = True
-    anti_ok = True
-    for i in range(-bound, bound + 1):
-        for j in range(-bound, bound + 1):
-            uu = cocycle(t_pow_u(i - 1), t_pow_u(j - 1))
-            if not (uu - uu_central_term(i, j)).is_zero():
-                uu_ok = False
-            for f, g in ((t_pow(i), t_pow(j)), (t_pow_u(i), t_pow_u(j))):
-                if not (cocycle(f, g) + cocycle(g, f)).is_zero():
-                    anti_ok = False
-    return [
-        item,
-        {"check": "uu-central-terms", "status": "pass" if uu_ok else "fail"},
-        {"check": "antisymmetry", "status": "pass" if anti_ok else "fail"},
-    ]
+    window = range(-bound, bound + 1)
+    return all(
+        (cocycle(f, g) + cocycle(g, f)).is_zero()
+        for i in window
+        for j in window
+        for f, g in ((t_pow(i), t_pow(j)), (t_pow_u(i), t_pow_u(j)))
+    )

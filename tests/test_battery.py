@@ -1,0 +1,99 @@
+"""The check table of djkm.battery: its shape, the three-term ties of the
+orthogonality checks, and the cocycle checks one by one."""
+
+import pytest
+
+from djkm import battery, cocycle, ortho
+from djkm.cocycle import OmegaVector
+
+
+def test_every_row_has_one_argument_tuple_per_profile():
+    for name, _, args in battery.ROWS:
+        assert len(args) == len(battery.PROFILES), name
+        assert all(isinstance(a, tuple) for a in args), name
+
+
+def test_rows_hold_only_battery_checks():
+    # library functions are looked up when a check runs, so that patches and
+    # traces of their module see the call
+    for name, check, args in battery.ROWS:
+        callables = [check] + [a for column in args for a in column if callable(a)]
+        assert all(f.__module__ == "djkm.battery" for f in callables), name
+
+
+def test_run_rejects_an_unknown_profile():
+    with pytest.raises(ValueError):
+        battery.run("deep")
+
+
+def _raise(monkeypatch, method, at):
+    real = getattr(ortho.ThreeTermData, method)
+    monkeypatch.setattr(
+        ortho.ThreeTermData, method, lambda self, n: real(self, n) + (n == at)
+    )
+
+
+def _tied_rows(profile):
+    """(name, check, args, first sequence, bound) of the all rows that run a
+    check on ThreeTermData."""
+    column = battery.PROFILES.index(profile)
+    for name, check, args in battery.ROWS:
+        if args[column][:1] in ((battery.favard,), (battery.hankel,)):
+            _, tags, bound = args[column]
+            yield name, check, args[column], tags[0], bound
+
+
+@pytest.mark.parametrize("profile", battery.PROFILES)
+@pytest.mark.parametrize("method, offset", [("A", 0), ("C", -1)])
+def test_a_tamper_at_the_last_coefficient_read_fails_the_item(monkeypatch, profile, method, offset):
+    # favard and hankel at bound N read A_1..A_N and C_0..C_{N-1}
+    rows = list(_tied_rows(profile))
+    assert [r[0] for r in rows] == ["favard-lambdas", "hankel-q", "hankel-qbar"]
+    for name, check, args, tag, bound in rows:
+        with monkeypatch.context() as patch:
+            _raise(patch, method, bound + offset)
+            got = battery.item(name, check, *args)
+        assert got["status"] == "fail", (name, bound)
+        assert got["family"] == tag
+        assert got["first_failure"] == (bound - 1 if method == "A" else bound)
+
+
+@pytest.mark.parametrize("size", [1, 3, 8])
+def test_orthogonality_checks_tie_exactly_what_they_read(monkeypatch, size):
+    for check in (battery.favard, battery.hankel):
+        with monkeypatch.context() as patch:
+            _raise(patch, "A", size)
+            ok, fields = check("qbar", size)
+        assert (ok, fields) == (False, {"first_failure": size - 1})
+        with monkeypatch.context() as patch:
+            _raise(patch, "A", size + 2)  # beyond A_{size+1}, the last one tied
+            ok, fields = check("qbar", size)
+        assert ok, check
+
+
+def test_each_cocycle_check_fails_alone(monkeypatch):
+    checks = {
+        "psi": battery.psi_table,
+        "uu": battery.uu_central_terms,
+        "antisymmetry": battery.antisymmetry,
+    }
+
+    def verdicts():
+        return {name: battery.item(name, check, 4)["status"] for name, check in checks.items()}
+
+    assert set(verdicts().values()) == {"pass"}
+    real_psi, real_uu, real_plain = cocycle.psi, cocycle.uu_central_term, cocycle.reduce_plain
+    mutants = {
+        "psi": ("psi", lambda i, j: real_psi(i, j).scale(2) if i + j == 3 else real_psi(i, j)),
+        "uu": ("uu_central_term", lambda i, j: real_uu(i, j + (i + j == 2))),
+        # t^0 dt = d(t) is exact; calling it w0 breaks only the plain-plain pairs
+        "antisymmetry": (
+            "reduce_plain",
+            lambda a: OmegaVector.basis_w0() if a == 0 else real_plain(a),
+        ),
+    }
+    for broken, (attr, mutant) in mutants.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(cocycle, attr, mutant)
+            got = verdicts()
+        assert got == {name: "fail" if name == broken else "pass" for name in checks}, broken

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from djkm import cli, cocycle, diffops, families, oracle, ortho
+from djkm import battery, cli, cocycle, diffops, families, oracle, ortho
 from djkm.cli import GEN_FAMILIES, main
 from djkm.exact import RationalPoly
 from djkm.families import VIEW_START, IndexView, generate
@@ -256,6 +256,22 @@ def test_hankel_and_favard_items_check_the_three_term_data(monkeypatch, tmp_path
         }
 
 
+def test_favard_item_checks_every_a_it_reads(monkeypatch, tmp_path):
+    # favard_lambdas(tag, 200) reads A_1..A_200; a wrong A_100 used to pass
+    real = ortho.ThreeTermData.A
+    monkeypatch.setattr(ortho.ThreeTermData, "A", lambda self, n: real(self, n) + (n == 100))
+    target = tmp_path / "all.json"
+    assert main(["all", "--profile", "quick", "--out", str(target)]) == 1
+    failing = [i for i in json.loads(target.read_text())["items"] if i["status"] == "fail"]
+    assert failing == [
+        {"check": "favard-lambdas", "status": "fail", "family": "q", "first_failure": 99}
+    ]
+
+
+def test_battery_rows_are_the_all_items():
+    assert [row[0] for row in battery.ROWS] == ALL_ITEMS
+
+
 def test_orthogonality_checks_the_three_term_data(monkeypatch, capsys):
     real = ortho.ThreeTermData.A
     monkeypatch.setattr(ortho.ThreeTermData, "A", lambda self, n: real(self, n) + (n == 5))
@@ -344,13 +360,21 @@ def test_orthogonality_report(capsys):
 
 
 def test_quadrature_csv_format(capsys):
-    code, out = run_cli(capsys, "quadrature", "--family", "qbar", "--nodes", "5", "--csv")
+    code, out = run_cli(capsys, "quadrature", "--family", "qbar", "--nodes", "5")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "node,weight"
     assert len(lines) == 6
     total = sum(float(line.split(",")[1]) for line in lines[1:])
     assert abs(total - 1.0) < 1e-12
+
+
+def test_quadrature_has_no_csv_flag(capsys):
+    # CSV is the default output; the flag that asked for it did nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["quadrature", "--family", "qbar", "--nodes", "5", "--csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
 
 
 def test_nonclassical_report(capsys):
@@ -400,7 +424,7 @@ def test_unwritable_out_fails_before_the_command_runs(tmp_path, capsys, monkeypa
         calls.append(args)
         raise AssertionError("the battery ran")
 
-    monkeypatch.setattr(cli, "generate", stub)
+    monkeypatch.setattr(battery, "run", stub)
     with pytest.raises(SystemExit) as exc:
         main(["all", "--profile", "desk", "--out", str(tmp_path / "missing" / "x.json")])
     assert exc.value.code == 2

@@ -68,6 +68,11 @@ def test_ortho_commands_load_it(argv):
     assert loaded_after(argv) == {"import": [], argv[0]: ["numpy", "djkm.ortho"]}
 
 
+@pytest.mark.parametrize("module", ["djkm", "djkm.battery", "djkm.cli"])
+def test_import_loads_neither(module):
+    assert fresh(f"import sys, {module}\nprint({LOADED})\n") == "[]\n"
+
+
 def test_ortho_names_resolve_to_the_module():
     script = (
         "import sys, djkm\n"
