@@ -101,6 +101,8 @@ def ode(family: str, max_n: int):
 
 
 def gegenbauer_link(max_n: int):
+    if max_n < 2:
+        raise ValueError(f"max_n must be >= 2 for the link, got {max_n}")
     links = range(2, max_n + 1)
     failing = next((n for n in links if not families.verify_gegenbauer_link(n)), None)
     return failing is None, {} if failing is None else {"first_failure": failing}

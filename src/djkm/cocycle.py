@@ -82,7 +82,7 @@ class OmegaVector:
         return self + other.scale(-1)
 
     def __neg__(self) -> "OmegaVector":
-        return self.scale(-1)
+        return OmegaVector({name: -p for name, p in self._coords.items()})
 
     def scale(self, factor) -> "OmegaVector":
         return OmegaVector({name: p * factor for name, p in self._coords.items()})
@@ -185,8 +185,8 @@ def psi(i: int, j: int) -> OmegaVector:
     if s % 2:
         p3 = get_family(FamilyId.P3).original(abs(s) - 2)
         if s >= 3:
-            return OmegaVector({"w-3": p3, "w-1": _C * p3})
-        return OmegaVector({"w-3": _C * p3, "w-1": p3})
+            return OmegaVector({"w-3": p3, "w-1": p3.scale_shift(1, 1)})
+        return OmegaVector({"w-3": p3.scale_shift(1, 1), "w-1": p3})
     p4 = get_family(FamilyId.P4).original(abs(s) - 2)
     p2 = get_family(FamilyId.P2).original(abs(s) - 2)
     return OmegaVector({"w-4": p4, "w-2": p2})
@@ -222,8 +222,7 @@ def verify_psi_table(bound: int) -> PsiReport:
             if j == 0:
                 continue
             cases += 1
-            got = cocycle(t_pow_u(i - 1), t_pow(j))
-            if not (got - psi(i, j).scale(j)).is_zero():
+            if cocycle(t_pow_u(i - 1), t_pow(j)) != psi(i, j).scale(j):
                 failures.append((i, j))
     return PsiReport(bound=bound, cases=cases, failures=tuple(failures))
 
@@ -246,9 +245,11 @@ def uu_central_term(i: int, j: int) -> OmegaVector:
 
 def verify_uu_terms(bound: int) -> bool:
     """The u-u bracket's central term equals uu_central_term for |i|, |j| <= bound."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     window = range(-bound, bound + 1)
     return all(
-        (cocycle(t_pow_u(i - 1), t_pow_u(j - 1)) - uu_central_term(i, j)).is_zero()
+        cocycle(t_pow_u(i - 1), t_pow_u(j - 1)) == uu_central_term(i, j)
         for i in window
         for j in window
     )
@@ -260,9 +261,11 @@ def verify_antisymmetry(bound: int) -> bool:
     because cocycle(plain, u-monomial) is computed as -cocycle(u-monomial,
     plain), so it is not looped over.
     """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     window = range(-bound, bound + 1)
     return all(
-        (cocycle(f, g) + cocycle(g, f)).is_zero()
+        cocycle(f, g) == -cocycle(g, f)
         for i in window
         for j in window
         for f, g in ((t_pow(i), t_pow(j)), (t_pow_u(i), t_pow_u(j)))

@@ -11,10 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .exact import Rational, RationalPoly, diff_combination, specialise
+from .exact import Rational, RationalPoly, diff_combination, specialise, table_combinations
 from .families import FamilyId, IndexView, get_family
-
-_C = RationalPoly.variable()
 
 
 @dataclass(frozen=True)
@@ -212,13 +210,16 @@ def ode_sweep(family_id: FamilyId, max_n: int) -> List[OdeRow]:
     reported, not skipped, because the operator derivation excluded some odd n.
     A max_n below the first index raises ValueError: an empty sweep checks
     nothing and must not pass.
+
+    The sweep reads the family's table when it runs and applies it at every n
+    through ``table_combinations``, which equals ``build_*_op(n).apply``.
     """
     family_id = FamilyId(family_id)
     fourth = family_id in (FamilyId.P4, FamilyId.P2)
     if fourth:
-        build = build_elliptic1_op if family_id is FamilyId.P4 else build_elliptic2_op
+        table = ELLIPTIC1_TABLE if family_id is FamilyId.P4 else ELLIPTIC2_TABLE
     else:
-        build = build_case3_op if family_id is FamilyId.P1 else build_case4_op
+        table = CASE3_TABLE if family_id is FamilyId.P1 else CASE4_TABLE
     first = 0 if fourth else 2
     if max_n < first:
         raise ValueError(f"max_n must be >= {first} for the {family_id.value} sweep, got {max_n}")
@@ -230,12 +231,12 @@ def ode_sweep(family_id: FamilyId, max_n: int) -> List[OdeRow]:
     # Generate the members in one run before the sweep: interleaving the
     # recurrence with the operator applications measured ~3 % slower.
     member(max_n)
+    points = [(n, member(n)) for n in range(first, max_n + 1)]
     p3 = get_family(FamilyId.P3) if family_id is FamilyId.P1 else None
     rows = []
-    for n in range(first, max_n + 1):
-        m = member(n)
-        identity = None if p3 is None else m == _C * p3.original(2 * n - 3)
-        rows.append(OdeRow(n, m.is_zero(), build(n).apply(m), identity))
+    for (n, m), residual in zip(points, table_combinations(table, points)):
+        identity = None if p3 is None else m == p3.original(2 * n - 3).scale_shift(1, 1)
+        rows.append(OdeRow(n, m.is_zero(), residual, identity))
     return rows
 
 

@@ -18,7 +18,10 @@ weighted products w p q, split by the parity of the powers of c.  The
 series product computes each of its coefficients with ``_product_sum``, and
 so does each step of the recurrence behind ``sqrt`` and ``pow_neg_3_2``.
 ``specialise`` turns a table of integer polynomials in (c, n) into the
-polynomials in c at one integer n.
+polynomials in c at one integer n; ``table_combinations`` applies such a
+table as an operator at many n, grouping it and building its falling
+factorials once.  ``is_shift_combination`` decides whether a polynomial is
+one recurrence step of two others without building or reducing the step.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -62,11 +65,11 @@ def _canonical(num: list, den: int) -> tuple:
     Strips trailing zeros from ``num`` in place and divides out
     ``gcd(den, *num)``.
     """
-    n = len(num)
-    while n and not num[n - 1]:
-        n -= 1
-    if not n:
+    if not any(num):
         return (), 1
+    n = len(num)
+    while not num[n - 1]:
+        n -= 1
     del num[n:]
     g = gcd(den, *num)
     if g != 1:
@@ -393,14 +396,62 @@ def diff_combination(coeffs: Iterable[RationalPoly], p: RationalPoly) -> Rationa
         for t, x in enumerate(f._num):
             if x:
                 groups.setdefault(i - t, []).append((i, x * m))
-    num = p._num
-    n = len(num)
+    first, step = _powers(p)
+    falling = _falling(max(i for i, _ in terms), range(first, len(p._num), step))
+    num = _shift_pass(groups, falling, p._num, first, step)
+    return _from_parts(*_canonical(num, den * p._den))
+
+
+def table_combinations(rows: tuple, points: Iterable[tuple]) -> list:
+    """sum_i f_i (d/dc)**i p for each (n, p) of points, f_i the rows at n as
+    ``specialise`` gives them, in the integer pass of ``diff_combination``.
+
+    The rows are grouped by shift and the falling factorials built once for
+    all points; each point evaluates its integer weights at n and reduces once.
+    """
+    points = [(n, p, *_powers(p)) for n, p in points]
+    groups = {}
+    for i, row in enumerate(rows):
+        for t, coeffs in enumerate(row):
+            if coeffs:
+                groups.setdefault(i - t, []).append((i, coeffs))
+    size = {}
+    for _, p, first, step in points:
+        size[first, step] = max(size.get((first, step), 0), len(p._num))
+    falling = {(f, s): _falling(len(rows) - 1, range(f, n, s)) for (f, s), n in size.items()}
+    out = []
+    for n, p, first, step in points:
+        num = []
+        if p._num and groups:
+            weights = {s: [(i, _horner(t, n)) for i, t in ws] for s, ws in groups.items()}
+            num = _shift_pass(weights, falling[first, step], p._num, first, step)
+        out.append(_from_parts(*_canonical(num, p._den)))
+    return out
+
+
+def _powers(p: RationalPoly) -> tuple:
+    """(first, step): the powers of c that p can hold are first, first + step, ..."""
     step = 2 if p.parity_pure() else 1
-    first = (n - 1) % step
-    # falling[i][r] = k!/(k - i)! at the r-th power k = first + r * step
-    falling = [[1] * len(range(first, n, step))]
-    for i in range(1, max(i for i, _ in terms) + 1):
-        falling.append(list(map(mul, falling[-1], range(first + 1 - i, n + 1 - i, step))))
+    return (len(p._num) - 1) % step, step
+
+
+def _falling(order: int, ks: range) -> list:
+    """falling[i][r] = k!/(k - i)! at the r-th k of ks, for i = 0..order."""
+    falling = [[1] * len(ks)]
+    for _ in range(order):  # k!/(k - i)! = k!/(k - i + 1)! * (k - i + 1)
+        falling.append(list(map(mul, falling[-1], ks)))
+        ks = range(ks.start - 1, ks.stop - 1, ks.step)
+    return falling
+
+
+def _shift_pass(groups: dict, falling: list, num: tuple, first: int, step: int) -> list:
+    """Numerators of sum x k!/(k - i)! num[k] c**(k - s) over the (i, x) of
+    groups[s] and the powers k = first, first + step, ... of num.
+
+    ``falling`` is ``_falling`` on powers from first on with this step, and
+    may run past num.
+    """
+    n = len(num)
     out = [0] * (n - min(0, min(groups)))
     for s, ws in groups.items():
         # the weight vanishes below k = i, and every i of the group is >= s
@@ -408,12 +459,14 @@ def diff_combination(coeffs: Iterable[RationalPoly], p: RationalPoly) -> Rationa
         k = first + r * step
         if k >= n:  # p has no power this shift can reach
             continue
-        w = [0] * (len(falling[0]) - r)
-        for i, x in ws:
-            w = list(map(add, w, map(mul, repeat(x), falling[i][r:])))
+        m = len(range(k, n, step))
+        (i, x), *rest = ws
+        w = map(mul, repeat(x), falling[i][r : r + m])
+        for i, x in rest:  # summed lazily, in the one pass below
+            w = map(add, w, map(mul, repeat(x), falling[i][r : r + m]))
         at = slice(k - s, n - s, step)
         out[at] = map(add, out[at], map(mul, w, num[k::step]))
-    return _from_parts(*_canonical(out, den * p._den))
+    return out
 
 
 def shift_combination(
@@ -435,6 +488,27 @@ def shift_combination(
     out = list(map(add, ta, tb))
     out.extend(ta[len(tb) :])
     return _from_parts(*_canonical(out, den))
+
+
+def is_shift_combination(
+    t: RationalPoly, a: RationalPoly, x: Scalar, b: RationalPoly, y: Scalar
+) -> bool:
+    """t == shift_combination(a, x, b, y), decided on every numerator over
+    the lcm D of the three denominators: no gcd over the numerators, and no
+    polynomial built.  Along a recurrence the denominators are close, so D
+    over each of them is a small integer.
+    """
+    x, y = _as_rational(x), _as_rational(y)
+    da = x.denominator * a._den
+    db = y.denominator * b._den
+    den = lcm(t._den, da, db)
+    out = [0, *map(mul, repeat(den // da * x.numerator), a._num)]
+    tb = list(map(mul, repeat(den // db * y.numerator), b._num))
+    if len(out) < len(tb):
+        out, tb = tb, out
+    out[: len(tb)] = map(add, out, tb)
+    want = list(map(mul, repeat(den // t._den), t._num))
+    return out[: len(want)] == want and not any(out[len(want) :])
 
 
 def _halves(p: RationalPoly) -> tuple:

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import RationalPoly, VerificationError, shift_combination
+from .exact import RationalPoly, VerificationError, is_shift_combination, shift_combination
 from .families import FamilyId, get_family
 
 Scalar = Union[int, Fraction]
@@ -120,14 +120,14 @@ def recurrence_mismatch(tag: str, count: int) -> Optional[int]:
 
     exactly, or None.  Moments, Hankel determinants, the Favard normalisers
     and the Gauss rule read ThreeTermData, never the family; this ties that
-    data to the members it describes.
+    data to the members it describes, without building p_{n+1} again.
     """
     data = three_term(tag)
     prev, cur = RationalPoly.zero(), _member(tag, 0)
     for n in range(count):
         nxt = _member(tag, n + 1)
         a = data.A(n + 1)
-        if shift_combination(cur, 1 / a, prev, -data.C(n - 1) / a) != nxt:
+        if not is_shift_combination(nxt, cur, 1 / a, prev, -data.C(n - 1) / a):
             return n
         prev, cur = cur, nxt
     return None

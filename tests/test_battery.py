@@ -97,3 +97,23 @@ def test_each_cocycle_check_fails_alone(monkeypatch):
             patch.setattr(cocycle, attr, mutant)
             got = verdicts()
         assert got == {name: "fail" if name == broken else "pass" for name in checks}, broken
+
+
+def test_gegenbauer_link_rejects_an_empty_sweep():
+    # max_n = 1 would check no link and pass
+    with pytest.raises(ValueError):
+        battery.gegenbauer_link(1)
+
+
+@pytest.mark.parametrize("profile", battery.PROFILES)
+def test_a_psi_wrong_at_one_pair_of_one_sum_fails_the_table(monkeypatch, profile):
+    # psi depends on s = i + j alone; a psi wrong only at i = 2 of s = 5 must
+    # still fail, so the table has to evaluate psi at every (i, j)
+    real = cocycle.psi
+    monkeypatch.setattr(
+        cocycle, "psi", lambda i, j: real(i, j).scale(2) if (i, j) == (2, 3) else real(i, j)
+    )
+    name, check, args = next(row for row in battery.ROWS if row[0] == "cocycle-psi-table")
+    column = args[battery.PROFILES.index(profile)]
+    assert battery.item(name, check, *column) == {"check": name, "status": "fail"}
+    assert battery.psi_table(*column[1:])[1]["failures"] == [[2, 3]]

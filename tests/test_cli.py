@@ -154,12 +154,10 @@ def test_verify_ode_report_shape(capsys):
 
 def test_verify_ode_reports_wrong_operators(capsys, monkeypatch):
     # the identity operator leaves every member as its own residual, so every
-    # nonzero member fails; the sweep must pick the builders up at call time
-    def wrong(n):
-        return diffops.LinearDiffOp((RationalPoly.one(),))
-
-    monkeypatch.setattr(diffops, "build_elliptic1_op", wrong)
-    monkeypatch.setattr(diffops, "build_case3_op", wrong)
+    # nonzero member fails; the sweep must read the operator tables at call time
+    identity = (((1,),),)
+    monkeypatch.setattr(diffops, "ELLIPTIC1_TABLE", identity)
+    monkeypatch.setattr(diffops, "CASE3_TABLE", identity)
     first_residual = {}
     for family, max_n in (("P-4", "12"), ("P-1", "8")):
         code, out = run_cli(capsys, "verify-ode", "--family", family, "--max-n", max_n)

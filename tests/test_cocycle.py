@@ -15,7 +15,9 @@ from djkm.cocycle import (
     t_pow,
     t_pow_u,
     uu_central_term,
+    verify_antisymmetry,
     verify_psi_table,
+    verify_uu_terms,
 )
 from djkm.exact import RationalPoly
 
@@ -174,6 +176,19 @@ def test_verify_psi_table_bound_12():
 def test_verify_psi_table_rejects_bad_bound():
     with pytest.raises(ValueError):
         verify_psi_table(0)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_verify_uu_terms_rejects_an_empty_window(bound):
+    # bound -1 is an empty window, and would pass with no case checked
+    with pytest.raises(ValueError):
+        verify_uu_terms(bound)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_verify_antisymmetry_rejects_an_empty_window(bound):
+    with pytest.raises(ValueError):
+        verify_antisymmetry(bound)
 
 
 def test_omega_vector_json_shape():

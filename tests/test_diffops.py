@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from djkm import diffops
 from djkm.diffops import (
     LinearDiffOp,
     build_case3_op,
@@ -190,6 +191,54 @@ def test_ode_sweep_rows():
     # the single-sweep views project the same rows
     assert second_order_sweep(FamilyId.P1, 12) == [(r.n, True) for r in p1]
     assert fourth_order_sweep(FamilyId.P2, 12) == [(r.n, r.member_zero, True) for r in p2]
+
+
+BUILDERS = {
+    "P-4": build_elliptic1_op,
+    "P-2": build_elliptic2_op,
+    "P-1": build_case3_op,
+    "P-3": build_case4_op,
+}
+
+
+class _Perturbed:
+    """A family whose member at each index is moved by 1 + (k + 1)/7 c^(k mod 3):
+    mixed parity, other denominators, and nonzero where the family is zero."""
+
+    def __init__(self, family):
+        self.family = family
+
+    def shifted(self, n):
+        return self.family.shifted(n) + ONE + RationalPoly.monomial(F(n + 1, 7), n % 3)
+
+    def original(self, k):
+        return self.family.original(k) + ONE + RationalPoly.monomial(F(k + 1, 7), k % 3)
+
+
+def _builder_rows(family, max_n):
+    """The sweep's rows from build_*_op(n).apply, on the members diffops sees."""
+    fam = diffops.get_family(FamilyId(family))
+    p3 = diffops.get_family(FamilyId.P3)
+    fourth = family in ("P-4", "P-2")
+    rows = []
+    for n in range(0 if fourth else 2, max_n + 1):
+        m = fam.shifted(n) if fourth else fam.original(2 * n - 3)
+        identity = m == C * p3.original(2 * n - 3) if family == "P-1" else None
+        rows.append((n, m.is_zero(), BUILDERS[family](n).apply(m).to_json(), identity))
+    return rows
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("family", sorted(BUILDERS))
+def test_ode_sweep_matches_the_builders(monkeypatch, family, perturbed):
+    if perturbed:
+        real = diffops.get_family
+        monkeypatch.setattr(diffops, "get_family", lambda fid: _Perturbed(real(fid)))
+    rows = ode_sweep(FamilyId(family), 60)
+    got = [(r.n, r.member_zero, r.residual.to_json(), r.identity) for r in rows]
+    assert got == _builder_rows(family, 60)
+    nonzero = [r.n for r in rows if not r.residual.is_zero()]
+    assert len(nonzero) > len(rows) // 2 if perturbed else not nonzero
 
 
 def test_second_order_sweeps():

@@ -16,6 +16,7 @@ from djkm.exact import (
     ResidueError,
     VerificationError,
     diff_combination,
+    is_shift_combination,
     shift_combination,
 )
 
@@ -255,6 +256,33 @@ def test_matches_fraction_list_reference(a, b, s, k, x, fs, s2):
         ), name
         fx = float(x)
         assert repr(p.evaluate(fx)) == repr(ref_float_horner(ref, fx)), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    polys(),
+    small_fractions(),
+    st.one_of(st.just(RationalPoly.zero()), polys()),
+    small_fractions(),
+    # the target's offset from the step, often zero
+    st.one_of(st.just(RationalPoly.zero()), polys(), polys().map(lambda p: p.scale_shift(1, 1))),
+)
+def test_shift_tie_agrees_with_building_the_step(a, x, b, y, offset):
+    step = shift_combination(a, x, b, y)
+    top = RationalPoly.monomial(step.coefficient(step.degree), max(step.degree, 0))
+    # the step itself, plus an offset, doubled, and cut below its top term
+    for target in (step + offset, step.scale_shift(2, 0) + offset, step - top):
+        assert is_shift_combination(target, a, x, b, y) == (step == target)
+
+
+def test_shift_tie_with_a_zero_second_operand():
+    # the first step of a three-term recurrence, p_{-1} = 0, on a mixed-parity a
+    a, zero = RationalPoly([F(1, 3), 2, F(-5, 6)]), RationalPoly.zero()
+    step = shift_combination(a, F(3, 4), zero, F(1, 2))
+    assert step == a.scale_shift(F(3, 4), 1)
+    assert is_shift_combination(step, a, F(3, 4), zero, F(1, 2))
+    assert not is_shift_combination(step + RationalPoly.monomial(F(1, 9), 3), a, F(3, 4), zero, 1)
+    assert not is_shift_combination(step, a, F(3, 4), RationalPoly.one(), F(1, 2))
 
 
 # ---------------------------------------------------------------------------
