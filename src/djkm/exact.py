@@ -14,9 +14,13 @@ Three kernels build the results of the hot paths in one integer pass with one
 reduction per result: ``diff_combination`` applies a linear differential
 operator sum_i f_i (d/dc)^i, ``shift_combination`` takes one step
 x c a + y b of a three-term recurrence, and ``_product_sum`` forms a sum of
-weighted products w p q, split by the parity of the powers of c.  The
-series product computes each of its coefficients with ``_product_sum``, and
-so does each step of the recurrence behind ``sqrt`` and ``pow_neg_3_2``.
+weighted products w p q, split by the parity of the powers of c.  Each step
+of the recurrence behind ``sqrt`` and ``pow_neg_3_2`` is one
+``_product_sum``.  The series product forms each of its coefficients by
+Kronecker substitution instead (``_series_product``): each parity half of
+each factor becomes one integer at c**2 = 2**w, a pair of factors adds one
+big-integer product per pair of halves, and the sum is read back as
+balanced base-2**w digits, with w bounded for each output coefficient.
 ``specialise`` turns a table of integer polynomials in (c, n) into the
 polynomials in c at one integer n; ``table_combinations`` applies such a
 table as an operator at many n, grouping it and building its falling
@@ -555,6 +559,99 @@ def _product_sum(terms: list) -> RationalPoly:
     return _from_parts(*_canonical(out, den))
 
 
+def _pack(half: tuple, width: int) -> int:
+    """sum half[i] * 2**(width * i): a parity half at c**2 = 2**width."""
+    total = 0
+    for x in reversed(half):
+        total = (total << width) + x
+    return total
+
+
+def _unpack(total: int, width: int, slots: int) -> list:
+    """The ``slots`` balanced base-2**width digits of total, lowest first.
+
+    width is a multiple of 8, and every digit d has |d| < 2**(width - 1), so
+    adding 2**(width - 1) to each digit leaves them one per width // 8
+    bytes.  A total that needs more than ``slots`` digits means that a slot
+    overflowed, and raises VerificationError.
+    """
+    if not total:
+        return [0] * slots
+    size = width // 8
+    total += int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    if total >> (width * slots):
+        raise VerificationError(f"a packed product overflows {slots} slots of {width} bits")
+    raw = total.to_bytes(size * slots, "little")
+    half = 1 << (width - 1)
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
+
+
+def _factor(p: RationalPoly) -> Optional[tuple]:
+    """(even, odd, den, bits, length, packs) for a nonzero p, None for zero.
+
+    even and odd are p's ``_halves``, p's numerators are below 2**bits in
+    absolute value, and packs maps a width to the two halves packed at it.
+    """
+    if not p._num:
+        return None
+    even, odd, den, _ = _halves(p)
+    return even, odd, den, max(map(abs, p._num)).bit_length(), len(p._num), {}
+
+
+def _packed(f: tuple, width: int) -> tuple:
+    """The halves of the factor f packed at width, each packed once."""
+    packs = f[5].get(width)
+    if packs is None:
+        packs = f[5][width] = _pack(f[0], width), _pack(f[1], width)
+    return packs
+
+
+def _packed_sum(pairs: list) -> RationalPoly:
+    """sum p * q over the (p, q) pairs by Kronecker substitution, reduced once.
+
+    p and q are given as their ``_factor``.  Over the lcm D of the pairs'
+    denominators, a pair has the multiplier x = D / (den p * den q).  One
+    slot of the packed sum gets at most min(len p, len q) products from a
+    pair, so 2**(width - 1) exceeds the sum over the pairs of
+    x * max|p| * max|q| * min(len p, len q) once width - 1 covers the
+    largest pair's bit lengths plus the bit length of the pair count.  The
+    width is rounded up to 32 bits, so that a factor is packed again only
+    when a later sum needs wider slots.
+    """
+    if not pairs:
+        return _ZERO
+    den = lcm(*(p[2] * q[2] for p, q in pairs))
+    terms = [(den // (p[2] * q[2]), p, q) for p, q in pairs]
+    bits = max(
+        x.bit_length() + p[3] + q[3] + min(p[4], q[4]).bit_length() for x, p, q in terms
+    )
+    width = (bits + len(terms).bit_length() + 32) & ~31
+    slots = max((p[4] + 1) // 2 + (q[4] + 1) // 2 for p, q in pairs)
+    ev = od = 0
+    for x, p, q in terms:
+        pe, po = _packed(p, width)
+        qe, qo = _packed(q, width)
+        ev += x * (pe * qe + (po * qo << width))
+        od += x * (pe * qo + po * qe)
+    out = [0] * (2 * slots)
+    out[0::2] = _unpack(ev, width, slots)
+    out[1::2] = _unpack(od, width, slots)
+    return _from_parts(*_canonical(out, den))
+
+
+def _series_product(a: tuple, b: tuple) -> list:
+    """The coefficients sum over i of a[i] * b[k - i] for k < len(a) == len(b),
+    each one ``_packed_sum``; a factor's packs are shared by all of them."""
+    fa = [_factor(p) for p in a]
+    fb = [_factor(q) for q in b]
+    # a short left factor, such as a prefactor, visits only its nonzero terms
+    ia = [i for i, p in enumerate(fa) if p]
+    return [
+        _packed_sum([(fa[i], fb[k - i]) for i in ia if i <= k and fb[k - i]])
+        for k in range(len(fa))
+    ]
+
+
 def specialise(rows: Iterable[tuple], n: int) -> tuple:
     """The polynomials in c whose c-coefficients are integer polynomials in n,
     evaluated at the integer n.
@@ -704,12 +801,7 @@ class LaurentSeries:
         size = trunc - low + 1
         if size <= 0:
             return LaurentSeries.zero(trunc)
-        a = [_halves(p) if p._num else None for p in self._coeffs[:size]]
-        b = [_halves(q) if q._num else None for q in other._coeffs[:size]]
-        out = [
-            _product_sum([(1, a[i], b[k - i]) for i in range(k + 1) if a[i] and b[k - i]])
-            for k in range(size)
-        ]
+        out = _series_product(self._coeffs[:size], other._coeffs[:size])
         return LaurentSeries(low, out, trunc)
 
     __rmul__ = __mul__

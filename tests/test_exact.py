@@ -19,6 +19,7 @@ from djkm.exact import (
     is_shift_combination,
     shift_combination,
 )
+from djkm.exact import _pack, _unpack
 
 C = RationalPoly.variable()
 
@@ -444,6 +445,118 @@ def test_multiplication_matches_direct_convolution(pair):
             direct = direct + a.coefficient(i) * b.coefficient(n - i)
         assert prod.coefficient(n) == direct
         assert_canonical(prod.coefficient(n))
+
+
+# Denominators with large coprime parts, so that a pair's multiplier, the
+# lcm of a coefficient's denominators over the pair's, is wide.
+WIDE_DENOMINATORS = (1, 2**64, 3**40, 2**61 - 1, (2**31 - 1) * 5**30, 7**50 * 11**3)
+
+
+def wide_coefficients():
+    """40 to 48 entries, each numerator +-(2**b - 1) with one sign or with
+    alternating signs, at every power of c or at only the even or only the
+    odd powers."""
+
+    def build(b, n, signs, parity, den):
+        top = 2**b - 1
+        nums = [top * {"+": 1, "-": -1, "~": (-1) ** i}[signs] for i in range(n)]
+        if parity is not None:
+            nums = [x if i % 2 == parity else 0 for i, x in enumerate(nums)]
+        return RationalPoly([F(x, den) for x in nums])
+
+    return st.builds(
+        build,
+        st.integers(1, 160),
+        st.integers(40, 48),
+        st.sampled_from("+-~"),
+        st.sampled_from((None, 0, 1)),
+        st.sampled_from(WIDE_DENOMINATORS),
+    )
+
+
+def wide_series():
+    """Wide, short or zero coefficients from a negative or positive lowest
+    order; or one wide term followed by zeros."""
+    coef = st.one_of(st.just(RationalPoly.zero()), wide_coefficients(), polys(2))
+    dense = st.builds(
+        lambda low, cs: LaurentSeries(low, cs, low + len(cs) - 1),
+        st.integers(-4, 3),
+        st.lists(coef, min_size=1, max_size=4),
+    )
+    one_term = st.builds(
+        lambda low, c, pad: LaurentSeries(low, [c] + [RationalPoly.zero()] * pad, low + pad),
+        st.integers(-4, 3),
+        wide_coefficients(),
+        st.integers(0, 3),
+    )
+    return st.one_of(dense, one_term)
+
+
+def fraction_coefficient(a, b, n):
+    """The z**n coefficient of a * b by a naive convolution of Fractions."""
+    out = []
+    for i in range(a.lowest_order, n - b.lowest_order + 1):
+        p, q = a.coefficient(i).coeffs, b.coefficient(n - i).coeffs
+        if len(out) < len(p) + len(q) - 1:
+            out += [F(0)] * (len(p) + len(q) - 1 - len(out))
+        for s, x in enumerate(p):
+            for t, y in enumerate(q, s):
+                out[t] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_series(), wide_series())
+def test_wide_multiplication_matches_fraction_convolution(a, b):
+    prod = a * b
+    assert prod.truncation_order == min(
+        a.truncation_order + b.lowest_order, b.truncation_order + a.lowest_order
+    )
+    for n in range(a.lowest_order + b.lowest_order, prod.truncation_order + 1):
+        assert prod.coefficient(n).coeffs == fraction_coefficient(a, b, n)
+        assert_canonical(prod.coefficient(n))
+
+
+@pytest.mark.parametrize("b", range(1, 41))
+def test_one_signed_products_near_the_width_bound(b):
+    # every product in a slot has one sign, the z^3 coefficient sums four
+    # pairs, two of them with multiplier 3**40, and b steps the bound through
+    # every residue of the slot width's rounding
+    p = [F(2**b - 1)] * 48
+    a = LaurentSeries(0, [RationalPoly(p), RationalPoly([x / 3**40 for x in p])] * 2, 3)
+    q = LaurentSeries(0, [RationalPoly([F(-(2**33) + 1)] * 47)] * 4, 3)
+    prod = a * q
+    for n in range(4):
+        assert prod.coefficient(n).coeffs == fraction_coefficient(a, q, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((32, 64, 96)).flatmap(
+        lambda w: st.tuples(
+            st.just(w),
+            st.lists(st.integers(-(2 ** (w - 1)) + 1, 2 ** (w - 1) - 1), max_size=8),
+            st.integers(0, 3),
+        )
+    )
+)
+def test_packed_digits_read_back(case):
+    width, digits, spare = case
+    slots = len(digits) + spare
+    assert _unpack(_pack(tuple(digits), width), width, slots) == digits + [0] * spare
+
+
+def test_a_slot_below_the_width_bound_overflows():
+    top = 2**40 - 1
+    # the bound for (top + top c^2)^2: 40 + 40 bits, 2 bits for the two
+    # products in a slot, 1 bit for the one pair and 1 for the sign
+    packed = _pack((top, top), 96)
+    assert _unpack(packed * packed, 96, 3) == [top**2, 2 * top**2, top**2]
+    packed = _pack((top, top), 32)
+    with pytest.raises(VerificationError, match="overflows 3 slots of 32 bits"):
+        _unpack(packed * packed, 32, 3)
 
 
 def test_truncation_propagation_on_multiply():

@@ -1,5 +1,6 @@
 """Generating-function reconstructions against the recurrence engine."""
 
+import hashlib
 import json
 import sys
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ import pytest
 
 from djkm import cli, families, oracle
 from djkm.exact import LaurentSeries, RationalPoly, VerificationError, shift_combination
+from djkm.exact import _halves, _product_sum
 from djkm.families import FamilyId, gegenbauer, get_family
 from djkm.oracle import (
     OracleResult,
@@ -297,3 +299,55 @@ def test_concurrent_expansions_are_consistent():
         sys.setswitchinterval(interval)
     oracle._product.cache_clear()
     assert results == [e(40).to_json() for e in expansions]
+
+
+# sha256 of the order-120 reports' JSON; both P-4 routes give the same series
+P4_DIGEST = "0c7d48db1c4acaf5beec96f0766eaf855d3df4bb43c168a068a3a77663fdb093"
+P2_DIGEST = "587addad8b6a6e6cb8e08b69da5b9fd02125e2c7417e17bac6f8702ad7062546"
+
+
+@pytest.mark.parametrize(
+    "expand, digest",
+    [
+        (expand_elliptic1, P4_DIGEST),
+        (expand_gegenbauer_sum, P4_DIGEST),
+        (expand_elliptic2, P2_DIGEST),
+    ],
+)
+def test_order_120_expansions_are_byte_pinned(expand, digest):
+    data = json.dumps(expand(120).to_json()).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _row_product(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """a * b with each coefficient from the row kernel _product_sum."""
+    trunc = min(a.truncation_order + b.lowest_order, b.truncation_order + a.lowest_order)
+    low = a.lowest_order + b.lowest_order
+    ha = [_halves(p) if p else None for p in a.coeffs]
+    hb = [_halves(q) if q else None for q in b.coeffs]
+    out = [
+        _product_sum([(1, ha[i], hb[k - i]) for i in range(k + 1) if ha[i] and hb[k - i]])
+        for k in range(trunc - low + 1)
+    ]
+    return LaurentSeries(low, out, trunc)
+
+
+@pytest.mark.parametrize("order", [40, 120])
+@pytest.mark.parametrize("expand", [expand_elliptic1, expand_elliptic2, expand_gegenbauer_sum])
+def test_packed_products_match_the_row_kernel(monkeypatch, expand, order):
+    oracle._product.cache_clear()
+    products = []
+    mul = LaurentSeries.__mul__
+
+    def recorded(self, other):
+        out = mul(self, other)
+        if isinstance(other, LaurentSeries):
+            products.append((self, other, out))
+        return out
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", recorded)
+    assert expand(order).matched
+    # elliptic-1 also multiplies its integrand by the prefactor
+    assert len(products) == (2 if expand is expand_elliptic1 else 1)
+    for a, b, out in products:
+        assert out == _row_product(a, b)
