@@ -13,14 +13,13 @@ so a result never claims coefficients that were not actually computed.
 Three kernels build the results of the hot paths in one integer pass with one
 reduction per result: ``diff_combination`` applies a linear differential
 operator sum_i f_i (d/dc)^i, ``shift_combination`` takes one step
-x c a + y b of a three-term recurrence, and ``_product_sum`` forms a sum of
-weighted products w p q, split by the parity of the powers of c.  Each step
-of the recurrence behind ``sqrt`` and ``pow_neg_3_2`` is one
-``_product_sum``.  The series product forms each of its coefficients by
-Kronecker substitution instead (``_series_product``): each parity half of
-each factor becomes one integer at c**2 = 2**w, a pair of factors adds one
-big-integer product per pair of halves, and the sum is read back as
-balanced base-2**w digits, with w bounded for each output coefficient.
+x c a + y b of a three-term recurrence, and ``_packed_sum`` forms a sum of
+weighted products w p q by Kronecker substitution: each parity half of each
+factor becomes one integer at c**2 = 2**w, a term adds one big-integer
+product per pair of halves, and the sum is read back as balanced base-2**w
+digits, with w bounded for each sum.  Each coefficient of the series product
+is one ``_packed_sum``, and so is each step of the recurrence behind
+``sqrt`` and ``pow_neg_3_2``.
 ``specialise`` turns a table of integer polynomials in (c, n) into the
 polynomials in c at one integer n; ``table_combinations`` applies such a
 table as an operator at many n, grouping it and building its falling
@@ -515,48 +514,25 @@ def is_shift_combination(
     return out[: len(want)] == want and not any(out[len(want) :])
 
 
-def _halves(p: RationalPoly) -> tuple:
-    """(even, odd, den, width): p's numerators at the even and at the odd powers.
+class _Halves:
+    """p's numerators at the even and at the odd powers of c, for ``_packed_sum``.
 
     A half with no nonzero entry is (), so a parity-pure p has one empty half.
-    Either half of a product p * q has fewer than p's width + q's width
-    entries.
+    p's numerators are below 2**bits in absolute value, and ``packs`` maps a
+    slot width to the two halves packed at it, so that a factor is packed
+    once per width for as long as its ``_Halves`` lives.
     """
-    ev, od = p._num[0::2], p._num[1::2]
-    return (ev if any(ev) else ()), (od if any(od) else ()), p._den, len(ev) + 1
 
+    __slots__ = ("even", "odd", "den", "bits", "size", "packs")
 
-def _product_sum(terms: list) -> RationalPoly:
-    """sum w * p * q over (w, p, q) terms in one integer pass, reduced once.
-
-    w is a nonzero int or Fraction, and p and q are given as their
-    ``_halves``.  Over the lcm D of the terms' denominators, a term adds
-    w's numerator * D / its denominator times the convolution of p and q.
-    Even times even and odd times odd land on the even powers, the mixed
-    halves on the odd powers, and a pair with an empty half adds nothing.
-    """
-    if not terms:
-        return _ZERO
-    den = lcm(*(w.denominator * p[2] * q[2] for w, p, q in terms))
-    size = max(p[3] + q[3] for _, p, q in terms)
-    ev = [0] * size
-    od = [0] * size
-    for w, (pe, po, pd, _), (qe, qo, qd, _) in terms:
-        x = w.numerator * (den // (w.denominator * pd * qd))
-        for acc, a, b, at in ((ev, pe, qe, 0), (ev, po, qo, 1), (od, pe, qo, 0), (od, po, qe, 0)):
-            if not a or not b:
-                continue
-            if len(a) > len(b):
-                a, b = b, a
-            n = len(b)
-            for i, y in enumerate(a, at):
-                if y:
-                    row = slice(i, i + n)
-                    acc[row] = map(add, acc[row], map(mul, repeat(x * y), b))
-    out = [0] * (2 * size)
-    out[0::2] = ev
-    out[1::2] = od
-    return _from_parts(*_canonical(out, den))
+    def __init__(self, p: RationalPoly):
+        ev, od = p._num[0::2], p._num[1::2]
+        self.even = ev if any(ev) else ()
+        self.odd = od if any(od) else ()
+        self.den = p._den
+        self.bits = max(map(abs, p._num), default=0).bit_length()
+        self.size = len(p._num)
+        self.packs = {}
 
 
 def _pack(half: tuple, width: int) -> int:
@@ -570,10 +546,12 @@ def _pack(half: tuple, width: int) -> int:
 def _unpack(total: int, width: int, slots: int) -> list:
     """The ``slots`` balanced base-2**width digits of total, lowest first.
 
-    width is a multiple of 8, and every digit d has |d| < 2**(width - 1), so
-    adding 2**(width - 1) to each digit leaves them one per width // 8
-    bytes.  A total that needs more than ``slots`` digits means that a slot
-    overflowed, and raises VerificationError.
+    width is a multiple of 8, and the caller bounds every digit d by
+    |d| < 2**(width - 1), so adding 2**(width - 1) to each digit leaves them
+    one per width // 8 bytes.  That bound is what makes the digits right: an
+    overflow in a middle slot carries into the next one unseen.  The check
+    here catches only a total that spills past the last slot, and raises
+    VerificationError for it.
     """
     if not total:
         return [0] * slots
@@ -586,70 +564,43 @@ def _unpack(total: int, width: int, slots: int) -> list:
     return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
 
 
-def _factor(p: RationalPoly) -> Optional[tuple]:
-    """(even, odd, den, bits, length, packs) for a nonzero p, None for zero.
+def _packed_sum(terms: list) -> RationalPoly:
+    """sum w * p * q over (w, p, q) terms by Kronecker substitution, reduced once.
 
-    even and odd are p's ``_halves``, p's numerators are below 2**bits in
-    absolute value, and packs maps a width to the two halves packed at it.
+    w is a nonzero int or Fraction, and p and q are ``_Halves``.  Over the
+    lcm D of the terms' denominators, a term has the integer multiplier
+    x = w's numerator * D / (w's denominator * den p * den q).  Even times
+    even and odd times odd land on the even powers, the mixed halves on the
+    odd powers, each as one big-integer product of packed halves.
+
+    The slot width is what makes the sum exact (see ``_unpack``).  One slot
+    gets at most min(len p, len q) products from a term, so 2**(width - 1)
+    exceeds the sum over the terms of |x| * max|p| * max|q| * min(len p,
+    len q) once width - 1 covers the largest term's bit lengths plus the bit
+    length of the term count.  The width is rounded up to 32 bits, so that a
+    factor is packed again only when a later sum needs wider slots.
     """
-    if not p._num:
-        return None
-    even, odd, den, _ = _halves(p)
-    return even, odd, den, max(map(abs, p._num)).bit_length(), len(p._num), {}
-
-
-def _packed(f: tuple, width: int) -> tuple:
-    """The halves of the factor f packed at width, each packed once."""
-    packs = f[5].get(width)
-    if packs is None:
-        packs = f[5][width] = _pack(f[0], width), _pack(f[1], width)
-    return packs
-
-
-def _packed_sum(pairs: list) -> RationalPoly:
-    """sum p * q over the (p, q) pairs by Kronecker substitution, reduced once.
-
-    p and q are given as their ``_factor``.  Over the lcm D of the pairs'
-    denominators, a pair has the multiplier x = D / (den p * den q).  One
-    slot of the packed sum gets at most min(len p, len q) products from a
-    pair, so 2**(width - 1) exceeds the sum over the pairs of
-    x * max|p| * max|q| * min(len p, len q) once width - 1 covers the
-    largest pair's bit lengths plus the bit length of the pair count.  The
-    width is rounded up to 32 bits, so that a factor is packed again only
-    when a later sum needs wider slots.
-    """
-    if not pairs:
+    if not terms:
         return _ZERO
-    den = lcm(*(p[2] * q[2] for p, q in pairs))
-    terms = [(den // (p[2] * q[2]), p, q) for p, q in pairs]
+    den = lcm(*(w.denominator * p.den * q.den for w, p, q in terms))
+    terms = [(w.numerator * (den // (w.denominator * p.den * q.den)), p, q) for w, p, q in terms]
     bits = max(
-        x.bit_length() + p[3] + q[3] + min(p[4], q[4]).bit_length() for x, p, q in terms
+        x.bit_length() + p.bits + q.bits + min(p.size, q.size).bit_length() for x, p, q in terms
     )
     width = (bits + len(terms).bit_length() + 32) & ~31
-    slots = max((p[4] + 1) // 2 + (q[4] + 1) // 2 for p, q in pairs)
+    slots = max((p.size + 1) // 2 + (q.size + 1) // 2 for _, p, q in terms)
     ev = od = 0
     for x, p, q in terms:
-        pe, po = _packed(p, width)
-        qe, qo = _packed(q, width)
+        for f in (p, q):
+            if width not in f.packs:
+                f.packs[width] = _pack(f.even, width), _pack(f.odd, width)
+        (pe, po), (qe, qo) = p.packs[width], q.packs[width]
         ev += x * (pe * qe + (po * qo << width))
         od += x * (pe * qo + po * qe)
     out = [0] * (2 * slots)
     out[0::2] = _unpack(ev, width, slots)
     out[1::2] = _unpack(od, width, slots)
     return _from_parts(*_canonical(out, den))
-
-
-def _series_product(a: tuple, b: tuple) -> list:
-    """The coefficients sum over i of a[i] * b[k - i] for k < len(a) == len(b),
-    each one ``_packed_sum``; a factor's packs are shared by all of them."""
-    fa = [_factor(p) for p in a]
-    fb = [_factor(q) for q in b]
-    # a short left factor, such as a prefactor, visits only its nonzero terms
-    ia = [i for i, p in enumerate(fa) if p]
-    return [
-        _packed_sum([(fa[i], fb[k - i]) for i in ia if i <= k and fb[k - i]])
-        for k in range(len(fa))
-    ]
 
 
 def specialise(rows: Iterable[tuple], n: int) -> tuple:
@@ -801,7 +752,14 @@ class LaurentSeries:
         size = trunc - low + 1
         if size <= 0:
             return LaurentSeries.zero(trunc)
-        out = _series_product(self._coeffs[:size], other._coeffs[:size])
+        a = [_Halves(p) if p._num else None for p in self._coeffs[:size]]
+        b = [_Halves(q) if q._num else None for q in other._coeffs[:size]]
+        # a short left factor, such as a prefactor, visits only its nonzero terms
+        ia = [i for i, p in enumerate(a) if p]
+        out = [
+            _packed_sum([(1, a[i], b[k - i]) for i in ia if i <= k and b[k - i]])
+            for k in range(size)
+        ]
         return LaurentSeries(low, out, trunc)
 
     __rmul__ = __mul__
@@ -859,10 +817,10 @@ class LaurentSeries:
         f = u**alpha, which determines the coefficients by a single recurrence:
         m f[m] = sum over 1 <= i <= m of ((alpha + 1) i - m) u[i] f[m - i].
         """
-        nz = [(i, _halves(p)) for i, p in enumerate(self._coeffs) if i and p._num]
+        nz = [(i, _Halves(p)) for i, p in enumerate(self._coeffs) if i and p._num]
         s, d = alpha.numerator + alpha.denominator, alpha.denominator  # alpha + 1 = s / d
         f = [_ONE]
-        fh = [_halves(_ONE)]
+        fh = [_Halves(_ONE)]
         for m in range(1, self._trunc - self._low + 1):
             terms = []
             for i, ui in nz:
@@ -871,9 +829,9 @@ class LaurentSeries:
                 w = Fraction(s * i - d * m, d * m)
                 if w:
                     terms.append((w, ui, fh[m - i]))
-            p = _product_sum(terms)
+            p = _packed_sum(terms)
             f.append(p)
-            fh.append(_halves(p))
+            fh.append(_Halves(p))
         return f
 
     def sqrt(self) -> "LaurentSeries":

@@ -554,6 +554,7 @@ def test_a_slot_below_the_width_bound_overflows():
     # products in a slot, 1 bit for the one pair and 1 for the sign
     packed = _pack((top, top), 96)
     assert _unpack(packed * packed, 96, 3) == [top**2, 2 * top**2, top**2]
+    # at 32 bits the top slot spills, the one overflow _unpack can see
     packed = _pack((top, top), 32)
     with pytest.raises(VerificationError, match="overflows 3 slots of 32 bits"):
         _unpack(packed * packed, 32, 3)

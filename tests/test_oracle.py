@@ -4,12 +4,14 @@ import hashlib
 import json
 import sys
 from fractions import Fraction as F
+from itertools import repeat
+from math import lcm
+from operator import add, mul
 
 import pytest
 
 from djkm import cli, families, oracle
 from djkm.exact import LaurentSeries, RationalPoly, VerificationError, shift_combination
-from djkm.exact import _halves, _product_sum
 from djkm.families import FamilyId, gegenbauer, get_family
 from djkm.oracle import (
     OracleResult,
@@ -320,15 +322,22 @@ def test_order_120_expansions_are_byte_pinned(expand, digest):
 
 
 def _row_product(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """a * b with each coefficient from the row kernel _product_sum."""
+    """a * b with each coefficient a row-by-row integer convolution over the
+    lcm of its pairs' denominators, the kernel the packed product replaced."""
     trunc = min(a.truncation_order + b.lowest_order, b.truncation_order + a.lowest_order)
     low = a.lowest_order + b.lowest_order
-    ha = [_halves(p) if p else None for p in a.coeffs]
-    hb = [_halves(q) if q else None for q in b.coeffs]
-    out = [
-        _product_sum([(1, ha[i], hb[k - i]) for i in range(k + 1) if ha[i] and hb[k - i]])
-        for k in range(trunc - low + 1)
-    ]
+    ca, cb = a.coeffs, b.coeffs
+    out = []
+    for k in range(trunc - low + 1):
+        pairs = [(ca[i], cb[k - i]) for i in range(k + 1) if ca[i] and cb[k - i]]
+        den = lcm(1, *(p._den * q._den for p, q in pairs))
+        acc = [0] * max((len(p._num) + len(q._num) for p, q in pairs), default=0)
+        for p, q in pairs:
+            x = den // (p._den * q._den)
+            n = len(q._num)
+            for i, y in enumerate(p._num):
+                acc[i : i + n] = map(add, acc[i : i + n], map(mul, repeat(x * y), q._num))
+        out.append(RationalPoly([F(v, den) for v in acc]))
     return LaurentSeries(low, out, trunc)
 
 
@@ -337,10 +346,10 @@ def _row_product(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 def test_packed_products_match_the_row_kernel(monkeypatch, expand, order):
     oracle._product.cache_clear()
     products = []
-    mul = LaurentSeries.__mul__
+    product = LaurentSeries.__mul__
 
     def recorded(self, other):
-        out = mul(self, other)
+        out = product(self, other)
         if isinstance(other, LaurentSeries):
             products.append((self, other, out))
         return out
@@ -351,3 +360,14 @@ def test_packed_products_match_the_row_kernel(monkeypatch, expand, order):
     assert len(products) == (2 if expand is expand_elliptic1 else 1)
     for a, b, out in products:
         assert out == _row_product(a, b)
+
+
+@pytest.mark.parametrize("order", [40, 120])
+def test_quartic_powers_check_out_under_the_row_kernel(order):
+    # each step of the recurrence behind sqrt and pow_neg_3_2 is a packed sum
+    quartic = oracle._quartic(order)
+    root, inverse = quartic.sqrt(), quartic.pow_neg_3_2()
+    assert _row_product(root, root).agrees_with(quartic)
+    cube = _row_product(quartic, _row_product(quartic, quartic))
+    one = LaurentSeries.from_terms({0: 1}, order)
+    assert _row_product(_row_product(inverse, inverse), cube).agrees_with(one)
