@@ -20,21 +20,28 @@ product per pair of halves, and the sum is read back as balanced base-2**w
 digits, with w bounded for each sum.  Each coefficient of the series product
 is one ``_packed_sum``, and so is each step of the recurrence behind
 ``sqrt`` and ``pow_neg_3_2``.
+``diff_combination`` packs the same way: each falling-factorial column
+k!/(k - i)! is one integer with 64-bit slots (wider only when a weight
+needs it), a shift's weights are one big-integer combination of the columns
+read back in one call, and the residual is one lazy stream of products
+assigned in one slice.
 ``specialise`` turns a table of integer polynomials in (c, n) into the
 polynomials in c at one integer n; ``table_combinations`` applies such a
-table as an operator at many n, grouping it and building its falling
-factorials once.  ``is_shift_combination`` decides whether a polynomial is
-one recurrence step of two others without building or reducing the step.
+table as an operator at many n, grouping it and building and packing its
+falling factorials once.  ``is_shift_combination`` decides whether a
+polynomial is one recurrence step of two others without building or
+reducing the step, stopping at the first unequal numerator.
 
 All values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice, repeat
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, eq, mul, neg, sub
 from typing import Iterable, Mapping, Optional, Union
 
 Rational = Fraction
@@ -386,7 +393,7 @@ def diff_combination(coeffs: Iterable[RationalPoly], p: RationalPoly) -> Rationa
     The term f_i[t] c**t D**i maps c**k to c**(k - i + t) with weight
     f_i[t] * k!/(k - i)!.  Over L = lcm of the coefficients' denominators the
     terms are grouped by their shift i - t, so each numerator of p is
-    multiplied once per shift by a small integer weight.  When p has one
+    multiplied once per shift by an integer weight.  When p has one
     parity, the powers of the other parity are zero and are skipped.
     """
     terms = [(i, f) for i, f in enumerate(coeffs) if f._num]
@@ -401,7 +408,9 @@ def diff_combination(coeffs: Iterable[RationalPoly], p: RationalPoly) -> Rationa
                 groups.setdefault(i - t, []).append((i, x * m))
     first, step = _powers(p)
     falling = _falling(max(i for i, _ in terms), range(first, len(p._num), step))
-    num = _shift_pass(groups, falling, p._num, first, step)
+    width = _width(groups, falling)
+    cols = [_pack(col, width) for col in falling]
+    num = _shift_pass(groups, cols, width, p._num, first, step)
     return _from_parts(*_canonical(num, den * p._den))
 
 
@@ -409,8 +418,9 @@ def table_combinations(rows: tuple, points: Iterable[tuple]) -> list:
     """sum_i f_i (d/dc)**i p for each (n, p) of points, f_i the rows at n as
     ``specialise`` gives them, in the integer pass of ``diff_combination``.
 
-    The rows are grouped by shift and the falling factorials built once for
-    all points; each point evaluates its integer weights at n and reduces once.
+    The rows are grouped by shift and the falling factorials built and packed
+    once for all points, at a slot width that holds the weights at every n
+    of points; each point evaluates its integer weights at n and reduces once.
     """
     points = [(n, p, *_powers(p)) for n, p in points]
     groups = {}
@@ -421,13 +431,20 @@ def table_combinations(rows: tuple, points: Iterable[tuple]) -> list:
     size = {}
     for _, p, first, step in points:
         size[first, step] = max(size.get((first, step), 0), len(p._num))
-    falling = {(f, s): _falling(len(rows) - 1, range(f, n, s)) for (f, s), n in size.items()}
+    # |x(n)| <= sum |x_j| top**j for x(n) = sum x_j n**j and |n| <= top
+    top = max((abs(n) for n, *_ in points), default=0)
+    bounds = {s: [(i, _horner(tuple(map(abs, t)), top)) for i, t in ws] for s, ws in groups.items()}
+    columns = {}
+    for (f, s), n in size.items():
+        falling = _falling(len(rows) - 1, range(f, n, s))
+        width = _width(bounds, falling)
+        columns[f, s] = [_pack(col, width) for col in falling], width
     out = []
     for n, p, first, step in points:
         num = []
         if p._num and groups:
             weights = {s: [(i, _horner(t, n)) for i, t in ws] for s, ws in groups.items()}
-            num = _shift_pass(weights, falling[first, step], p._num, first, step)
+            num = _shift_pass(weights, *columns[first, step], p._num, first, step)
         out.append(_from_parts(*_canonical(num, p._den)))
     return out
 
@@ -447,28 +464,53 @@ def _falling(order: int, ks: range) -> list:
     return falling
 
 
-def _shift_pass(groups: dict, falling: list, num: tuple, first: int, step: int) -> list:
+def _width(groups: dict, falling: list) -> int:
+    """The slot width for the weights of groups: the least multiple of 64
+    above the bit length of sum |x| k!/(k - i)! over the (i, x) of any group,
+    with k!/(k - i)! bounded by the last entry of its column of falling, since
+    a column is nondecreasing in k >= 0."""
+    bound = max((sum(abs(x) * falling[i][-1] for i, x in ws) for ws in groups.values()), default=0)
+    return (bound.bit_length() + 64) & ~63
+
+
+def _shift_pass(groups: dict, cols: list, width: int, num: tuple, first: int, step: int) -> list:
     """Numerators of sum x k!/(k - i)! num[k] c**(k - s) over the (i, x) of
     groups[s] and the powers k = first, first + step, ... of num.
 
-    ``falling`` is ``_falling`` on powers from first on with this step, and
-    may run past num.
+    cols[i] packs the falling factorials k!/(k - i)! of ``_falling`` on
+    powers from first on with this step at slots of ``width`` bits, from
+    ``_width``, and may run past num.  A group's weights are one big-integer
+    combination of the columns cut to num's length, read back by ``_unpack``.
+    The groups whose powers k - s share a parity (all of them for step 1)
+    join in one lazy stream, assigned to the numerators in one slice.
     """
     n = len(num)
+    size = len(range(first, n, step))
+    mask = (1 << width * size) - 1
+    cols = [col & mask for col in cols]
+    num = num[first::step]
     out = [0] * (n - min(0, min(groups)))
-    for s, ws in groups.items():
-        # the weight vanishes below k = i, and every i of the group is >= s
-        r = max(0, -((first - s) // step))
-        k = first + r * step
-        if k >= n:  # p has no power this shift can reach
+    classes = {}
+    for s in groups:
+        classes.setdefault((first - s) % step, []).append(s)
+    for shifts in classes.values():
+        hi, lo = max(shifts), min(shifts)
+        # the stream covers the powers first - hi, ... in steps; below 0 the
+        # weights vanish, since k < s <= i there
+        count = size + (hi - lo) // step
+        drop = max(0, -((first - hi) // step))
+        if drop >= count:
             continue
-        m = len(range(k, n, step))
-        (i, x), *rest = ws
-        w = map(mul, repeat(x), falling[i][r : r + m])
-        for i, x in rest:  # summed lazily, in the one pass below
-            w = map(add, w, map(mul, repeat(x), falling[i][r : r + m]))
-        at = slice(k - s, n - s, step)
-        out[at] = map(add, out[at], map(mul, w, num[k::step]))
+        total = None
+        for s in shifts:
+            w = 0
+            for i, x in groups[s]:
+                w += x * cols[i]
+            w = map(mul, _unpack(w, width, size), num)
+            w = chain(repeat(0, (hi - s) // step), w, repeat(0, (s - lo) // step))
+            total = w if total is None else map(add, total, w)
+        start = first - hi + drop * step
+        out[start : start + (count - drop) * step : step] = islice(total, drop, None)
     return out
 
 
@@ -494,24 +536,24 @@ def shift_combination(
 
 
 def is_shift_combination(
-    t: RationalPoly, a: RationalPoly, x: Scalar, b: RationalPoly, y: Scalar
+    t: RationalPoly, a: RationalPoly, x: Scalar, b: RationalPoly, y: Scalar, z: int = 1
 ) -> bool:
-    """t == shift_combination(a, x, b, y), decided on every numerator over
-    the lcm D of the three denominators: no gcd over the numerators, and no
-    polynomial built.  Along a recurrence the denominators are close, so D
-    over each of them is a small integer.
+    """z * t == shift_combination(a, x, b, y) for a nonzero integer z, decided
+    lazily on every numerator over the lcm D of the three denominators: no
+    gcd over the numerators, no polynomial built, and the first unequal
+    numerator ends the walk.  Along a recurrence the denominators are close,
+    so D over each of them is a small integer.
     """
     x, y = _as_rational(x), _as_rational(y)
     da = x.denominator * a._den
     db = y.denominator * b._den
     den = lcm(t._den, da, db)
-    out = [0, *map(mul, repeat(den // da * x.numerator), a._num)]
-    tb = list(map(mul, repeat(den // db * y.numerator), b._num))
-    if len(out) < len(tb):
-        out, tb = tb, out
-    out[: len(tb)] = map(add, out, tb)
-    want = list(map(mul, repeat(den // t._den), t._num))
-    return out[: len(want)] == want and not any(out[len(want) :])
+    an, bn, tn = a._num, b._num, t._num
+    n = max(len(an) + 1, len(bn), len(tn))
+    sa = chain((0,), map(mul, repeat(den // da * x.numerator), an), repeat(0, n - len(an) - 1))
+    sb = chain(map(mul, repeat(den // db * y.numerator), bn), repeat(0, n - len(bn)))
+    st = chain(map(mul, repeat(den // t._den * z), tn), repeat(0, n - len(tn)))
+    return all(map(eq, map(add, sa, sb), st))
 
 
 class _Halves:
@@ -551,14 +593,21 @@ def _unpack(total: int, width: int, slots: int) -> list:
     one per width // 8 bytes.  That bound is what makes the digits right: an
     overflow in a middle slot carries into the next one unseen.  The check
     here catches only a total that spills past the last slot, and raises
-    VerificationError for it.
+    VerificationError for it.  At width 64, XOR with the same offset turns
+    each slot into its digit's two's complement, which the host reads as
+    signed 64-bit integers in one call.
     """
     if not total:
         return [0] * slots
     size = width // 8
-    total += int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    total += offset
     if total >> (width * slots):
         raise VerificationError(f"a packed product overflows {slots} slots of {width} bits")
+    if width == 64:
+        raw = (total ^ offset).to_bytes(size * slots, sys.byteorder)
+        digits = memoryview(raw).cast("q").tolist()
+        return digits if sys.byteorder == "little" else digits[::-1]
     raw = total.to_bytes(size * slots, "little")
     half = 1 << (width - 1)
     return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]

@@ -20,6 +20,10 @@ its Gegenbauer bracket are the same series (the C_n^(3/2) generating function
 integrated termwise), so the product goes through a two-entry
 functools.lru_cache keyed by the operand values, and is formed once when both
 P-4 routes run at one order; a bracket that differs is multiplied afresh.
+The powers of the quartic go through one-entry caches keyed by the quartic's
+value the same way: the three expansions at one order root the same quartic
+and two of them raise it to the (-3/2), so each power is formed once, and a
+different quartic, a tampered one included, is raised afresh.
 
 The antiderivatives are taken with integration constant 0 and nothing is
 pinned afterwards.  That is the right constant: z sqrt(...) is odd in z, the
@@ -66,9 +70,16 @@ def _quartic(trunc: int) -> LaurentSeries:
     return LaurentSeries.from_terms({k: p for k, p in terms.items() if k <= trunc}, trunc)
 
 
-def _z_sqrt_quartic(trunc: int) -> LaurentSeries:
-    """z sqrt(1 - 2cz^2 + z^4) as a series known through z^trunc."""
-    return _quartic(trunc - 1).sqrt().shift(1)
+@functools.lru_cache(maxsize=1)
+def _sqrt(quartic: LaurentSeries) -> LaurentSeries:
+    """quartic.sqrt(), from the cache when the same quartic was just rooted."""
+    return quartic.sqrt()
+
+
+@functools.lru_cache(maxsize=1)
+def _pow_neg_3_2(quartic: LaurentSeries) -> LaurentSeries:
+    """quartic.pow_neg_3_2(), from the cache when the same quartic was just raised."""
+    return quartic.pow_neg_3_2()
 
 
 # In ``all`` the elliptic-2 product sits between P-4's two routes, so two
@@ -83,12 +94,13 @@ def _compare(odd_series: LaurentSeries, family_id: FamilyId, order: int) -> Orac
     """z sqrt(1 - 2cz^2 + z^4) * odd_series against the family through z^order.
 
     The odd series is cut to z^(order-1) and z sqrt(...) is built through
-    z^(order - lowest order of the odd series), so the product is known
-    through z^order exactly and no further.  (z sqrt(...) keeps at least its
-    z^1 term, for an odd series that vanishes through z^(order-1).)
+    z^max(order - lowest order of the odd series, order + 1): far enough for
+    the product to be known through z^order exactly and no further, and from
+    the same quartic for every expansion at one order.
     """
     odd = odd_series.truncate(order - 1)
-    series = _product(_z_sqrt_quartic(max(order - odd.lowest_order, 1)), odd)
+    trunc = max(order - odd.lowest_order, order + 1)
+    series = _product(_sqrt(_quartic(trunc - 1)).shift(1), odd)
     fam = get_family(family_id)
     first_bad = None
     for n in range(order + 1):
@@ -111,7 +123,7 @@ def expand_elliptic1(order: int) -> OracleResult:
     prefactor = LaurentSeries.from_terms(
         {-2: RationalPoly.constant(-1), 0: RationalPoly((0, 4))}, order
     )
-    integrand = prefactor * _quartic(order).pow_neg_3_2()
+    integrand = prefactor * _pow_neg_3_2(_quartic(order))
     return _compare(integrand.integrate(), FamilyId.P4, order)
 
 
@@ -119,7 +131,7 @@ def expand_elliptic2(order: int) -> OracleResult:
     """Rebuild the P-2 family from its elliptic-integral generating function."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    integrand = _quartic(order).pow_neg_3_2()
+    integrand = _pow_neg_3_2(_quartic(order))
     return _compare(integrand.integrate(), FamilyId.P2, order)
 
 

@@ -121,13 +121,16 @@ def recurrence_mismatch(tag: str, count: int) -> Optional[int]:
     exactly, or None.  Moments, Hankel determinants, the Favard normalisers
     and the Gauss rule read ThreeTermData, never the family; this ties that
     data to the members it describes, without building p_{n+1} again.
+    Each step is decided with integer multipliers: for A = an/ad and
+    C = cn/cd in lowest terms, an cd p_{n+1} = ad cd x p_n - ad cn p_{n-1}.
     """
     data = three_term(tag)
     prev, cur = RationalPoly.zero(), _member(tag, 0)
     for n in range(count):
         nxt = _member(tag, n + 1)
-        a = data.A(n + 1)
-        if not is_shift_combination(nxt, cur, 1 / a, prev, -data.C(n - 1) / a):
+        a, c = data.A(n + 1), data.C(n - 1)
+        an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
+        if not is_shift_combination(nxt, cur, ad * cd, prev, -ad * cn, an * cd):
             return n
         prev, cur = cur, nxt
     return None

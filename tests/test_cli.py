@@ -472,7 +472,8 @@ def test_deterministic_output(capsys):
 
 def test_cold_and_warm_caches_give_the_same_report(monkeypatch, tmp_path):
     # every process-global cache back to its import state
-    oracle._product.cache_clear()
+    for cache in (oracle._product, oracle._sqrt, oracle._pow_neg_3_2):
+        cache.cache_clear()
     for fid in families.FamilyId:
         monkeypatch.setitem(families._REGISTRY, fid, families.PolynomialFamily(fid))
     monkeypatch.setattr(families, "_GEGENBAUER", {})

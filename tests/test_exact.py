@@ -18,8 +18,12 @@ from djkm.exact import (
     diff_combination,
     is_shift_combination,
     shift_combination,
+    table_combinations,
 )
+from djkm import exact
+from djkm.diffops import CASE3_TABLE, ELLIPTIC1_TABLE, ELLIPTIC2_TABLE
 from djkm.exact import _pack, _unpack
+from djkm.families import FamilyId, get_family
 
 C = RationalPoly.variable()
 
@@ -284,6 +288,94 @@ def test_shift_tie_with_a_zero_second_operand():
     assert is_shift_combination(step, a, F(3, 4), zero, F(1, 2))
     assert not is_shift_combination(step + RationalPoly.monomial(F(1, 9), 3), a, F(3, 4), zero, 1)
     assert not is_shift_combination(step, a, F(3, 4), RationalPoly.one(), F(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# The sweep kernel against the Fraction-list reference
+# ---------------------------------------------------------------------------
+
+
+def ref_table_combination(rows, n, p):
+    """sum_i f_i (d/dc)**i p by ref_diff_combination, f_i the rows at n."""
+    fs = [trimmed(sum(F(a) * n**j for j, a in enumerate(t)) for t in row) for row in rows]
+    return RationalPoly(ref_diff_combination(fs, list(p.coeffs)))
+
+
+def perturbed(p):
+    """p, and p with one more even term, a mixed parity and the other parity."""
+    return (p, p + RationalPoly.one(), p + C, p.scale_shift(F(-3, 7), 1))
+
+
+def spy_widths(monkeypatch):
+    widths = []
+    unpack = exact._unpack
+
+    def recorded(total, width, slots):
+        widths.append(width)
+        return unpack(total, width, slots)
+
+    monkeypatch.setattr(exact, "_unpack", recorded)
+    return widths
+
+
+@pytest.mark.parametrize(
+    "family, rows", [(FamilyId.P4, ELLIPTIC1_TABLE), (FamilyId.P2, ELLIPTIC2_TABLE)]
+)
+def test_sweep_kernel_matches_the_reference_near_desk_and_deep_depths(family, rows):
+    fam = get_family(family)
+    # one sweep over three keys (first, step) of packed columns
+    points = [(n, q) for n in (400, 480) for q in perturbed(fam.shifted(n))]
+    got = table_combinations(rows, points)
+    assert [r.is_zero() for r in got] == [True, False, False, False] * 2
+    for (n, q), r in zip(points, got):
+        assert r == ref_table_combination(rows, n, q), n
+
+
+def test_sweep_kernel_with_negative_shifts_matches_the_reference():
+    p1 = get_family(FamilyId.P1)
+    points = [(n, q) for n in (199, 200) for q in perturbed(p1.original(2 * n - 3))]
+    got = table_combinations(CASE3_TABLE, points)
+    assert [r.is_zero() for r in got] == [True, False, False, False] * 2
+    for (n, q), r in zip(points, got):
+        assert r == ref_table_combination(CASE3_TABLE, n, q), n
+
+
+# shifts i - t of -1, 0 and 1: with one parity in p, the odd and even shifts
+# land on the two parities of the residual
+ODD_SHIFT_TABLE = (((1,), (2, -1)), ((-3, 0, 1),), ((), (), (1, 0, 1)))
+# weights past 2**63, which take 128-bit slots
+WIDE_TABLE = (((2**70, 1),), ((), (-(2**66),)), ((5,), (), (3,)), ((), (), (), (2**62,)))
+
+
+@pytest.mark.parametrize("rows, wide", [(ODD_SHIFT_TABLE, False), (WIDE_TABLE, True)])
+def test_sweep_kernel_on_odd_shifts_and_wide_slots(monkeypatch, rows, wide):
+    widths = spy_widths(monkeypatch)
+    polys = [
+        RationalPoly([F(3**k, 7**j) for j, k in enumerate(range(m, 0, -1))]) for m in (1, 2, 9)
+    ]
+    points = [(n, q) for n in (-5, 0, 3, 40) for p in polys for q in perturbed(p)]
+    got = table_combinations(rows, points)
+    assert any(got)
+    for (n, q), r in zip(points, got):
+        assert r == ref_table_combination(rows, n, q), (n, q)
+    assert widths and set(widths) == ({128} if wide else {64})
+
+
+@pytest.mark.parametrize(
+    "digits",
+    [[0], [1], [-1], [0, 1, -1], [2**63 - 1], [-(2**63 - 1)], [2**63 - 1, -(2**63 - 1), 0, -1, 1]],
+)
+def test_unpack_at_64_bits_matches_the_general_branch(digits):
+    for spare in (0, 3):
+        slots = len(digits) + spare
+        wide = _unpack(_pack(digits, 128), 128, slots)
+        assert _unpack(_pack(digits, 64), 64, slots) == wide == digits + [0] * spare
+
+
+@pytest.mark.parametrize("top", [2**63, -(2**63) - 1])
+def test_unpack_at_64_bits_catches_a_spilling_top_slot(top):
+    with pytest.raises(VerificationError, match="overflows 2 slots of 64 bits"):
+        _unpack(_pack((5, top), 64), 64, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -133,19 +133,26 @@ def _quartic_with_odd_term(trunc):
 
 
 def test_elliptic1_nonzero_residue_raises(monkeypatch):
-    # an untampered run at the same order first, so the cache holds its product
+    # an untampered run at the same order first, so the caches hold its
+    # powers of the quartic and its product
     assert expand_elliptic1(8).matched
+    misses = oracle._pow_neg_3_2.cache_info().misses
     monkeypatch.setattr(oracle, "_quartic", _quartic_with_odd_term)
     with pytest.raises(VerificationError, match="z\\^-1"):
         expand_elliptic1(8)
+    assert oracle._pow_neg_3_2.cache_info().misses == misses + 1
 
 
 def test_elliptic2_odd_series_is_a_reported_mismatch(monkeypatch):
     assert expand_elliptic2(8).matched
+    misses = [f.cache_info().misses for f in (oracle._sqrt, oracle._pow_neg_3_2)]
     monkeypatch.setattr(oracle, "_quartic", _quartic_with_odd_term)
     res = expand_elliptic2(8)
     assert res.matched is False
     assert res.first_mismatch % 2 == 1
+    assert [f.cache_info().misses for f in (oracle._sqrt, oracle._pow_neg_3_2)] == [
+        m + 1 for m in misses
+    ]
 
 
 def _integrate_plus_one(monkeypatch):
@@ -256,6 +263,26 @@ def test_gegenbauer_sum_reuses_the_elliptic1_product(monkeypatch):
     assert len(calls) == 2
     info = oracle._product.cache_info()
     assert (info.hits, info.misses) == (1, 2)
+
+
+def test_one_order_takes_each_power_of_the_quartic_once(monkeypatch):
+    for cache in (oracle._sqrt, oracle._pow_neg_3_2, oracle._product):
+        cache.cache_clear()
+    alphas = []
+    unit_power = LaurentSeries._unit_power
+
+    def counted(self, alpha):
+        alphas.append(alpha)
+        return unit_power(self, alpha)
+
+    monkeypatch.setattr(LaurentSeries, "_unit_power", counted)
+    for expand in (expand_elliptic1, expand_elliptic2, expand_gegenbauer_sum):
+        assert expand(40).matched
+    # one Q^(-3/2) and one sqrt(Q), where each expansion took its own
+    assert alphas == [F(-3, 2), F(1, 2)]
+    # another order is another quartic
+    assert expand_elliptic2(41).matched
+    assert alphas[2:] == [F(-3, 2), F(1, 2)]
 
 
 def test_memo_holds_at_most_two_products():
