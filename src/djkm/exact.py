@@ -37,7 +37,7 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import sys
+import struct
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import gcd, lcm
@@ -430,7 +430,8 @@ def table_combinations(rows: tuple, points: Iterable[tuple]) -> list:
                 groups.setdefault(i - t, []).append((i, coeffs))
     size = {}
     for _, p, first, step in points:
-        size[first, step] = max(size.get((first, step), 0), len(p._num))
+        if p._num:  # a zero member runs no pass and needs no columns
+            size[first, step] = max(size.get((first, step), 0), len(p._num))
     # |x(n)| <= sum |x_j| top**j for x(n) = sum x_j n**j and |n| <= top
     top = max((abs(n) for n, *_ in points), default=0)
     bounds = {s: [(i, _horner(tuple(map(abs, t)), top)) for i, t in ws] for s, ws in groups.items()}
@@ -536,22 +537,21 @@ def shift_combination(
 
 
 def is_shift_combination(
-    t: RationalPoly, a: RationalPoly, x: Scalar, b: RationalPoly, y: Scalar, z: int = 1
+    t: RationalPoly, a: RationalPoly, x: int, b: RationalPoly, y: int, z: int
 ) -> bool:
-    """z * t == shift_combination(a, x, b, y) for a nonzero integer z, decided
-    lazily on every numerator over the lcm D of the three denominators: no
-    gcd over the numerators, no polynomial built, and the first unequal
-    numerator ends the walk.  Along a recurrence the denominators are close,
-    so D over each of them is a small integer.
+    """z * t == x * c * a + y * b for integers x, y and z != 0, decided lazily
+    on every numerator over the lcm D of the three denominators: no gcd over
+    the numerators, no polynomial built, and the first unequal numerator ends
+    the walk.  Along a recurrence the denominators are close, so D over each
+    of them is a small integer.
     """
-    x, y = _as_rational(x), _as_rational(y)
-    da = x.denominator * a._den
-    db = y.denominator * b._den
-    den = lcm(t._den, da, db)
+    if not z:
+        raise ValueError("z must be nonzero")
+    den = lcm(t._den, a._den, b._den)
     an, bn, tn = a._num, b._num, t._num
     n = max(len(an) + 1, len(bn), len(tn))
-    sa = chain((0,), map(mul, repeat(den // da * x.numerator), an), repeat(0, n - len(an) - 1))
-    sb = chain(map(mul, repeat(den // db * y.numerator), bn), repeat(0, n - len(bn)))
+    sa = chain((0,), map(mul, repeat(den // a._den * x), an), repeat(0, n - len(an) - 1))
+    sb = chain(map(mul, repeat(den // b._den * y), bn), repeat(0, n - len(bn)))
     st = chain(map(mul, repeat(den // t._den * z), tn), repeat(0, n - len(tn)))
     return all(map(eq, map(add, sa, sb), st))
 
@@ -594,8 +594,8 @@ def _unpack(total: int, width: int, slots: int) -> list:
     overflow in a middle slot carries into the next one unseen.  The check
     here catches only a total that spills past the last slot, and raises
     VerificationError for it.  At width 64, XOR with the same offset turns
-    each slot into its digit's two's complement, which the host reads as
-    signed 64-bit integers in one call.
+    each slot into its digit's two's complement, read as little-endian
+    signed 64-bit integers in one call on any host.
     """
     if not total:
         return [0] * slots
@@ -605,9 +605,7 @@ def _unpack(total: int, width: int, slots: int) -> list:
     if total >> (width * slots):
         raise VerificationError(f"a packed product overflows {slots} slots of {width} bits")
     if width == 64:
-        raw = (total ^ offset).to_bytes(size * slots, sys.byteorder)
-        digits = memoryview(raw).cast("q").tolist()
-        return digits if sys.byteorder == "little" else digits[::-1]
+        return list(struct.unpack(f"<{slots}q", (total ^ offset).to_bytes(size * slots, "little")))
     raw = total.to_bytes(size * slots, "little")
     half = 1 << (width - 1)
     return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]

@@ -241,6 +241,17 @@ def test_ode_sweep_matches_the_builders(monkeypatch, family, perturbed):
     assert len(nonzero) > len(rows) // 2 if perturbed else not nonzero
 
 
+@pytest.mark.parametrize(
+    "family, max_n", [("P-2", m) for m in range(8)] + [("P-4", m) for m in range(1, 6)]
+)
+def test_short_sweeps_before_the_first_odd_member(family, max_n):
+    # every member so far is zero or of even degree, so some (first, step)
+    # class of the packed columns holds zero members only
+    rows = ode_sweep(FamilyId(family), max_n)
+    got = [(r.n, r.member_zero, r.residual.to_json(), r.identity) for r in rows]
+    assert got == _builder_rows(family, max_n)
+
+
 def test_second_order_sweeps():
     assert all(ok for _, ok in second_order_sweep(FamilyId.P1, 100))
     assert all(ok for _, ok in second_order_sweep(FamilyId.P3, 100))

@@ -263,6 +263,13 @@ def test_matches_fraction_list_reference(a, b, s, k, x, fs, s2):
         assert repr(p.evaluate(fx)) == repr(ref_float_horner(ref, fx)), name
 
 
+def tie(target, a, x, b, y):
+    """is_shift_combination for rational x and y, over z = lcm of their denominators."""
+    x, y = F(x), F(y)
+    z = math.lcm(x.denominator, y.denominator)
+    return is_shift_combination(target, a, int(x * z), b, int(y * z), z)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     polys(),
@@ -277,7 +284,7 @@ def test_shift_tie_agrees_with_building_the_step(a, x, b, y, offset):
     top = RationalPoly.monomial(step.coefficient(step.degree), max(step.degree, 0))
     # the step itself, plus an offset, doubled, and cut below its top term
     for target in (step + offset, step.scale_shift(2, 0) + offset, step - top):
-        assert is_shift_combination(target, a, x, b, y) == (step == target)
+        assert tie(target, a, x, b, y) == (step == target)
 
 
 def test_shift_tie_with_a_zero_second_operand():
@@ -285,9 +292,16 @@ def test_shift_tie_with_a_zero_second_operand():
     a, zero = RationalPoly([F(1, 3), 2, F(-5, 6)]), RationalPoly.zero()
     step = shift_combination(a, F(3, 4), zero, F(1, 2))
     assert step == a.scale_shift(F(3, 4), 1)
-    assert is_shift_combination(step, a, F(3, 4), zero, F(1, 2))
-    assert not is_shift_combination(step + RationalPoly.monomial(F(1, 9), 3), a, F(3, 4), zero, 1)
-    assert not is_shift_combination(step, a, F(3, 4), RationalPoly.one(), F(1, 2))
+    assert tie(step, a, F(3, 4), zero, F(1, 2))
+    assert not tie(step + RationalPoly.monomial(F(1, 9), 3), a, F(3, 4), zero, 1)
+    assert not tie(step, a, F(3, 4), RationalPoly.one(), F(1, 2))
+
+
+def test_shift_tie_rejects_a_zero_multiplier_of_the_target():
+    # z = 0 would decide 0 == x c a + y b, which holds for x = y = 0
+    zero = RationalPoly.zero()
+    with pytest.raises(ValueError):
+        is_shift_combination(RationalPoly.one(), zero, 0, zero, 0, 0)
 
 
 # ---------------------------------------------------------------------------
