@@ -52,6 +52,7 @@ from .families import (
     FamilyId,
     IndexView,
     PolynomialFamily,
+    assoc_ultraspherical,
     gegenbauer,
     generate,
     get_family,

@@ -21,29 +21,8 @@ class LinearDiffOp:
 
     coeffs: Tuple[RationalPoly, ...]
 
-    @property
-    def order(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[i].is_zero():
-                return i
-        return -1
-
-    def degree_profile_ok(self) -> bool:
-        """deg f_i <= i, the profile every polynomial-eigenfunction operator
-        has; diagnostic only, construction does not enforce it."""
-        return all(p.degree <= i for i, p in enumerate(self.coeffs))
-
     def apply(self, p: RationalPoly) -> RationalPoly:
         return diff_combination(self.coeffs, p)
-
-    def __add__(self, other: "LinearDiffOp") -> "LinearDiffOp":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, p in enumerate(b):
-            merged[i] = merged[i] + p
-        return LinearDiffOp(tuple(merged))
 
     def scale(self, factor) -> "LinearDiffOp":
         return LinearDiffOp(tuple(p * factor for p in self.coeffs))

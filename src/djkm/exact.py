@@ -11,7 +11,7 @@ values; the truncation order is tracked explicitly through every operation,
 so a result never claims coefficients that were not actually computed.
 
 Three kernels build the results of the hot paths in one integer pass with one
-reduction per result: ``diff_combination`` applies a linear differential
+reduction per result: ``table_combinations`` applies a linear differential
 operator sum_i f_i (d/dc)^i, ``shift_combination`` takes one step
 x c a + y b of a three-term recurrence, and ``_packed_sum`` forms a sum of
 weighted products w p q by Kronecker substitution: each parity half of each
@@ -20,17 +20,16 @@ product per pair of halves, and the sum is read back as balanced base-2**w
 digits, with w bounded for each sum.  Each coefficient of the series product
 is one ``_packed_sum``, and so is each step of the recurrence behind
 ``sqrt`` and ``pow_neg_3_2``.
-``diff_combination`` packs the same way: each falling-factorial column
-k!/(k - i)! is one integer with 64-bit slots (wider only when a weight
-needs it), a shift's weights are one big-integer combination of the columns
-read back in one call, and the residual is one lazy stream of products
-assigned in one slice.
-``specialise`` turns a table of integer polynomials in (c, n) into the
-polynomials in c at one integer n; ``table_combinations`` applies such a
-table as an operator at many n, grouping it and building and packing its
-falling factorials once.  ``is_shift_combination`` decides whether a
-polynomial is one recurrence step of two others without building or
-reducing the step, stopping at the first unequal numerator.
+``table_combinations`` packs the same way: it applies a table of integer
+polynomials in (c, n) at many n, each falling-factorial column k!/(k - i)!
+is one integer with 64-bit slots (wider only when a weight needs it), and a
+shift's weights are one big-integer combination of the columns read back in
+one call.  ``specialise`` evaluates such a table at one n, and
+``diff_combination`` applies rational coefficients as the constant table
+over the lcm of their denominators, at one point.
+``is_shift_combination`` decides whether a polynomial is one recurrence step
+of two others without building or reducing the step, stopping at the first
+unequal numerator.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -332,6 +331,9 @@ class RationalPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its scalar, so it hashes as that scalar
+        if len(self._num) <= 1:
+            return hash(Fraction(self._num[0], self._den)) if self._num else 0
         return hash(self.coeffs)
 
     # -- formatting / serialization ------------------------------------------
@@ -388,39 +390,25 @@ _C = RationalPoly((0, 1))
 
 
 def diff_combination(coeffs: Iterable[RationalPoly], p: RationalPoly) -> RationalPoly:
-    """sum_i coeffs[i] * (d/dc)**i p in one integer pass, reduced once.
-
-    The term f_i[t] c**t D**i maps c**k to c**(k - i + t) with weight
-    f_i[t] * k!/(k - i)!.  Over L = lcm of the coefficients' denominators the
-    terms are grouped by their shift i - t, so each numerator of p is
-    multiplied once per shift by an integer weight.  When p has one
-    parity, the powers of the other parity are zero and are skipped.
-    """
-    terms = [(i, f) for i, f in enumerate(coeffs) if f._num]
-    if not terms or not p._num:
-        return _ZERO
-    den = lcm(*(f._den for _, f in terms))
-    groups = {}
-    for i, f in terms:
-        m = den // f._den
-        for t, x in enumerate(f._num):
-            if x:
-                groups.setdefault(i - t, []).append((i, x * m))
-    first, step = _powers(p)
-    falling = _falling(max(i for i, _ in terms), range(first, len(p._num), step))
-    width = _width(groups, falling)
-    cols = [_pack(col, width) for col in falling]
-    num = _shift_pass(groups, cols, width, p._num, first, step)
-    return _from_parts(*_canonical(num, den * p._den))
+    """sum_i coeffs[i] * (d/dc)**i p: over the lcm L of the coefficients'
+    denominators, an integer table constant in n applied by
+    ``table_combinations`` at the one point (0, p), divided by L."""
+    coeffs = tuple(coeffs)
+    den = lcm(*(f._den for f in coeffs))
+    rows = tuple(tuple((x * (den // f._den),) if x else () for x in f._num) for f in coeffs)
+    (out,) = table_combinations(rows, [(0, p)])
+    return out if den == 1 else _scaled(out, Fraction(1, den))
 
 
 def table_combinations(rows: tuple, points: Iterable[tuple]) -> list:
     """sum_i f_i (d/dc)**i p for each (n, p) of points, f_i the rows at n as
-    ``specialise`` gives them, in the integer pass of ``diff_combination``.
+    ``specialise`` gives them, in one integer pass per point, reduced once.
 
-    The rows are grouped by shift and the falling factorials built and packed
-    once for all points, at a slot width that holds the weights at every n
-    of points; each point evaluates its integer weights at n and reduces once.
+    The term f_i[t] c**t D**i maps c**k to c**(k - i + t) with weight
+    f_i[t] k!/(k - i)!, so the rows are grouped by shift i - t and the
+    falling factorials built and packed once, at a slot width that holds the
+    weights at every n of points.  When p has one parity, the powers of the
+    other parity are skipped.
     """
     points = [(n, p, *_powers(p)) for n, p in points]
     groups = {}
@@ -923,11 +911,3 @@ class LaurentSeries:
             "truncation_order": self._trunc,
             "coeffs": [p.to_json() for p in self._coeffs],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "LaurentSeries":
-        return cls(
-            int(data["lowest_order"]),
-            [RationalPoly.from_json(p) for p in data["coeffs"]],
-            int(data["truncation_order"]),
-        )

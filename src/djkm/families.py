@@ -18,11 +18,12 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 from .exact import (
     Rational,
     RationalPoly,
+    Scalar,
     VerificationError,
     shift_combination,
 )
@@ -156,33 +157,52 @@ def generate(family_id: FamilyId, view: IndexView, max_index: int) -> List[Ratio
     return [fam.member(view, n) for n in range(start, max_index + 1)]
 
 
-_GEGENBAUER: Dict[Fraction, List[RationalPoly]] = {}
+#: (nu, c) -> C_0^(nu)(x; c), C_1, ... so far; C_n^(lam) is under (lam, 0).
+_GEGENBAUER: Dict[Tuple[Fraction, Scalar], List[RationalPoly]] = {}
 _GEGENBAUER_LOCK = threading.Lock()
 
 
+def _ultraspherical(nu: Fraction, c: Scalar, count: int) -> List[RationalPoly]:
+    """The shared C_n^(nu)(x; c), extended under the lock through count; not to
+    be changed.  Step m solves (m + c) C_m = (2m + 2(nu + c - 1)) x C_{m-1}
+    - (m + 2 nu + c - 2) C_{m-2}, with the constants folded once."""
+    with _GEGENBAUER_LOCK:
+        seq = _GEGENBAUER.setdefault((nu, c), [RationalPoly.one()])
+        if len(seq) <= count:
+            a, b = 2 * (nu + c - 1), -(2 * nu + c - 2)
+            for m in range(len(seq), count + 1):
+                den = m + c
+                if not den:
+                    raise ZeroDivisionError(f"degenerate association parameter at step n={m - 1}")
+                prev = seq[m - 2] if m > 1 else RationalPoly.zero()
+                seq.append(shift_combination(seq[m - 1], (2 * m + a) / den, prev, (b - m) / den))
+        return seq
+
+
+def assoc_ultraspherical(nu: Scalar, assoc_c: Scalar, count: int) -> List[RationalPoly]:
+    """Associated ultraspherical polynomials C_0 .. C_count from
+
+        2x (n + nu + c) C_n = (n + c + 1) C_{n+1} + (2 nu + n + c - 1) C_{n-1},
+
+    with C_{-1} = 0 and C_0 = 1: a copy of the cached sequence.  At c = 0 these
+    are the Gegenbauer polynomials, and at nu = -1/2, c = 3/2 the recurrence
+    is exactly that of the q_n = P_{-4,2n} sequence.
+    """
+    nu = Fraction(nu)
+    assoc_c = Fraction(assoc_c)
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    return _ultraspherical(nu, assoc_c, count)[: count + 1]
+
+
 def gegenbauer(lam: Union[Rational, int], n: int) -> RationalPoly:
-    """Gegenbauer polynomial C_n^(lam) by the standard three-term recurrence
-
-        n C_n = 2(n + lam - 1) c C_{n-1} - (n + 2 lam - 2) C_{n-2},
-
-    with C_0 = 1 and C_1 = 2 lam c.  Exact for rational lam.  Each lam keeps
-    its sequence in a shared cache that is extended under a lock, so a run
-    over n = 0..N costs N recurrence steps in total.
+    """Gegenbauer polynomial C_n^(lam), exact for rational lam: the association-0
+    sequence of ``assoc_ultraspherical``, n C_n = 2(n + lam - 1) c C_{n-1}
+    - (n + 2 lam - 2) C_{n-2} with C_0 = 1, cached so that n = 0..N costs N steps.
     """
     if n < 0:
         raise ValueError("Gegenbauer degree must be >= 0")
-    lam = Fraction(lam)
-    with _GEGENBAUER_LOCK:
-        seq = _GEGENBAUER.get(lam)
-        if seq is None:
-            seq = _GEGENBAUER[lam] = [RationalPoly.one(), RationalPoly.monomial(2 * lam, 1)]
-        for m in range(len(seq), n + 1):
-            seq.append(
-                shift_combination(
-                    seq[m - 1], 2 * (m + lam - 1) / m, seq[m - 2], -(m + 2 * lam - 2) / m
-                )
-            )
-        return seq[n]
+    return _ultraspherical(Fraction(lam), 0, n)[n]
 
 
 def verify_gegenbauer_link(n: int) -> bool:

@@ -32,8 +32,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import RationalPoly, VerificationError, is_shift_combination, shift_combination
+from .exact import RationalPoly, VerificationError, is_shift_combination
 from .families import FamilyId, get_family
+from .families import assoc_ultraspherical  # noqa: F401  (battery and perfbench's spans use it)
 
 Scalar = Union[int, Fraction]
 
@@ -415,35 +416,8 @@ def nonclassical_check(tag: str, max_n: int) -> NonclassicalWitness:
 
 
 # ---------------------------------------------------------------------------
-# associated ultraspherical / Jacobi recurrences
+# associated Jacobi recurrence
 # ---------------------------------------------------------------------------
-
-
-def assoc_ultraspherical(nu: Scalar, assoc_c: Scalar, count: int) -> List[RationalPoly]:
-    """Associated ultraspherical polynomials C_0 .. C_count from
-
-        2x (n + nu + c) C_n = (n + c + 1) C_{n+1} + (2 nu + n + c - 1) C_{n-1},
-
-    with C_{-1} = 0 and C_0 = 1.  At nu = -1/2, c = 3/2 this is exactly the
-    three-term recurrence of the q_n = P_{-4,2n} sequence.
-    """
-    nu = Fraction(nu)
-    assoc_c = Fraction(assoc_c)
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    prev = RationalPoly.zero()
-    cur = RationalPoly.one()
-    out = [cur]
-    for n in range(count):
-        denom = n + assoc_c + 1
-        if denom == 0:
-            raise ZeroDivisionError(f"degenerate association parameter at step n={n}")
-        nxt = shift_combination(
-            cur, 2 * (n + nu + assoc_c) / denom, prev, -(2 * nu + n + assoc_c - 1) / denom
-        )
-        prev, cur = cur, nxt
-        out.append(cur)
-    return out
 
 
 def assoc_jacobi(

@@ -21,7 +21,7 @@ from djkm.exact import (
     table_combinations,
 )
 from djkm import exact
-from djkm.diffops import CASE3_TABLE, ELLIPTIC1_TABLE, ELLIPTIC2_TABLE
+from djkm.diffops import CASE3_TABLE, ELLIPTIC1_TABLE, ELLIPTIC2_TABLE, LinearDiffOp
 from djkm.exact import _pack, _unpack
 from djkm.families import FamilyId, get_family
 
@@ -123,6 +123,15 @@ def test_json_round_trip():
     data = p.to_json()
     assert data == {"coeffs": [["-1", "7"], ["0", "1"], ["32", "35"]]}
     assert RationalPoly.from_json(data) == p
+
+
+def test_constants_hash_as_the_scalars_they_equal():
+    for value in (0, 1, -3, F(1, 2), F(-7, 3), 2**80):
+        p = RationalPoly.constant(value)
+        assert p == value and hash(p) == hash(value) == hash(F(value))
+        assert len({p, value, F(value)}) == 1
+    assert len({RationalPoly.one(), 1, RationalPoly.zero(), 0}) == 2
+    assert hash(C) == hash((F(0), F(1)))
 
 
 def test_float_evaluate_with_numerators_beyond_float_range():
@@ -251,7 +260,8 @@ def test_matches_fraction_list_reference(a, b, s, k, x, fs, s2):
         assert_canonical(p)
         assert p.coeffs == tuple(ref), name
         assert p == RationalPoly(ref), name
-        assert hash(p) == hash(tuple(ref)), name
+        # a constant hashes as the scalar it equals
+        assert hash(p) == hash(tuple(ref) if len(ref) > 1 else ref[0] if ref else 0), name
         assert p.to_json() == {
             "coeffs": [[str(y.numerator), str(y.denominator)] for y in ref]
         }, name
@@ -373,6 +383,26 @@ def test_sweep_kernel_on_odd_shifts_and_wide_slots(monkeypatch, rows, wide):
     for (n, q), r in zip(points, got):
         assert r == ref_table_combination(rows, n, q), (n, q)
     assert widths and set(widths) == ({128} if wide else {64})
+
+
+def test_operator_with_coprime_denominators_applies_in_wide_slots(monkeypatch):
+    # over the lcm of its coprime denominators, past 2**64, the operator is an
+    # integer table whose weights need slots wider than 64 bits
+    fs = (
+        RationalPoly([F(3, 2**61 - 1), F(-1, 7)]),
+        RationalPoly([0, F(5, 2**31 - 1)]),
+        RationalPoly([F(2, 3), 0, F(-1, 2**61 - 1)]),
+    )
+    assert math.lcm(*(f._den for f in fs)) > 2**64
+    op = LinearDiffOp(fs)
+    widths = spy_widths(monkeypatch)
+    polys = [
+        RationalPoly([F(3**k, 7**j) for j, k in enumerate(range(m, 0, -1))]) for m in (1, 2, 9)
+    ]
+    for q in [RationalPoly.zero()] + [q for p in polys for q in perturbed(p)]:
+        ref = ref_diff_combination([list(f.coeffs) for f in fs], list(q.coeffs))
+        assert op.apply(q) == RationalPoly(ref), q
+    assert widths and min(widths) > 64
 
 
 @pytest.mark.parametrize(
@@ -693,4 +723,9 @@ def test_series_json_round_trip():
     data = s.to_json()
     assert data["lowest_order"] == 0
     assert data["truncation_order"] == 6
-    assert LaurentSeries.from_json(data) == s
+    rebuilt = LaurentSeries(
+        data["lowest_order"],
+        [RationalPoly.from_json(p) for p in data["coeffs"]],
+        data["truncation_order"],
+    )
+    assert rebuilt == s

@@ -16,6 +16,7 @@ from djkm.families import (
     FamilyId,
     IndexView,
     PolynomialFamily,
+    assoc_ultraspherical,
     gegenbauer,
     generate,
     get_family,
@@ -298,6 +299,26 @@ def test_concurrent_gegenbauer_is_consistent(monkeypatch):
         sys.setswitchinterval(interval)
     monkeypatch.setattr(families, "_GEGENBAUER", {})
     assert results == [gegenbauer(lam, n) for lam, n in requests]
+
+
+@pytest.mark.parametrize("lam", [F(-1, 2), F(1, 3), F(3, 2), 2])
+def test_gegenbauer_is_association_zero(monkeypatch, lam):
+    monkeypatch.setattr(families, "_GEGENBAUER", {})
+    ultra = assoc_ultraspherical(lam, 0, 40)
+    assert len(ultra) == 41
+    assert all(gegenbauer(lam, n) == ultra[n] for n in range(41))
+    # one sequence under one key, whichever call made it
+    assert list(families._GEGENBAUER) == [(F(lam), 0)]
+
+
+def test_assoc_ultraspherical_returns_a_copy():
+    first = assoc_ultraspherical(F(-1, 2), F(3, 2), 6)
+    expected = list(first)
+    first[3] = ZERO
+    first.append(ONE)
+    del first[:2]
+    assert assoc_ultraspherical(F(-1, 2), F(3, 2), 6) == expected
+    assert assoc_ultraspherical(F(-1, 2), F(3, 2), 4) == expected[:5]
 
 
 def test_gegenbauer_link_base_case():

@@ -73,6 +73,16 @@ def test_import_loads_neither(module):
     assert fresh(f"import sys, {module}\nprint({LOADED})\n") == "[]\n"
 
 
+def test_assoc_ultraspherical_loads_neither():
+    script = (
+        "import sys, djkm\n"
+        "from fractions import Fraction as F\n"
+        "q = djkm.assoc_ultraspherical(F(-1, 2), F(3, 2), 4)[4]\n"
+        f"print(q == djkm.get_family('P-4').q(4), {LOADED})\n"
+    )
+    assert fresh(script) == "True []\n"
+
+
 def test_ortho_names_resolve_to_the_module():
     script = (
         "import sys, djkm\n"

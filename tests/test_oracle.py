@@ -303,7 +303,7 @@ def test_tampered_gegenbauer_misses_the_memo(monkeypatch):
     oracle._product.cache_clear()
     assert expand_elliptic1(40).matched
     # C_1^(3/2) = 4c instead of 3c: the bracket's z^1 coefficient becomes 0
-    wrong = {F(3, 2): [ONE, RationalPoly.monomial(4, 1)]}
+    wrong = {(F(3, 2), 0): [ONE, RationalPoly.monomial(4, 1)]}
     monkeypatch.setattr(families, "_GEGENBAUER", wrong)
     res = expand_gegenbauer_sum(40)
     assert res.matched is False
