@@ -1,18 +1,17 @@
 """Reduction of Kahler differentials mod dR and the central-extension cocycle.
 
-The coordinate ring is R = C[t, t^-1, u | u^2 = p(t)] with p(t) = t^4 - 2ct^2 + 1.
-Classes in Omega^1_R / dR are expanded over the five-dimensional center basis
+The coordinate ring is R = C[t, t^-1, u | u^2 = p(t)] with p(t) = t^4 - 2ct^2 + 1,
+the only input of the computation.  Classes in Omega^1_R / dR are expanded over
 
-    w0 = class(t^-1 dt),    w_k = class(t^k u dt)  for k = -1, -2, -3, -4,
+    w0 = class(t^-1 dt),    w_k = class(t^k u dt)  for k = -1, ..., -deg p,
 
 with RationalPoly coordinates.  Monomials t^k u dt reduce into this basis by
-the relation
 
-    (6 + 2k) t^k u dt == -2(k-3) t^{k-4} u dt + 4kc t^{k-2} u dt   (mod dR),
+    d(t^m u^3) = sum_e (m + 3e/2) p_e t^{m+e-1} u dt == 0   (mod dR),
 
-applied downward for k >= 0 and solved for the lowest index when k <= -5.
-The cocycle of two ring monomials is the class of f dg, computed with
-d(t^b u) = b t^{b-1} u dt + t^b du and u du = p'(t) dt / 2.
+solved for its top term (e = deg p) when k >= 0 and for its bottom term
+(e = 0) when k < -deg p.  The cocycle of two ring monomials is the class of
+f dg, computed with d(t^b u) = b t^{b-1} u dt + t^b du and u du = p'(t) dt / 2.
 """
 
 from __future__ import annotations
@@ -22,24 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
-from .exact import RationalPoly
+from .exact import RationalPoly, VerificationError
 from .families import FamilyId, get_family
 
 _C = RationalPoly.variable()
 _ZERO = RationalPoly.zero()
 _ONE = RationalPoly.one()
 
-#: Basis names of the u-basis indices, and all five names in JSON order.
-_U_NAMES = {k: f"w{k}" for k in (-1, -2, -3, -4)}
-_NAMES = ("w0", *_U_NAMES.values())
+#: p(t) = t^4 - 2ct^2 + 1 as {power of t: coefficient}; ints scale faster.
+_P = {4: 1, 2: _C * -2, 0: 1}
 
-#: p(t) = t^4 - 2ct^2 + 1 and p'(t)/2 = 2t^3 - 2ct by power e of t in p:
-#: e -> (coefficient of t^e in p, coefficient of t^(e-1) in p'/2).
-_P_TERMS = {
-    4: (_ONE, RationalPoly.constant(2)),
-    2: (_C * -2, _C * -2),
-    0: (_ONE, _ZERO),
-}
+#: Basis names of the u-basis indices, and all five names in JSON order.
+_U_NAMES = {k: f"w{k}" for k in range(-1, -max(_P) - 1, -1)}
+_NAMES = ("w0", *_U_NAMES.values())
 
 
 class OmegaVector:
@@ -118,9 +112,24 @@ def t_pow_u(exponent: int) -> RMonomial:
     return RMonomial(exponent, True)
 
 
-# Reduction cache: a contiguous original-index window [_low, _high] of classes.
+# Reduction cache: the classes of t^k u dt over a contiguous window of k.
 _U_CACHE: Dict[int, OmegaVector] = {k: OmegaVector.basis_u(k) for k in _U_NAMES}
 _U_LOCK = threading.Lock()
+
+
+def _solve(k: int, end: int) -> OmegaVector:
+    """Class of t^k u dt as the e = end term of 2 d(t^m u^3) = sum_e (2m + 3e)
+    p_e t^{m+e-1} u dt == 0; the classes of the other terms must be cached.
+    2m + 3 end is 2k + 6 >= 6 at the top (k >= 0), 2k + 2 <= -8 at the bottom."""
+    lead = _P[end]
+    if not isinstance(lead, (int, Fraction)) or not lead:
+        raise VerificationError(f"p(t) has t^{end} coefficient {lead}, not a nonzero constant")
+    m = k + 1 - end
+    total = OmegaVector.zero()
+    for e, p_e in _P.items():
+        if e != end:
+            total = total + _U_CACHE[m + e - 1].scale(p_e * (2 * m + 3 * e))
+    return total.scale(Fraction(-1, 2 * m + 3 * end) / lead)
 
 
 def reduce_u_monomial(k: int) -> OmegaVector:
@@ -131,19 +140,11 @@ def reduce_u_monomial(k: int) -> OmegaVector:
         hi = max(_U_CACHE)
         while hi < k:
             hi += 1
-            # downward rule; denominator 6 + 2 hi >= 6 for hi >= 0
-            _U_CACHE[hi] = (
-                _U_CACHE[hi - 4].scale(-2 * (hi - 3))
-                + _U_CACHE[hi - 2].scale(_C * (4 * hi))
-            ).scale(Fraction(1, 6 + 2 * hi))
+            _U_CACHE[hi] = _solve(hi, max(_P))
         lo = min(_U_CACHE)
         while lo > k:
             lo -= 1
-            # upward rule from the same relation; 2(lo + 1) <= -8 for lo <= -5
-            _U_CACHE[lo] = (
-                _U_CACHE[lo + 2].scale(_C * (4 * (lo + 4)))
-                - _U_CACHE[lo + 4].scale(14 + 2 * lo)
-            ).scale(Fraction(1, 2 * (lo + 1)))
+            _U_CACHE[lo] = _solve(lo, min(_P))
     return _U_CACHE[k]
 
 
@@ -159,11 +160,10 @@ def cocycle(f: RMonomial, g: RMonomial) -> OmegaVector:
         # t^a d(t^b) = b t^{a+b-1} dt
         return reduce_plain(a + b - 1).scale(b)
     if f.has_u and g.has_u:
-        # t^a u d(t^b u) = [b t^{a+b-1} p(t) + t^{a+b} p'(t)/2] dt is plain: its
-        # t^{a+b-1+e} dt term has coefficient b p_e + (p'/2)_{e-1}, and of
-        # those only t^-1 dt (e = -a-b) has a nonzero class.
-        p_e, half_dp = _P_TERMS.get(-a - b, (_ZERO, _ZERO))
-        return OmegaVector({"w0": p_e * b + half_dp})
+        # t^a u d(t^b u) = [b t^{a+b-1} p(t) + t^{a+b} p'(t)/2] dt
+        # = sum_e (b + e/2) p_e t^{a+b+e-1} dt is plain, and of its terms only
+        # t^-1 dt (e = -a-b, so b + e/2 = (b-a)/2) has a nonzero class.
+        return OmegaVector({"w0": _ONE * Fraction(b - a, 2) * _P.get(-a - b, 0)})
     if f.has_u:
         # t^a u d(t^b) = b t^{a+b-1} u dt
         return reduce_u_monomial(a + b - 1).scale(b)

@@ -5,6 +5,7 @@ import pytest
 
 from djkm import battery, cocycle, ortho
 from djkm.cocycle import OmegaVector
+from djkm.exact import RationalPoly
 
 
 def test_every_row_has_one_argument_tuple_per_profile():
@@ -71,17 +72,21 @@ def test_orthogonality_checks_tie_exactly_what_they_read(monkeypatch, size):
         assert ok, check
 
 
+#: The three cocycle checks, by short name.
+COCYCLE_CHECKS = {
+    "psi": battery.psi_table,
+    "uu": battery.uu_central_terms,
+    "antisymmetry": battery.antisymmetry,
+}
+
+
+def cocycle_verdicts():
+    return {name: battery.item(name, check, 4)["status"] for name, check in COCYCLE_CHECKS.items()}
+
+
 def test_each_cocycle_check_fails_alone(monkeypatch):
-    checks = {
-        "psi": battery.psi_table,
-        "uu": battery.uu_central_terms,
-        "antisymmetry": battery.antisymmetry,
-    }
 
-    def verdicts():
-        return {name: battery.item(name, check, 4)["status"] for name, check in checks.items()}
-
-    assert set(verdicts().values()) == {"pass"}
+    assert set(cocycle_verdicts().values()) == {"pass"}
     real_psi, real_uu, real_plain = cocycle.psi, cocycle.uu_central_term, cocycle.reduce_plain
     mutants = {
         "psi": ("psi", lambda i, j: real_psi(i, j).scale(2) if i + j == 3 else real_psi(i, j)),
@@ -95,8 +100,17 @@ def test_each_cocycle_check_fails_alone(monkeypatch):
     for broken, (attr, mutant) in mutants.items():
         with monkeypatch.context() as patch:
             patch.setattr(cocycle, attr, mutant)
-            got = verdicts()
-        assert got == {name: "fail" if name == broken else "pass" for name in checks}, broken
+            got = cocycle_verdicts()
+        assert got == {name: "fail" if name == broken else "pass" for name in COCYCLE_CHECKS}, broken
+
+
+def test_a_wrong_ring_fails_the_psi_table(monkeypatch):
+    # the reduction reads p(t) alone, so with p = t^4 - 3ct^2 + 1 it no longer
+    # meets the paper's table, which the families' recurrence generates
+    basis = {k: OmegaVector.basis_u(k) for k in cocycle._U_NAMES}
+    monkeypatch.setattr(cocycle, "_U_CACHE", basis)
+    monkeypatch.setitem(cocycle._P, 2, RationalPoly.variable() * -3)
+    assert cocycle_verdicts() == {"psi": "fail", "uu": "fail", "antisymmetry": "pass"}
 
 
 def test_gegenbauer_link_rejects_an_empty_sweep():

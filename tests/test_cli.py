@@ -528,6 +528,21 @@ def test_failing_report_exits_1(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
+def test_a_ring_the_reduction_cannot_solve_fails_the_psi_item_with_an_error(monkeypatch, capsys):
+    # p with t^4 coefficient c: the reduction cannot divide by it, so the psi
+    # item reports the error and the others still run
+    basis = {k: cocycle.OmegaVector.basis_u(k) for k in cocycle._U_NAMES}
+    monkeypatch.setattr(cocycle, "_U_CACHE", basis)
+    monkeypatch.setitem(cocycle._P, 4, RationalPoly.variable())
+    code, out = run_cli(capsys, "all", "--profile", "quick")
+    assert code == 1
+    items = {item["check"]: item for item in json.loads(out)["items"]}
+    assert list(items) == ALL_ITEMS
+    psi = items["cocycle-psi-table"]
+    assert psi["status"] == "fail"
+    assert "not a nonzero constant" in psi["error"]
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "djkm.cli", "gen", "--family", "P-4", "--max-n", "4"],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import djkm.cocycle as cocycle_module
 from djkm.cocycle import (
     OmegaVector,
     cocycle,
@@ -19,7 +20,7 @@ from djkm.cocycle import (
     verify_psi_table,
     verify_uu_terms,
 )
-from djkm.exact import RationalPoly
+from djkm.exact import RationalPoly, VerificationError
 
 C = RationalPoly.variable()
 HALF = RationalPoly.constant(F(1, 2))
@@ -63,15 +64,34 @@ def test_reduce_upward_values():
     )
 
 
-def test_reduction_satisfies_defining_relation_everywhere():
-    # (6+2k) red(k) = -2(k-3) red(k-4) + 4kc red(k-2), both directions; this
-    # also certifies that the upward rule inverts the downward one
-    for k in range(-30, 31):
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """cocycle's reduction cache back to the basis window, restored afterwards."""
+    basis = {k: OmegaVector.basis_u(k) for k in cocycle_module._U_NAMES}
+    monkeypatch.setattr(cocycle_module, "_U_CACHE", basis)
+
+
+@pytest.mark.parametrize("first", [-60, 120], ids=["bottom-first", "top-first"])
+def test_reduction_satisfies_defining_relation_everywhere(cold_cache, first):
+    # The paper's master recurrence, typed here by hand as the reference for
+    # the reduction derived from p(t):
+    #   (6+2k) red(k) = -2(k-3) red(k-4) + 4kc red(k-2).
+    # It must hold in both directions, whichever end of a cold cache is filled
+    # first; this also certifies that the bottom solve inverts the top one.
+    reduce_u_monomial(first)
+    for k in range(-60, 121):
         lhs = reduce_u_monomial(k).scale(6 + 2 * k)
         rhs = reduce_u_monomial(k - 4).scale(-2 * (k - 3)) + reduce_u_monomial(
             k - 2
         ).scale(C * (4 * k))
         assert (lhs - rhs).is_zero(), f"relation fails at k={k}"
+
+
+def test_a_p_with_a_nonconstant_end_coefficient_is_refused(cold_cache, monkeypatch):
+    # solving for the top term divides by p's t^4 coefficient
+    monkeypatch.setitem(cocycle_module._P, 4, C)
+    with pytest.raises(VerificationError, match="not a nonzero constant"):
+        reduce_u_monomial(0)
 
 
 def test_reduce_plain_cases():
