@@ -23,15 +23,14 @@ from . import battery
 from .cocycle import cocycle as cocycle_of, t_pow, t_pow_u
 from .cocycle import verify_psi_table  # noqa: F401  (perfbench's span test reads this binding)
 from .exact import VerificationError
-from .families import FamilyId, IndexView, VIEW_START, generate
+from .families import SEQUENCES, FamilyId, IndexView, VIEW_START, generate
 
 GEN_FAMILIES = {
     "P-4": (FamilyId.P4, IndexView.SHIFTED),
     "P-3": (FamilyId.P3, IndexView.ORIGINAL),
     "P-2": (FamilyId.P2, IndexView.SHIFTED),
     "P-1": (FamilyId.P1, IndexView.ORIGINAL),
-    "q": (FamilyId.P4, IndexView.Q),
-    "qbar": (FamilyId.P2, IndexView.QBAR),
+    **SEQUENCES,
 }
 
 class UsageError(SystemExit):
@@ -92,7 +91,7 @@ def _report(
 def _cmd_gen(args) -> None:
     family_id, view = GEN_FAMILIES[args.family]
     if args.view is not None:
-        if args.family in ("q", "qbar"):
+        if args.family in SEQUENCES:
             raise UsageError(f"--view conflicts with family {args.family}")
         view = IndexView(args.view)
     with _usage_errors("--max-n"):
@@ -248,19 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cocycle)
 
     p = sub.add_parser("orthogonality", help="Favard data, Hankel, Gram checks")
-    p.add_argument("--family", required=True, choices=["q", "qbar"])
+    p.add_argument("--family", required=True, choices=list(SEQUENCES))
     p.add_argument("--hankel", type=int, default=14)
     p.add_argument("--gram", type=int, default=8)
     p.set_defaults(func=_cmd_orthogonality)
 
     p = sub.add_parser("quadrature", help="Gauss nodes and weights")
-    p.add_argument("--family", required=True, choices=["q", "qbar"])
+    p.add_argument("--family", required=True, choices=list(SEQUENCES))
     p.add_argument("--nodes", type=int, default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_quadrature)
 
     p = sub.add_parser("nonclassical", help="order <= 2 eigenoperator system")
-    p.add_argument("--family", required=True, choices=["q", "qbar"])
+    p.add_argument("--family", required=True, choices=list(SEQUENCES))
     p.add_argument("--max-n", type=int, default=6)
     p.set_defaults(func=_cmd_nonclassical)
 

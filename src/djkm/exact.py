@@ -13,13 +13,13 @@ so a result never claims coefficients that were not actually computed.
 Three kernels build the results of the hot paths in one integer pass with one
 reduction per result: ``table_combinations`` applies a linear differential
 operator sum_i f_i (d/dc)^i, ``shift_combination`` takes one step
-x c a + y b of a three-term recurrence, and ``_packed_sum`` forms a sum of
-weighted products w p q by Kronecker substitution: each parity half of each
-factor becomes one integer at c**2 = 2**w, a term adds one big-integer
-product per pair of halves, and the sum is read back as balanced base-2**w
-digits, with w bounded for each sum.  Each coefficient of the series product
-is one ``_packed_sum``, and so is each step of the recurrence behind
-``sqrt`` and ``pow_neg_3_2``.
+(x c a + y b) / z of a three-term recurrence for integers x, y and z != 0,
+and ``_packed_sum`` forms a sum of weighted products w p q by Kronecker
+substitution: each parity half of each factor becomes one integer at
+c**2 = 2**w, a term adds one big-integer product per pair of halves, and the
+sum is read back as balanced base-2**w digits, with w bounded for each sum.
+Each coefficient of the series product is one ``_packed_sum``, and so is
+each step of the recurrence behind ``sqrt`` and ``pow_neg_3_2``.
 ``table_combinations`` packs the same way: it applies a table of integer
 polynomials in (c, n) at many n, each falling-factorial column k!/(k - i)!
 is one integer with 64-bit slots (wider only when a weight needs it), and a
@@ -27,9 +27,9 @@ shift's weights are one big-integer combination of the columns read back in
 one call.  ``specialise`` evaluates such a table at one n, and
 ``diff_combination`` applies rational coefficients as the constant table
 over the lcm of their denominators, at one point.
-``is_shift_combination`` decides whether a polynomial is one recurrence step
-of two others without building or reducing the step, stopping at the first
-unequal numerator.
+``is_shift_combination`` decides whether a polynomial is one such step
+(x, y, z) of two others without building or reducing the step, stopping at
+the first unequal numerator.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -504,24 +504,25 @@ def _shift_pass(groups: dict, cols: list, width: int, num: tuple, first: int, st
 
 
 def shift_combination(
-    a: RationalPoly, x: Scalar, b: RationalPoly, y: Scalar
+    a: RationalPoly, x: int, b: RationalPoly, y: int, z: int
 ) -> RationalPoly:
-    """x * c * a + y * b for rationals x and y, over one denominator, reduced once."""
-    x, y = _as_rational(x), _as_rational(y)
+    """(x * c * a + y * b) / z for integers x, y and z != 0, over one
+    denominator, reduced once."""
+    if not z:
+        raise ValueError("z must be nonzero")
+    if z < 0:
+        x, y, z = -x, -y, -z
     an = a._num if x else ()
     bn = b._num if y else ()
-    da = x.denominator * a._den
-    db = y.denominator * b._den
-    den = lcm(da if an else 1, db if bn else 1)
-    ma = den // da * x.numerator
-    mb = den // db * y.numerator
+    den = lcm(a._den if an else 1, b._den if bn else 1)
+    ma, mb = den // a._den * x, den // b._den * y
     ta = [0] + [ma * v for v in an]
     tb = [mb * v for v in bn]
     if len(ta) < len(tb):
         ta, tb = tb, ta
     out = list(map(add, ta, tb))
     out.extend(ta[len(tb) :])
-    return _from_parts(*_canonical(out, den))
+    return _from_parts(*_canonical(out, den * z))
 
 
 def is_shift_combination(

@@ -1,16 +1,11 @@
 """The four DJKM polynomial families and their index conventions.
 
-All four families satisfy the same master recurrence in the original index k,
-
-    (6 + 2k) P_k = 4kc P_{k-2} - 2(k-3) P_{k-4},   k >= 0,
-
-and differ only in which of the four initial entries P_{-4}..P_{-1} equals 1.
-The canonical internal indexing is the original one (k >= -4); the shifted,
-q and qbar conventions are pure reindexing layers on top of it:
-
-    shifted(n) = original(n - 4)      n >= 0
-    q(s)       = original(2s)         s >= -2
-    qbar(n)    = q(n + 1)             n >= -1
+All four families satisfy one master recurrence in the original index k,
+z P_k = x c P_{k-2} + y P_{k-4} with the integers (x, y, z) of
+``master_step(k)``, and differ only in which of the four initial entries
+P_{-4}..P_{-1} equals 1.  The canonical internal indexing is the original one
+(k >= -4); the shifted, q and qbar views are reindexings n -> stride n +
+offset, each one row of ``VIEWS``.
 """
 
 from __future__ import annotations
@@ -18,15 +13,10 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Tuple, Union
 
-from .exact import (
-    Rational,
-    RationalPoly,
-    Scalar,
-    VerificationError,
-    shift_combination,
-)
+from .exact import Rational, RationalPoly, Scalar, VerificationError, shift_combination
 
 _C = RationalPoly.variable()
 
@@ -47,20 +37,28 @@ class IndexView(str, Enum):
     QBAR = "qbar"
 
 
-#: Lowest index meaningful in each view.
-VIEW_START = {
-    IndexView.ORIGINAL: -4,
-    IndexView.SHIFTED: 0,
-    IndexView.Q: -2,
-    IndexView.QBAR: -1,
+#: (stride, offset, start): index n >= start of a view is original index
+#: stride n + offset.
+VIEWS = {
+    IndexView.ORIGINAL: (1, 0, -4),
+    IndexView.SHIFTED: (1, -4, 0),
+    IndexView.Q: (2, 0, -2),
+    IndexView.QBAR: (2, 2, -1),
 }
 
-_INITIAL_INDEX = {
-    FamilyId.P4: -4,
-    FamilyId.P3: -3,
-    FamilyId.P2: -2,
-    FamilyId.P1: -1,
+#: Lowest index meaningful in each view.
+VIEW_START = {view: start for view, (_, _, start) in VIEWS.items()}
+
+#: The orthogonal sequences by tag: the family and the degree-graded view.
+SEQUENCES = {
+    "q": (FamilyId.P4, IndexView.Q),
+    "qbar": (FamilyId.P2, IndexView.QBAR),
 }
+
+
+def master_step(k: int) -> Tuple[int, int, int]:
+    """(x, y, z) = (4k, 6 - 2k, 6 + 2k): z P_k = x c P_{k-2} + y P_{k-4} for k >= 0."""
+    return 4 * k, 6 - 2 * k, 6 + 2 * k
 
 
 class PolynomialFamily:
@@ -75,8 +73,9 @@ class PolynomialFamily:
 
     def __init__(self, family_id: FamilyId):
         self.id = FamilyId(family_id)
+        self._seed = int(self.id.value[1:])  # P-4 has P_{-4} = 1
         self._vals: List[RationalPoly] = [
-            RationalPoly.one() if k == _INITIAL_INDEX[self.id] else RationalPoly.zero()
+            RationalPoly.one() if k == self._seed else RationalPoly.zero()
             for k in range(-4, 0)
         ]
         self._lock = threading.Lock()
@@ -85,17 +84,12 @@ class PolynomialFamily:
         with self._lock:
             k = len(self._vals) - 4
             while k <= k_max:
-                # 6 + 2k >= 6 for k >= 0, so both weights are well defined here.
-                p = shift_combination(
-                    self._vals[k + 2],
-                    Fraction(4 * k, 6 + 2 * k),
-                    self._vals[k],
-                    Fraction(-2 * (k - 3), 6 + 2 * k),
-                )
+                x, y, z = master_step(k)
+                p = shift_combination(self._vals[k + 2], x, self._vals[k], y, z)
                 # A family seeded at an even original index is supported on
                 # even indices, the others on odd ones; the complementary
                 # entries must come out zero.
-                if (k - _INITIAL_INDEX[self.id]) % 2 and not p.is_zero():
+                if (k - self._seed) % 2 and not p.is_zero():
                     raise VerificationError(
                         f"{self.id.value}: parity entry k={k} not zero"
                     )
@@ -110,29 +104,23 @@ class PolynomialFamily:
         return self._vals[k + 4]
 
     def shifted(self, n: int) -> RationalPoly:
-        if n < 0:
-            raise IndexError("shifted index must be >= 0")
-        return self.original(n - 4)
+        return self.member(IndexView.SHIFTED, n)
 
     def q(self, s: int) -> RationalPoly:
-        if s < -2:
-            raise IndexError("q index must be >= -2")
-        return self.original(2 * s)
+        return self.member(IndexView.Q, s)
 
     def qbar(self, n: int) -> RationalPoly:
-        if n < -1:
-            raise IndexError("qbar index must be >= -1")
-        return self.q(n + 1)
+        return self.member(IndexView.QBAR, n)
 
     def member(self, view: IndexView, n: int) -> RationalPoly:
-        view = IndexView(view)
-        if view is IndexView.ORIGINAL:
-            return self.original(n)
-        if view is IndexView.SHIFTED:
-            return self.shifted(n)
-        if view is IndexView.Q:
-            return self.q(n)
-        return self.qbar(n)
+        """Index n of view, an IndexView or its str value: no Enum is built."""
+        row = VIEWS.get(view)
+        if row is None:
+            raise ValueError(f"{view!r} is not a valid IndexView")
+        stride, offset, start = row
+        if n < start:
+            raise IndexError(f"{IndexView(view).value} index must be >= {start}")
+        return self.original(stride * n + offset)
 
 
 _REGISTRY: Dict[FamilyId, PolynomialFamily] = {fid: PolynomialFamily(fid) for fid in FamilyId}
@@ -165,17 +153,19 @@ _GEGENBAUER_LOCK = threading.Lock()
 def _ultraspherical(nu: Fraction, c: Scalar, count: int) -> List[RationalPoly]:
     """The shared C_n^(nu)(x; c), extended under the lock through count; not to
     be changed.  Step m solves (m + c) C_m = (2m + 2(nu + c - 1)) x C_{m-1}
-    - (m + 2 nu + c - 2) C_{m-2}, with the constants folded once."""
+    - (m + 2 nu + c - 2) C_{m-2}, times d, the lcm of the denominators of nu
+    and c, so that its three multipliers are integers."""
     with _GEGENBAUER_LOCK:
         seq = _GEGENBAUER.setdefault((nu, c), [RationalPoly.one()])
         if len(seq) <= count:
-            a, b = 2 * (nu + c - 1), -(2 * nu + c - 2)
+            d = lcm(nu.denominator, c.denominator)
+            a, b, e = int(2 * d * (nu + c - 1)), int(-d * (2 * nu + c - 2)), int(d * c)
             for m in range(len(seq), count + 1):
-                den = m + c
-                if not den:
+                z = d * m + e
+                if not z:
                     raise ZeroDivisionError(f"degenerate association parameter at step n={m - 1}")
                 prev = seq[m - 2] if m > 1 else RationalPoly.zero()
-                seq.append(shift_combination(seq[m - 1], (2 * m + a) / den, prev, (b - m) / den))
+                seq.append(shift_combination(seq[m - 1], 2 * d * m + a, prev, b - d * m, z))
         return seq
 
 

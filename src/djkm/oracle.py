@@ -150,9 +150,8 @@ def expand_gegenbauer_sum(order: int) -> OracleResult:
     lam = Fraction(3, 2)
     terms = {-1: RationalPoly.one()}
     for m in range(order // 2):
-        w = Fraction(1, 2 * m + 1)
         terms[2 * m + 1] = shift_combination(
-            gegenbauer(lam, m), 4 * w, gegenbauer(lam, m + 1), -w
+            gegenbauer(lam, m), 4, gegenbauer(lam, m + 1), -1, 2 * m + 1
         )
     bracket = LaurentSeries.from_terms(terms, order - 1)
     return _compare(bracket, FamilyId.P4, order)

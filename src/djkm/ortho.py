@@ -6,8 +6,9 @@ The orthogonal sequences are the degree-graded views of the even families:
     qbar_n = P_{-2, 2n+2} (original indexing),  qbar_0 = 1/5,  deg qbar_n = n
 
 Both satisfy x p_n = A_{n+1} p_{n+1} + C_{n-1} p_{n-1} with zero diagonal and
-A_n C_{n-1} > 0, so Favard's theorem applies after symmetrization.  Exact work
-(moments, Hankel determinants, Gram matrices, the nonclassicality linear
+A_n C_{n-1} > 0, so Favard's theorem applies after symmetrization; A_n and
+C_n come from ``families.master_step``, which generates the families.  Exact
+work (moments, Hankel determinants, Gram matrices, the nonclassicality linear
 system) runs on integer numerators over one denominator, like RationalPoly,
 and builds Fractions only for its results.  The Jacobi matrix enters through
 beta_n^2 = A_n C_{n-1} via the similarity that puts beta_n^2 above the
@@ -33,7 +34,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exact import RationalPoly, VerificationError, is_shift_combination
-from .families import FamilyId, get_family
+from . import families
+from .families import SEQUENCES, VIEWS, get_family
 from .families import assoc_ultraspherical  # noqa: F401  (battery and perfbench's spans use it)
 
 Scalar = Union[int, Fraction]
@@ -47,36 +49,44 @@ class NoConvergenceError(ArithmeticError):
 # three-term recurrence data
 # ---------------------------------------------------------------------------
 
-ORTHO_TAGS = ("q", "qbar")
+
+def _sequence(tag: str):
+    """The (family, view) pair of an orthogonal sequence tag."""
+    if tag not in SEQUENCES:
+        raise ValueError(f"unknown orthogonal sequence tag {tag!r}")
+    return SEQUENCES[tag]
 
 
 def _member(tag: str, n: int) -> RationalPoly:
-    if tag == "q":
-        return get_family(FamilyId.P4).q(n)
-    if tag == "qbar":
-        return get_family(FamilyId.P2).qbar(n)
-    raise ValueError(f"unknown orthogonal sequence tag {tag!r}")
+    family_id, view = _sequence(tag)
+    return get_family(family_id).member(view, n)
 
 
 @dataclass(frozen=True)
 class ThreeTermData:
     """Coefficients of x p_n = A_{n+1} p_{n+1} + C_{n-1} p_{n-1}.
 
-    The diagonal coefficient B_n is identically 0 for both sequences, so the
-    Jacobi matrix is fixed by its squared off-diagonal entries beta_n^2.
-    A and C are exposed by their own subscript; C_{-1} is 0 by convention
-    (its recurrence partner p_{-1} is the zero polynomial).
+    At k the original index of p_{n+1}, (x, y, z) = families.master_step(k)
+    reads z p_{n+1} = x c p_n + y p_{n-1}, so A_{n+1} = z/x and
+    C_{n-1} = -y/x.  The diagonal coefficient B_n is identically 0 for both
+    sequences, so the Jacobi matrix is fixed by its squared off-diagonal
+    entries beta_n^2.  A and C are exposed by their own subscript; C_{-1} is
+    0 by convention (its recurrence partner p_{-1} is the zero polynomial).
     """
 
     family: str
+
+    def __post_init__(self):
+        # p_n is P at original index stride n + offset, read once per tag
+        stride, offset, _ = VIEWS[_sequence(self.family)[1]]
+        object.__setattr__(self, "_k", lambda n: stride * n + offset)
 
     def A_pair(self, n: int) -> Tuple[int, int]:
         """A_n as an integer (numerator, denominator) pair, not reduced."""
         if n < 1:
             raise ValueError("A_n is defined for n >= 1")
-        if self.family == "q":
-            return 2 * n + 3, 4 * n
-        return 2 * n + 5, 4 * (n + 1)
+        x, _, z = families.master_step(self._k(n))
+        return z, x
 
     def C_pair(self, n: int) -> Tuple[int, int]:
         """C_n as an integer (numerator, denominator) pair, not reduced."""
@@ -84,9 +94,8 @@ class ThreeTermData:
             return 0, 1
         if n < -1:
             raise ValueError("C_n is defined for n >= -1")
-        if self.family == "q":
-            return 2 * n + 1, 4 * (n + 2)
-        return 2 * n + 3, 4 * (n + 3)
+        x, y, _ = families.master_step(self._k(n + 2))
+        return -y, x
 
     def A(self, n: int) -> Fraction:
         return Fraction(*self.A_pair(n))
@@ -109,8 +118,6 @@ class ThreeTermData:
 
 
 def three_term(tag: str) -> ThreeTermData:
-    if tag not in ORTHO_TAGS:
-        raise ValueError(f"unknown orthogonal sequence tag {tag!r}")
     return ThreeTermData(tag)
 
 
@@ -126,6 +133,8 @@ def recurrence_mismatch(tag: str, count: int) -> Optional[int]:
     C = cn/cd in lowest terms, an cd p_{n+1} = ad cd x p_n - ad cn p_{n-1}.
     """
     data = three_term(tag)
+    if count < 1:
+        raise ValueError("count must be >= 1")
     prev, cur = RationalPoly.zero(), _member(tag, 0)
     for n in range(count):
         nxt = _member(tag, n + 1)
@@ -576,6 +585,8 @@ def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
 
 def quad_orthogonality(tag: str, n_nodes: int, max_deg: int) -> float:
     """Max |sum_k w_k p_i(x_k) p_j(x_k)| over i != j <= max_deg."""
+    if max_deg < 1:
+        raise ValueError("max_deg must be >= 1")
     if n_nodes <= max_deg:
         raise ValueError("need n_nodes > max_deg for Gauss exactness")
     nodes, weights = golub_welsch(tag, n_nodes)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 
 import pytest
 
@@ -486,6 +487,27 @@ def test_cold_and_warm_caches_give_the_same_report(monkeypatch, tmp_path):
     for report in reports:
         del report["wall_time_ms"]
     assert reports[0] == reports[1]
+
+
+def test_a_wrong_master_step_fails_the_pinned_closed_forms(monkeypatch, capsys):
+    # z = 8 + 2k in the one statement of the recurrence: the families and the
+    # three-term data both follow it, so the ties agree, and the typed tables
+    # and the written-out lambda_1^2 are what catch it
+    for cache in (oracle._product, oracle._sqrt, oracle._pow_neg_3_2):
+        cache.cache_clear()
+    for fid in families.FamilyId:
+        monkeypatch.setitem(families._REGISTRY, fid, families.PolynomialFamily(fid))
+    monkeypatch.setattr(families, "_GEGENBAUER", {})
+    monkeypatch.setattr(families, "master_step", lambda k: (4 * k, 6 - 2 * k, 8 + 2 * k))
+    assert ortho.three_term("q").A(1) == F(12, 8)
+    code, out = run_cli(capsys, "all", "--profile", "quick")
+    assert code == 1
+    items = {item["check"]: item for item in json.loads(out)["items"]}
+    assert list(items) == ALL_ITEMS
+    assert items["family-tables"]["status"] == "fail"
+    favard = items["favard-lambdas"]
+    assert favard["status"] == "fail"
+    assert "first_failure" not in favard and favard["lambda1_sq"] != "1/10"
 
 
 def test_out_file(tmp_path, capsys):

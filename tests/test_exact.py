@@ -151,6 +151,14 @@ def rationals():
     return st.one_of(small_fractions(), wide)
 
 
+def steps():
+    """Integer steps (x, y, z) of shift_combination: z nonzero of either sign,
+    and x = 0 or y = 0 drawn often."""
+    multiplier = st.one_of(st.just(0), st.integers(-12, 12), st.integers(-(2**70), 2**70))
+    divisor = st.one_of(st.integers(-12, 12), st.integers(-(2**40), 2**40)).filter(bool)
+    return st.tuples(multiplier, multiplier, divisor)
+
+
 def trimmed(cs):
     cs = [F(x) for x in cs]
     while cs and cs[-1] == 0:
@@ -221,9 +229,9 @@ def ref_float_horner(ref, x):
         st.one_of(st.just([]), st.lists(st.one_of(st.just(F(0)), rationals()), max_size=7)),
         max_size=5,
     ),
-    rationals(),
+    steps(),
 )
-def test_matches_fraction_list_reference(a, b, s, k, x, fs, s2):
+def test_matches_fraction_list_reference(a, b, s, k, x, fs, step):
     pa, pb = RationalPoly(a), RationalPoly(b)
     ra, rb = trimmed(a), trimmed(b)
     rfs = [trimmed(f) for f in fs]
@@ -242,8 +250,11 @@ def test_matches_fraction_list_reference(a, b, s, k, x, fs, s2):
             ref_diff_combination(rfs, ra),
         ),
         "shift-combination": (
-            shift_combination(pa, s, pb, s2),
-            ref_add([u * s for u in [F(0)] + ra], [u * s2 for u in rb]),
+            shift_combination(pa, step[0], pb, step[1], step[2]),
+            ref_add(
+                [u * F(step[0], step[2]) for u in [F(0)] + ra],
+                [u * F(step[1], step[2]) for u in rb],
+            ),
         ),
     }
     if s:
@@ -273,38 +284,32 @@ def test_matches_fraction_list_reference(a, b, s, k, x, fs, s2):
         assert repr(p.evaluate(fx)) == repr(ref_float_horner(ref, fx)), name
 
 
-def tie(target, a, x, b, y):
-    """is_shift_combination for rational x and y, over z = lcm of their denominators."""
-    x, y = F(x), F(y)
-    z = math.lcm(x.denominator, y.denominator)
-    return is_shift_combination(target, a, int(x * z), b, int(y * z), z)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     polys(),
-    small_fractions(),
+    steps(),
     st.one_of(st.just(RationalPoly.zero()), polys()),
-    small_fractions(),
     # the target's offset from the step, often zero
     st.one_of(st.just(RationalPoly.zero()), polys(), polys().map(lambda p: p.scale_shift(1, 1))),
 )
-def test_shift_tie_agrees_with_building_the_step(a, x, b, y, offset):
-    step = shift_combination(a, x, b, y)
+def test_shift_tie_agrees_with_building_the_step(a, xyz, b, offset):
+    x, y, z = xyz
+    step = shift_combination(a, x, b, y, z)
     top = RationalPoly.monomial(step.coefficient(step.degree), max(step.degree, 0))
     # the step itself, plus an offset, doubled, and cut below its top term
     for target in (step + offset, step.scale_shift(2, 0) + offset, step - top):
-        assert tie(target, a, x, b, y) == (step == target)
+        assert is_shift_combination(target, a, x, b, y, z) == (step == target)
 
 
 def test_shift_tie_with_a_zero_second_operand():
     # the first step of a three-term recurrence, p_{-1} = 0, on a mixed-parity a
     a, zero = RationalPoly([F(1, 3), 2, F(-5, 6)]), RationalPoly.zero()
-    step = shift_combination(a, F(3, 4), zero, F(1, 2))
+    step = shift_combination(a, 3, zero, 2, 4)
     assert step == a.scale_shift(F(3, 4), 1)
-    assert tie(step, a, F(3, 4), zero, F(1, 2))
-    assert not tie(step + RationalPoly.monomial(F(1, 9), 3), a, F(3, 4), zero, 1)
-    assert not tie(step, a, F(3, 4), RationalPoly.one(), F(1, 2))
+    assert step == shift_combination(a, -3, zero, -2, -4)
+    assert is_shift_combination(step, a, 3, zero, 2, 4)
+    assert not is_shift_combination(step + RationalPoly.monomial(F(1, 9), 3), a, 3, zero, 4, 4)
+    assert not is_shift_combination(step, a, 3, RationalPoly.one(), 2, 4)
 
 
 def test_shift_tie_rejects_a_zero_multiplier_of_the_target():
@@ -312,6 +317,8 @@ def test_shift_tie_rejects_a_zero_multiplier_of_the_target():
     zero = RationalPoly.zero()
     with pytest.raises(ValueError):
         is_shift_combination(RationalPoly.one(), zero, 0, zero, 0, 0)
+    with pytest.raises(ValueError):
+        shift_combination(RationalPoly.one(), 1, zero, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from operator import add, mul
 import pytest
 
 from djkm import cli, families, oracle
-from djkm.exact import LaurentSeries, RationalPoly, VerificationError, shift_combination
+from djkm.exact import LaurentSeries, RationalPoly, VerificationError
 from djkm.families import FamilyId, gegenbauer, get_family
 from djkm.oracle import (
     OracleResult,
@@ -213,10 +213,8 @@ def _untrimmed(expand, order):
     else:
         terms = {-1: ONE}
         for m in range((order + 2) // 2):
-            w = F(1, 2 * m + 1)
-            terms[2 * m + 1] = shift_combination(
-                gegenbauer(F(3, 2), m), 4 * w, gegenbauer(F(3, 2), m + 1), -w
-            )
+            bracket = RationalPoly((0, 4)) * gegenbauer(F(3, 2), m) - gegenbauer(F(3, 2), m + 1)
+            terms[2 * m + 1] = bracket / (2 * m + 1)
         family, odd = FamilyId.P4, LaurentSeries.from_terms(terms, order + 1)
     series = quartic.sqrt().shift(1) * odd
     fam = get_family(family)

@@ -47,20 +47,39 @@ def pochhammer(x, n):
 
 
 def test_three_term_coefficients():
+    # the paper's closed forms through the desk Favard depth, n <= 200; src
+    # derives them from the master step, so they are pinned here by hand
     qbar = three_term("qbar")
     # relation at level n: A_{n+1} = (2n+7)/(4(n+2)), C_{n-1} = (2n+1)/(4(n+2));
     # C_{-1} is 0 by convention, its partner polynomial being zero
     assert qbar.C(-1) == 0
-    for n in range(0, 40):
+    for n in range(0, 201):
         assert qbar.A(n + 1) == F(2 * n + 7, 4 * (n + 2))
         if n >= 1:
             assert qbar.C(n - 1) == F(2 * n + 1, 4 * (n + 2))
+            # beta_n^2 = (2n+5)(2n+1)/(16(n+1)(n+2)), and beta_n its correctly
+            # rounded root
+            beta_sq = F((2 * n + 5) * (2 * n + 1), 16 * (n + 1) * (n + 2))
+            assert qbar.beta_sq(n) == beta_sq
+            assert qbar.beta(n) == math.sqrt(float(beta_sq))
     q = three_term("q")
     assert q.C(-1) == 0  # convention: its partner p_{-1} is the zero polynomial
-    for n in range(0, 40):
+    for n in range(0, 201):
         assert q.A(n + 1) == F(2 * n + 5, 4 * (n + 1))
         if n >= 1:
             assert q.C(n - 1) == F(2 * n - 1, 4 * (n + 1))
+            beta_sq = F((2 * n + 3) * (2 * n - 1), 16 * n * (n + 1))
+            assert q.beta_sq(n) == beta_sq
+            assert q.beta(n) == math.sqrt(float(beta_sq))
+
+
+@pytest.mark.parametrize("tag", ["bogus", "Q", "p-4", ""])
+def test_three_term_data_rejects_an_unknown_tag(tag):
+    # an unknown tag must not fall through to another sequence's data
+    with pytest.raises(ValueError, match="unknown orthogonal sequence tag"):
+        ortho_mod.ThreeTermData(tag)
+    with pytest.raises(ValueError, match="unknown orthogonal sequence tag"):
+        three_term(tag)
 
 
 def test_three_term_recurrence_holds_on_members():
@@ -85,6 +104,12 @@ def test_recurrence_mismatch_ties_the_data_to_the_members(tag, monkeypatch):
     monkeypatch.setattr(ortho_mod.ThreeTermData, "C", lambda self, n: real(self, n) * (1 + (n == 6)))
     assert recurrence_mismatch(tag, 7) is None
     assert recurrence_mismatch(tag, 60) == 7
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_recurrence_mismatch_rejects_a_count_that_checks_nothing(count):
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        recurrence_mismatch("q", count)
 
 
 def test_positivity_of_adjacent_products():
@@ -516,6 +541,13 @@ def test_quad_diagonal_positive():
 def test_quad_orthogonality_requires_enough_nodes():
     with pytest.raises(ValueError):
         quad_orthogonality("q", 8, 8)
+
+
+@pytest.mark.parametrize("max_deg", [0, -1])
+def test_quad_orthogonality_rejects_a_degree_that_compares_no_pair(max_deg):
+    # max_deg < 1 has no pair i != j, so its 0.0 would read as a pass
+    with pytest.raises(ValueError, match="max_deg must be >= 1"):
+        quad_orthogonality("qbar", 12, max_deg)
 
 
 def dense_gauss_rule(tag, n_nodes):
