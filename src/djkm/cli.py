@@ -22,6 +22,7 @@ from typing import List, Optional, TextIO
 from . import battery
 from .cocycle import cocycle as cocycle_of, t_pow, t_pow_u
 from .cocycle import verify_psi_table  # noqa: F401  (perfbench's span test reads this binding)
+from .diffops import ODES
 from .exact import VerificationError
 from .families import SEQUENCES, FamilyId, IndexView, VIEW_START, generate
 
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify-ode", help="exact ODE residual sweeps")
-    p.add_argument("--family", required=True, choices=["P-4", "P-3", "P-2", "P-1"])
+    p.add_argument("--family", required=True, choices=[fid.value for fid in ODES])
     p.add_argument("--max-n", type=int, default=100)
     p.set_defaults(func=_cmd_verify_ode)
 

@@ -1,7 +1,8 @@
 """Reduction of Kahler differentials mod dR and the central-extension cocycle.
 
-The coordinate ring is R = C[t, t^-1, u | u^2 = p(t)] with p(t) = t^4 - 2ct^2 + 1,
-the only input of the computation.  Classes in Omega^1_R / dR are expanded over
+The coordinate ring is R = C[t, t^-1, u | u^2 = p(t)], and p(t), the only
+input of the computation, is read from ``families.QUARTIC`` whenever a class
+is solved or a u-u term formed.  Classes in Omega^1_R / dR are expanded over
 
     w0 = class(t^-1 dt),    w_k = class(t^k u dt)  for k = -1, ..., -deg p,
 
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
+from . import families
 from .exact import RationalPoly, VerificationError
 from .families import FamilyId, get_family
 
@@ -28,11 +30,9 @@ _C = RationalPoly.variable()
 _ZERO = RationalPoly.zero()
 _ONE = RationalPoly.one()
 
-#: p(t) = t^4 - 2ct^2 + 1 as {power of t: coefficient}; ints scale faster.
-_P = {4: 1, 2: _C * -2, 0: 1}
-
-#: Basis names of the u-basis indices, and all five names in JSON order.
-_U_NAMES = {k: f"w{k}" for k in range(-1, -max(_P) - 1, -1)}
+#: Basis names of the u-basis indices, one for each power below deg p, and
+#: all five names in JSON order.
+_U_NAMES = {k: f"w{k}" for k in range(-1, -max(families.QUARTIC) - 1, -1)}
 _NAMES = ("w0", *_U_NAMES.values())
 
 
@@ -121,12 +121,13 @@ def _solve(k: int, end: int) -> OmegaVector:
     """Class of t^k u dt as the e = end term of 2 d(t^m u^3) = sum_e (2m + 3e)
     p_e t^{m+e-1} u dt == 0; the classes of the other terms must be cached.
     2m + 3 end is 2k + 6 >= 6 at the top (k >= 0), 2k + 2 <= -8 at the bottom."""
-    lead = _P[end]
+    p = families.QUARTIC
+    lead = p[end]
     if not isinstance(lead, (int, Fraction)) or not lead:
         raise VerificationError(f"p(t) has t^{end} coefficient {lead}, not a nonzero constant")
     m = k + 1 - end
     total = OmegaVector.zero()
-    for e, p_e in _P.items():
+    for e, p_e in p.items():
         if e != end:
             total = total + _U_CACHE[m + e - 1].scale(p_e * (2 * m + 3 * e))
     return total.scale(Fraction(-1, 2 * m + 3 * end) / lead)
@@ -140,11 +141,11 @@ def reduce_u_monomial(k: int) -> OmegaVector:
         hi = max(_U_CACHE)
         while hi < k:
             hi += 1
-            _U_CACHE[hi] = _solve(hi, max(_P))
+            _U_CACHE[hi] = _solve(hi, max(families.QUARTIC))
         lo = min(_U_CACHE)
         while lo > k:
             lo -= 1
-            _U_CACHE[lo] = _solve(lo, min(_P))
+            _U_CACHE[lo] = _solve(lo, min(families.QUARTIC))
     return _U_CACHE[k]
 
 
@@ -163,7 +164,7 @@ def cocycle(f: RMonomial, g: RMonomial) -> OmegaVector:
         # t^a u d(t^b u) = [b t^{a+b-1} p(t) + t^{a+b} p'(t)/2] dt
         # = sum_e (b + e/2) p_e t^{a+b+e-1} dt is plain, and of its terms only
         # t^-1 dt (e = -a-b, so b + e/2 = (b-a)/2) has a nonzero class.
-        return OmegaVector({"w0": _ONE * Fraction(b - a, 2) * _P.get(-a - b, 0)})
+        return OmegaVector({"w0": _ONE * Fraction(b - a, 2) * families.QUARTIC.get(-a - b, 0)})
     if f.has_u:
         # t^a u d(t^b) = b t^{a+b-1} u dt
         return reduce_u_monomial(a + b - 1).scale(b)

@@ -60,13 +60,24 @@ ELLIPTIC2_TABLE = (
     ((16,), (), (-32,), (), (16,)),
 )
 
+#: Each family's ODE as (table, stride, offset, first), in FamilyId order:
+#: the table's operator at n annihilates P at original index stride n +
+#: offset for every n >= first.  The builders and ``ode_sweep`` read the row
+#: when they run, so one patch moves both.
+ODES = {
+    FamilyId.P4: (ELLIPTIC1_TABLE, 1, -4, 0),
+    FamilyId.P3: (CASE4_TABLE, 2, -3, 2),
+    FamilyId.P2: (ELLIPTIC2_TABLE, 1, -4, 0),
+    FamilyId.P1: (CASE3_TABLE, 2, -3, 2),
+}
+
 
 def build_case3_op(n: int) -> LinearDiffOp:
     """Second-order annihilator of P_{-1, 2n-3} (original indexing), n >= 2:
 
         (c^4 - c^2) D^2 + 2c (c^2 + 1) D + (-c^2 n(n-1) - 2).
     """
-    return LinearDiffOp(specialise(CASE3_TABLE, n))
+    return LinearDiffOp(specialise(ODES[FamilyId.P1][0], n))
 
 
 def build_case4_op(n: int) -> LinearDiffOp:
@@ -74,7 +85,7 @@ def build_case4_op(n: int) -> LinearDiffOp:
 
         (c^2 - 1) D^2 + 4c D - (n+1)(n-2).
     """
-    return LinearDiffOp(specialise(CASE4_TABLE, n))
+    return LinearDiffOp(specialise(ODES[FamilyId.P3][0], n))
 
 
 def build_elliptic1_op(n: int) -> LinearDiffOp:
@@ -84,7 +95,7 @@ def build_elliptic1_op(n: int) -> LinearDiffOp:
         - 8 (c^2 (n^2-4n-46) - n^2+4n+22) D^2
         - 24 c (n^2-4n-6) D + (n-4)^2 n^2.
     """
-    return LinearDiffOp(specialise(ELLIPTIC1_TABLE, n))
+    return LinearDiffOp(specialise(ODES[FamilyId.P4][0], n))
 
 
 def build_elliptic2_op(n: int) -> LinearDiffOp:
@@ -94,7 +105,7 @@ def build_elliptic2_op(n: int) -> LinearDiffOp:
         - 8 (c^2 (n^2-4n-42) - n^2+4n+18) D^2
         - 24 c (n^2-4n-2) D + (n-6)(n-2)^2 (n+2).
     """
-    return LinearDiffOp(specialise(ELLIPTIC2_TABLE, n))
+    return LinearDiffOp(specialise(ODES[FamilyId.P2][0], n))
 
 
 def build_qform_op(n: int) -> LinearDiffOp:
@@ -181,36 +192,28 @@ class OdeRow:
 def ode_sweep(family_id: FamilyId, max_n: int) -> List[OdeRow]:
     """Exact residual of each family's ODE on every index through max_n.
 
-    P-4 and P-2 run the fourth-order operators on the shifted members
-    n = 0..max_n.  P-1 and P-3 run the second-order operators on
-    P_{-1|-3, 2n-3} for n = 2..max_n, and P-1 also checks the cross relation
+    The family's row of ODES gives the operator table and the members it
+    runs on: P-4 and P-2 run the fourth-order operators on the shifted members
+    n = 0..max_n, and P-1 and P-3 the second-order operators on
+    P_{-1|-3, 2n-3} for n = 2..max_n.  P-1 also checks the cross relation
     P_{-1,2n-3} = c P_{-3,2n-3} implied by the two closed forms.  Odd shifted
     indices carry zero members, so their residuals vanish vacuously; they are
     reported, not skipped, because the operator derivation excluded some odd n.
     A max_n below the first index raises ValueError: an empty sweep checks
     nothing and must not pass.
 
-    The sweep reads the family's table when it runs and applies it at every n
+    The sweep reads the row when it runs and applies the table at every n
     through ``table_combinations``, which equals ``build_*_op(n).apply``.
     """
     family_id = FamilyId(family_id)
-    fourth = family_id in (FamilyId.P4, FamilyId.P2)
-    if fourth:
-        table = ELLIPTIC1_TABLE if family_id is FamilyId.P4 else ELLIPTIC2_TABLE
-    else:
-        table = CASE3_TABLE if family_id is FamilyId.P1 else CASE4_TABLE
-    first = 0 if fourth else 2
+    table, stride, offset, first = ODES[family_id]
     if max_n < first:
         raise ValueError(f"max_n must be >= {first} for the {family_id.value} sweep, got {max_n}")
     fam = get_family(family_id)
-
-    def member(n: int) -> RationalPoly:
-        return fam.shifted(n) if fourth else fam.original(2 * n - 3)
-
     # Generate the members in one run before the sweep: interleaving the
     # recurrence with the operator applications measured ~3 % slower.
-    member(max_n)
-    points = [(n, member(n)) for n in range(first, max_n + 1)]
+    fam.original(stride * max_n + offset)
+    points = [(n, fam.original(stride * n + offset)) for n in range(first, max_n + 1)]
     p3 = get_family(FamilyId.P3) if family_id is FamilyId.P1 else None
     rows = []
     for (n, m), residual in zip(points, table_combinations(table, points)):

@@ -52,12 +52,12 @@ class NonDivisibleError(ArithmeticError):
     """Exact polynomial division left a nonzero remainder."""
 
 
-class NotSquareError(ArithmeticError):
-    """Series square root requested outside the supported unit-leading case."""
-
-
 class VerificationError(ArithmeticError):
     """An exact internal consistency check of a computed object failed."""
+
+
+class NotSquareError(VerificationError):
+    """Series square root requested outside the supported unit-leading case."""
 
 
 class ResidueError(VerificationError):
@@ -242,6 +242,10 @@ class RationalPoly:
             return NotImplemented
         if not self._num or not other._num:
             return _ZERO
+        if len(other._num) == 1:
+            return _scaled(self, other.coefficient(0))
+        if len(self._num) == 1:
+            return _scaled(other, self.coefficient(0))
         num = _convolve(self._num, other._num)
         return _from_parts(*_canonical(num, self._den * other._den))
 

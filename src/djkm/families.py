@@ -1,4 +1,4 @@
-"""The four DJKM polynomial families and their index conventions.
+"""The four DJKM polynomial families, their index conventions and the curve.
 
 All four families satisfy one master recurrence in the original index k,
 z P_k = x c P_{k-2} + y P_{k-4} with the integers (x, y, z) of
@@ -6,6 +6,13 @@ z P_k = x c P_{k-2} + y P_{k-4} with the integers (x, y, z) of
 P_{-4}..P_{-1} equals 1.  The canonical internal indexing is the original one
 (k >= -4); the shifted, q and qbar views are reindexings n -> stride n +
 offset, each one row of ``VIEWS``.
+
+``QUARTIC`` is the one statement of the curve p(t) = t^4 - 2ct^2 + 1 of the
+ring C[t, t^-1, u | u^2 = p(t)].  The cocycle's reduction and u-u term, the
+oracles' quartic and the generating-function ODE's left side read it through
+this module when they run, so a patch to it moves every check derived from
+p.  The recurrence, the operator tables and the closed forms the oracles
+compare against stay typed: they are the claims those checks test.
 """
 
 from __future__ import annotations
@@ -59,6 +66,11 @@ SEQUENCES = {
 def master_step(k: int) -> Tuple[int, int, int]:
     """(x, y, z) = (4k, 6 - 2k, 6 + 2k): z P_k = x c P_{k-2} + y P_{k-4} for k >= 0."""
     return 4 * k, 6 - 2 * k, 6 + 2 * k
+
+
+#: p(t) = t^4 - 2ct^2 + 1 as {power of t: coefficient}.  The constant
+#: coefficients are ints: the reduction divides by the two end ones.
+QUARTIC = {4: 1, 2: _C * -2, 0: 1}
 
 
 class PolynomialFamily:

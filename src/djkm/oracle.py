@@ -12,6 +12,11 @@ the families by a route that never touches the recurrence, which makes the
 two engines mutual oracles.  All comparisons are coefficient-exact; there is
 no tolerance anywhere in this module.
 
+The quartic 1 - 2cz^2 + z^4 is the curve's p(z): ``_quartic`` and the left
+side of ``check_funde`` read it from ``families.QUARTIC`` when they run, so
+a patch to p reaches all three expansions and the ODE check.  The prefactors
+(4cz^2 - 1, the Gegenbauer bracket) and the ODE's right side stay typed.
+
 Every expansion ends the same way: an odd series in z (the antiderivative,
 or the Gegenbauer bracket) times z sqrt(1 - 2cz^2 + z^4), compared with the
 family through z^order.  Both factors are cut to what z^order needs, so the
@@ -42,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import families
 from .exact import LaurentSeries, RationalPoly, shift_combination
 from .families import FamilyId, gegenbauer, get_family
 
@@ -65,9 +71,10 @@ class OracleResult:
 
 
 def _quartic(trunc: int) -> LaurentSeries:
-    """1 - 2c z^2 + z^4 as a series known through z^trunc."""
-    terms = {0: RationalPoly.one(), 2: RationalPoly((0, -2)), 4: RationalPoly.one()}
-    return LaurentSeries.from_terms({k: p for k, p in terms.items() if k <= trunc}, trunc)
+    """p(z) = 1 - 2c z^2 + z^4, read from families.QUARTIC, as a series known
+    through z^trunc."""
+    terms = families.QUARTIC.items()
+    return LaurentSeries.from_terms({e: p_e for e, p_e in terms if e <= trunc}, trunc)
 
 
 @functools.lru_cache(maxsize=1)
@@ -160,10 +167,11 @@ def expand_gegenbauer_sum(order: int) -> OracleResult:
 def check_funde(order: int, family_id: FamilyId) -> bool:
     """Verify the first-order ODE in z that every generating function solves:
 
-        (z^5 - 2cz^3 + z) dP/dz - (3z^4 - 4cz^2 + 1) P
+        z p(z) dP/dz - (p(z) + z p'(z) / 2) P
             = 2 (P_{-1} + c P_{-3}) z^3 + P_{-2} z^2 + (4cz^2 - 1) P_{-4},
 
-    with the right side specialized to the family's initial constants.
+    with the left side's p(z) = 1 - 2cz^2 + z^4 read from families.QUARTIC
+    and the right side typed, specialized to the family's initial constants.
     Checked coefficientwise through z^order after clearing denominators.
     """
     family_id = FamilyId(family_id)
@@ -173,14 +181,10 @@ def check_funde(order: int, family_id: FamilyId) -> bool:
         raise ValueError("order must be >= 8")
     fam = get_family(family_id)
     series = LaurentSeries(0, [fam.shifted(n) for n in range(order + 1)], order)
-    poly_a = LaurentSeries.from_terms(
-        {1: RationalPoly.one(), 3: RationalPoly((0, -2)), 5: RationalPoly.one()},
-        order + 5,
-    )
-    poly_b = LaurentSeries.from_terms(
-        {0: RationalPoly.one(), 2: RationalPoly((0, -4)), 4: RationalPoly.constant(3)},
-        order + 5,
-    )
+    # z p(z) and p(z) + z p'(z) / 2, from families.QUARTIC
+    p = families.QUARTIC.items()
+    poly_a = LaurentSeries.from_terms({e + 1: p_e for e, p_e in p}, order + 5)
+    poly_b = LaurentSeries.from_terms({e: p_e * Fraction(e + 2, 2) for e, p_e in p}, order + 5)
     lhs = poly_a * series.differentiate() - poly_b * series
     if family_id is FamilyId.P4:
         rhs = LaurentSeries.from_terms(

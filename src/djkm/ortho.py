@@ -41,7 +41,7 @@ from .families import assoc_ultraspherical  # noqa: F401  (battery and perfbench
 Scalar = Union[int, Fraction]
 
 
-class NoConvergenceError(ArithmeticError):
+class NoConvergenceError(VerificationError):
     """A numeric iteration failed to meet its stated bound."""
 
 
@@ -128,9 +128,10 @@ def recurrence_mismatch(tag: str, count: int) -> Optional[int]:
 
     exactly, or None.  Moments, Hankel determinants, the Favard normalisers
     and the Gauss rule read ThreeTermData, never the family; this ties that
-    data to the members it describes, without building p_{n+1} again.
-    Each step is decided with integer multipliers: for A = an/ad and
-    C = cn/cd in lowest terms, an cd p_{n+1} = ad cd x p_n - ad cn p_{n-1}.
+    data to the members it describes, without building p_{n+1} again:
+    A, C, beta_sq and beta all build on A_pair and C_pair, which it reads.
+    Each step is decided with the integer pairs A = an/ad and C = cn/cd, not
+    reduced: an cd p_{n+1} = ad cd x p_n - ad cn p_{n-1}.
     """
     data = three_term(tag)
     if count < 1:
@@ -138,8 +139,7 @@ def recurrence_mismatch(tag: str, count: int) -> Optional[int]:
     prev, cur = RationalPoly.zero(), _member(tag, 0)
     for n in range(count):
         nxt = _member(tag, n + 1)
-        a, c = data.A(n + 1), data.C(n - 1)
-        an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
+        (an, ad), (cn, cd) = data.A_pair(n + 1), data.C_pair(n - 1)
         if not is_shift_combination(nxt, cur, ad * cd, prev, -ad * cn, an * cd):
             return n
         prev, cur = cur, nxt

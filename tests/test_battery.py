@@ -3,7 +3,7 @@ orthogonality checks, and the cocycle checks one by one."""
 
 import pytest
 
-from djkm import battery, cocycle, ortho
+from djkm import battery, cocycle, families
 from djkm.cocycle import OmegaVector
 from djkm.exact import RationalPoly
 
@@ -27,13 +27,6 @@ def test_run_rejects_an_unknown_profile():
         battery.run("deep")
 
 
-def _raise(monkeypatch, method, at):
-    real = getattr(ortho.ThreeTermData, method)
-    monkeypatch.setattr(
-        ortho.ThreeTermData, method, lambda self, n: real(self, n) + (n == at)
-    )
-
-
 def _tied_rows(profile):
     """(name, check, args, first sequence, bound) of the all rows that run a
     check on ThreeTermData."""
@@ -46,13 +39,15 @@ def _tied_rows(profile):
 
 @pytest.mark.parametrize("profile", battery.PROFILES)
 @pytest.mark.parametrize("method, offset", [("A", 0), ("C", -1)])
-def test_a_tamper_at_the_last_coefficient_read_fails_the_item(monkeypatch, profile, method, offset):
+def test_a_tamper_at_the_last_coefficient_read_fails_the_item(
+    monkeypatch, tamper_three_term, profile, method, offset
+):
     # favard and hankel at bound N read A_1..A_N and C_0..C_{N-1}
     rows = list(_tied_rows(profile))
     assert [r[0] for r in rows] == ["favard-lambdas", "hankel-q", "hankel-qbar"]
     for name, check, args, tag, bound in rows:
         with monkeypatch.context() as patch:
-            _raise(patch, method, bound + offset)
+            tamper_three_term(patch, method, bound + offset, lambda v: v + 1)
             got = battery.item(name, check, *args)
         assert got["status"] == "fail", (name, bound)
         assert got["family"] == tag
@@ -60,14 +55,15 @@ def test_a_tamper_at_the_last_coefficient_read_fails_the_item(monkeypatch, profi
 
 
 @pytest.mark.parametrize("size", [1, 3, 8])
-def test_orthogonality_checks_tie_exactly_what_they_read(monkeypatch, size):
+def test_orthogonality_checks_tie_exactly_what_they_read(monkeypatch, tamper_three_term, size):
     for check in (battery.favard, battery.hankel):
         with monkeypatch.context() as patch:
-            _raise(patch, "A", size)
+            tamper_three_term(patch, "A", size, lambda v: v + 1)
             ok, fields = check("qbar", size)
         assert (ok, fields) == (False, {"first_failure": size - 1})
         with monkeypatch.context() as patch:
-            _raise(patch, "A", size + 2)  # beyond A_{size+1}, the last one tied
+            # beyond A_{size+1}, the last one tied
+            tamper_three_term(patch, "A", size + 2, lambda v: v + 1)
             ok, fields = check("qbar", size)
         assert ok, check
 
@@ -104,12 +100,10 @@ def test_each_cocycle_check_fails_alone(monkeypatch):
         assert got == {name: "fail" if name == broken else "pass" for name in COCYCLE_CHECKS}, broken
 
 
-def test_a_wrong_ring_fails_the_psi_table(monkeypatch):
+def test_a_wrong_ring_fails_the_psi_table(cold_caches, monkeypatch):
     # the reduction reads p(t) alone, so with p = t^4 - 3ct^2 + 1 it no longer
     # meets the paper's table, which the families' recurrence generates
-    basis = {k: OmegaVector.basis_u(k) for k in cocycle._U_NAMES}
-    monkeypatch.setattr(cocycle, "_U_CACHE", basis)
-    monkeypatch.setitem(cocycle._P, 2, RationalPoly.variable() * -3)
+    monkeypatch.setitem(families.QUARTIC, 2, RationalPoly.variable() * -3)
     assert cocycle_verdicts() == {"psi": "fail", "uu": "fail", "antisymmetry": "pass"}
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from djkm import battery, cli, cocycle, diffops, families, oracle, ortho
+from djkm import battery, cli, diffops, families, ortho
 from djkm.cli import GEN_FAMILIES, main
 from djkm.exact import RationalPoly
 from djkm.families import VIEW_START, IndexView, generate
@@ -155,10 +155,10 @@ def test_verify_ode_report_shape(capsys):
 
 def test_verify_ode_reports_wrong_operators(capsys, monkeypatch):
     # the identity operator leaves every member as its own residual, so every
-    # nonzero member fails; the sweep must read the operator tables at call time
+    # nonzero member fails; the sweep must read its row of ODES at call time
     identity = (((1,),),)
-    monkeypatch.setattr(diffops, "ELLIPTIC1_TABLE", identity)
-    monkeypatch.setattr(diffops, "CASE3_TABLE", identity)
+    for fid in (families.FamilyId.P4, families.FamilyId.P1):
+        monkeypatch.setitem(diffops.ODES, fid, (identity, *diffops.ODES[fid][1:]))
     first_residual = {}
     for family, max_n in (("P-4", "12"), ("P-1", "8")):
         code, out = run_cli(capsys, "verify-ode", "--family", family, "--max-n", max_n)
@@ -240,9 +240,10 @@ def test_all_reports_a_raising_check_as_a_failing_item(capsys, monkeypatch, tmp_
         assert "error" not in items[name]
 
 
-def test_hankel_and_favard_items_check_the_three_term_data(monkeypatch, tmp_path):
-    real = ortho.ThreeTermData.A
-    monkeypatch.setattr(ortho.ThreeTermData, "A", lambda self, n: real(self, n) + (n == 5))
+def test_hankel_and_favard_items_check_the_three_term_data(
+    monkeypatch, tamper_three_term, tmp_path
+):
+    tamper_three_term(monkeypatch, "A", 5, lambda v: v + 1)
     target = tmp_path / "all.json"
     assert main(["all", "--profile", "quick", "--out", str(target)]) == 1
     items = {i["check"]: i for i in json.loads(target.read_text())["items"]}
@@ -255,10 +256,9 @@ def test_hankel_and_favard_items_check_the_three_term_data(monkeypatch, tmp_path
         }
 
 
-def test_favard_item_checks_every_a_it_reads(monkeypatch, tmp_path):
+def test_favard_item_checks_every_a_it_reads(monkeypatch, tamper_three_term, tmp_path):
     # favard_lambdas(tag, 200) reads A_1..A_200; a wrong A_100 used to pass
-    real = ortho.ThreeTermData.A
-    monkeypatch.setattr(ortho.ThreeTermData, "A", lambda self, n: real(self, n) + (n == 100))
+    tamper_three_term(monkeypatch, "A", 100, lambda v: v + 1)
     target = tmp_path / "all.json"
     assert main(["all", "--profile", "quick", "--out", str(target)]) == 1
     failing = [i for i in json.loads(target.read_text())["items"] if i["status"] == "fail"]
@@ -271,9 +271,8 @@ def test_battery_rows_are_the_all_items():
     assert [row[0] for row in battery.ROWS] == ALL_ITEMS
 
 
-def test_orthogonality_checks_the_three_term_data(monkeypatch, capsys):
-    real = ortho.ThreeTermData.A
-    monkeypatch.setattr(ortho.ThreeTermData, "A", lambda self, n: real(self, n) + (n == 5))
+def test_orthogonality_checks_the_three_term_data(monkeypatch, tamper_three_term, capsys):
+    tamper_three_term(monkeypatch, "A", 5, lambda v: v + 1)
     code, out = run_cli(
         capsys, "orthogonality", "--family", "q", "--hankel", "8", "--gram", "8"
     )
@@ -471,15 +470,7 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_cold_and_warm_caches_give_the_same_report(monkeypatch, tmp_path):
-    # every process-global cache back to its import state
-    for cache in (oracle._product, oracle._sqrt, oracle._pow_neg_3_2):
-        cache.cache_clear()
-    for fid in families.FamilyId:
-        monkeypatch.setitem(families._REGISTRY, fid, families.PolynomialFamily(fid))
-    monkeypatch.setattr(families, "_GEGENBAUER", {})
-    basis = {k: cocycle.OmegaVector.basis_u(k) for k in cocycle._U_NAMES}
-    monkeypatch.setattr(cocycle, "_U_CACHE", basis)
+def test_cold_and_warm_caches_give_the_same_report(cold_caches, tmp_path):
     cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
     assert main(["all", "--profile", "quick", "--out", str(cold)]) == 0
     assert main(["all", "--profile", "quick", "--out", str(warm)]) == 0
@@ -489,15 +480,10 @@ def test_cold_and_warm_caches_give_the_same_report(monkeypatch, tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_a_wrong_master_step_fails_the_pinned_closed_forms(monkeypatch, capsys):
+def test_a_wrong_master_step_fails_the_pinned_closed_forms(cold_caches, monkeypatch, capsys):
     # z = 8 + 2k in the one statement of the recurrence: the families and the
     # three-term data both follow it, so the ties agree, and the typed tables
     # and the written-out lambda_1^2 are what catch it
-    for cache in (oracle._product, oracle._sqrt, oracle._pow_neg_3_2):
-        cache.cache_clear()
-    for fid in families.FamilyId:
-        monkeypatch.setitem(families._REGISTRY, fid, families.PolynomialFamily(fid))
-    monkeypatch.setattr(families, "_GEGENBAUER", {})
     monkeypatch.setattr(families, "master_step", lambda k: (4 * k, 6 - 2 * k, 8 + 2 * k))
     assert ortho.three_term("q").A(1) == F(12, 8)
     code, out = run_cli(capsys, "all", "--profile", "quick")
@@ -550,12 +536,12 @@ def test_failing_report_exits_1(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
-def test_a_ring_the_reduction_cannot_solve_fails_the_psi_item_with_an_error(monkeypatch, capsys):
+def test_a_ring_the_reduction_cannot_solve_fails_the_psi_item_with_an_error(
+    cold_caches, monkeypatch, capsys
+):
     # p with t^4 coefficient c: the reduction cannot divide by it, so the psi
     # item reports the error and the others still run
-    basis = {k: cocycle.OmegaVector.basis_u(k) for k in cocycle._U_NAMES}
-    monkeypatch.setattr(cocycle, "_U_CACHE", basis)
-    monkeypatch.setitem(cocycle._P, 4, RationalPoly.variable())
+    monkeypatch.setitem(families.QUARTIC, 4, RationalPoly.variable())
     code, out = run_cli(capsys, "all", "--profile", "quick")
     assert code == 1
     items = {item["check"]: item for item in json.loads(out)["items"]}
@@ -563,6 +549,66 @@ def test_a_ring_the_reduction_cannot_solve_fails_the_psi_item_with_an_error(monk
     psi = items["cocycle-psi-table"]
     assert psi["status"] == "fail"
     assert "not a nonzero constant" in psi["error"]
+
+
+def test_a_wrong_curve_fails_every_item_read_from_it(cold_caches, monkeypatch, capsys):
+    # p = t^4 - 3ct^2 + 1 in the one statement of the curve: the oracles'
+    # quartic, the generating-function ODE's left side, the reduction and the
+    # u-u term follow it, and the typed closed forms they meet catch it
+    monkeypatch.setitem(families.QUARTIC, 2, RationalPoly.variable() * -3)
+    code, out = run_cli(capsys, "all", "--profile", "quick")
+    assert code == 1
+    items = json.loads(out)["items"]
+    assert [i["check"] for i in items] == ALL_ITEMS
+    assert [i["check"] for i in items if i["status"] == "fail"] == [
+        "oracle-elliptic-1",
+        "oracle-elliptic-2",
+        "oracle-gegenbauer-sum",
+        "generating-function-ode",
+        "cocycle-psi-table",
+        "cocycle-uu-central-terms",
+    ]
+    assert not any("error" in i for i in items)
+
+
+def test_a_curve_the_series_cannot_root_fails_the_oracles_with_an_error(
+    cold_caches, monkeypatch, capsys
+):
+    # constant term 2: the quartic's square root and (-3/2) power need a unit
+    # constant term, so the three oracle items report that and the rest run
+    monkeypatch.setitem(families.QUARTIC, 0, 2)
+    code, out = run_cli(capsys, "all", "--profile", "quick")
+    assert code == 1
+    items = {i["check"]: i for i in json.loads(out)["items"]}
+    assert list(items) == ALL_ITEMS
+    errors = {name: i["error"] for name, i in items.items() if "error" in i}
+    assert errors == {
+        "oracle-elliptic-1": "(-3/2) power needs constant term 1 at order 0",
+        "oracle-elliptic-2": "(-3/2) power needs constant term 1 at order 0",
+        "oracle-gegenbauer-sum": "square root supported only for unit leading coefficient",
+    }
+    assert all(items[name]["status"] == "fail" for name in errors)
+
+
+def test_a_numeric_failure_fails_the_quadrature_items_alone(monkeypatch, capsys):
+    # every eigenpair residual exceeds a bound of 0: the two quadrature items
+    # fail with the message, and every other item, the domain guard of hyp2f1
+    # included, still passes
+    monkeypatch.setattr(ortho, "_EIGEN_RESIDUAL_BOUND", 0)
+    code, out = run_cli(capsys, "all", "--profile", "quick")
+    assert code == 1
+    items = json.loads(out)["items"]
+    assert [i["check"] for i in items] == ALL_ITEMS
+    failing = [i for i in items if i["status"] == "fail"]
+    assert [i["check"] for i in failing] == ["quadrature-q", "quadrature-qbar"]
+    assert all(i["error"].startswith("eigen residual ") for i in failing)
+    # the command itself prints one error line instead of a table
+    assert main(["quadrature", "--family", "q"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: verification failed: eigen residual ")
 
 
 def test_console_entry_point_runs():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import djkm.cocycle as cocycle_module
+from djkm import families
 from djkm.cocycle import (
     OmegaVector,
     cocycle,
@@ -64,15 +64,8 @@ def test_reduce_upward_values():
     )
 
 
-@pytest.fixture
-def cold_cache(monkeypatch):
-    """cocycle's reduction cache back to the basis window, restored afterwards."""
-    basis = {k: OmegaVector.basis_u(k) for k in cocycle_module._U_NAMES}
-    monkeypatch.setattr(cocycle_module, "_U_CACHE", basis)
-
-
 @pytest.mark.parametrize("first", [-60, 120], ids=["bottom-first", "top-first"])
-def test_reduction_satisfies_defining_relation_everywhere(cold_cache, first):
+def test_reduction_satisfies_defining_relation_everywhere(cold_caches, first):
     # The paper's master recurrence, typed here by hand as the reference for
     # the reduction derived from p(t):
     #   (6+2k) red(k) = -2(k-3) red(k-4) + 4kc red(k-2).
@@ -87,9 +80,9 @@ def test_reduction_satisfies_defining_relation_everywhere(cold_cache, first):
         assert (lhs - rhs).is_zero(), f"relation fails at k={k}"
 
 
-def test_a_p_with_a_nonconstant_end_coefficient_is_refused(cold_cache, monkeypatch):
+def test_a_p_with_a_nonconstant_end_coefficient_is_refused(cold_caches, monkeypatch):
     # solving for the top term divides by p's t^4 coefficient
-    monkeypatch.setitem(cocycle_module._P, 4, C)
+    monkeypatch.setitem(families.QUARTIC, 4, C)
     with pytest.raises(VerificationError, match="not a nonzero constant"):
         reduce_u_monomial(0)
 

@@ -210,7 +210,7 @@ class _Perturbed:
         self.family = family
 
     def shifted(self, n):
-        return self.family.shifted(n) + ONE + RationalPoly.monomial(F(n + 1, 7), n % 3)
+        return self.original(n - 4)
 
     def original(self, k):
         return self.family.original(k) + ONE + RationalPoly.monomial(F(k + 1, 7), k % 3)

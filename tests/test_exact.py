@@ -134,6 +134,21 @@ def test_constants_hash_as_the_scalars_they_equal():
     assert hash(C) == hash((F(0), F(1)))
 
 
+@pytest.mark.parametrize("x", [3, -1, F(-2, 7), F(15, 4), 2**80])
+@pytest.mark.parametrize("p", [C, RationalPoly([F(1, 3), 0, F(-4, 5), 7]), RationalPoly([F(6, 5)])])
+def test_a_constant_factor_scales_without_a_convolution(monkeypatch, p, x):
+    expected = p * x
+    const = RationalPoly.constant(x)
+
+    def convolve(a, b):
+        raise AssertionError("a degree-0 factor reached _convolve")
+
+    monkeypatch.setattr(exact, "_convolve", convolve)
+    assert p * const == expected
+    assert const * p == expected
+    assert (p * const).to_json() == expected.to_json()
+
+
 def test_float_evaluate_with_numerators_beyond_float_range():
     # Over the common denominator 2**1100 the numerators do not fit a float;
     # a float point must go through the reduced coefficients.
@@ -505,6 +520,8 @@ def test_pow_neg_3_2_inverse_pair(s):
 
 
 def test_sqrt_preconditions():
+    # a failed precondition is a failed check, so ``all`` reports it as one
+    assert issubclass(NotSquareError, VerificationError)
     with pytest.raises(NotSquareError):
         LaurentSeries.from_terms({1: 1}, 5).sqrt()  # odd lowest order
     with pytest.raises(NotSquareError):
