@@ -71,15 +71,17 @@ def oracle_expansion(expand: str, order: int):
 
 
 def funde(order: int) -> bool:
-    return oracle.check_funde(order, FamilyId.P4) and oracle.check_funde(order, FamilyId.P2)
+    return all(oracle.check_funde(order, family_id) for family_id in FamilyId)
 
 
 def ode_rows(family: str, max_n: int) -> List[dict]:
-    """Per-index residual status; failures carry the residual polynomial."""
+    """Per-index residual status; failures carry the residual polynomial.  A
+    stride-1 ODES row meets the other parity's zeros, so it adds member_zero."""
+    every_index = diffops.ODES[FamilyId(family)][1] == 1
     items = []
     for row in diffops.ode_sweep(FamilyId(family), max_n):
         entry = {"n": row.n}
-        if family in ("P-4", "P-2"):
+        if every_index:
             entry["member_zero"] = row.member_zero
         if row.identity is not None:
             entry["identity"] = status(row.identity)

@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_ode)
 
     p = sub.add_parser("oracle-compare", help="generating-function reconstruction")
-    p.add_argument("--family", required=True, choices=["P-4", "P-2"])
+    oracle_families = dict.fromkeys(family for _, family, _, _ in battery.ORACLES)
+    p.add_argument("--family", required=True, choices=list(oracle_families))
     p.add_argument("--order", type=int, default=120)
     p.set_defaults(func=_cmd_oracle_compare)
 

@@ -62,8 +62,8 @@ ELLIPTIC2_TABLE = (
 
 #: Each family's ODE as (table, stride, offset, first), in FamilyId order:
 #: the table's operator at n annihilates P at original index stride n +
-#: offset for every n >= first.  The builders and ``ode_sweep`` read the row
-#: when they run, so one patch moves both.
+#: offset for n >= first.  The builders, the sweeps and their order guards,
+#: and ``battery.ode_rows`` read the row when they run, so one patch moves all.
 ODES = {
     FamilyId.P4: (ELLIPTIC1_TABLE, 1, -4, 0),
     FamilyId.P3: (CASE4_TABLE, 2, -3, 2),
@@ -193,14 +193,14 @@ def ode_sweep(family_id: FamilyId, max_n: int) -> List[OdeRow]:
     """Exact residual of each family's ODE on every index through max_n.
 
     The family's row of ODES gives the operator table and the members it
-    runs on: P-4 and P-2 run the fourth-order operators on the shifted members
-    n = 0..max_n, and P-1 and P-3 the second-order operators on
-    P_{-1|-3, 2n-3} for n = 2..max_n.  P-1 also checks the cross relation
-    P_{-1,2n-3} = c P_{-3,2n-3} implied by the two closed forms.  Odd shifted
-    indices carry zero members, so their residuals vanish vacuously; they are
-    reported, not skipped, because the operator derivation excluded some odd n.
-    A max_n below the first index raises ValueError: an empty sweep checks
-    nothing and must not pass.
+    runs on: the table at n meets P at original index stride n + offset for
+    n = first..max_n.  A stride-1 row walks every shifted index, so it meets
+    the zero members of the other parity, whose residuals vanish vacuously;
+    they are reported, not skipped, because the operator derivation excluded
+    some odd n.  P-1 also checks the cross relation P_{-1,2n-3} = c
+    P_{-3,2n-3} implied by the two closed forms, a claim about P-1 rather
+    than about its row.  A max_n below the first index raises ValueError: an
+    empty sweep checks nothing and must not pass.
 
     The sweep reads the row when it runs and applies the table at every n
     through ``table_combinations``, which equals ``build_*_op(n).apply``.
@@ -225,16 +225,16 @@ def ode_sweep(family_id: FamilyId, max_n: int) -> List[OdeRow]:
 def fourth_order_sweep(
     family_id: FamilyId, max_shifted: int
 ) -> List[Tuple[int, bool, bool]]:
-    """(n, member_is_zero, residual_is_zero) for each row of ode_sweep."""
-    if FamilyId(family_id) not in (FamilyId.P4, FamilyId.P2):
-        raise ValueError("fourth-order sweep covers P-4 and P-2")
+    """(n, member_is_zero, residual_is_zero) for each row of a fourth-order ode_sweep."""
+    if len(ODES[FamilyId(family_id)][0]) - 1 != 4:
+        raise ValueError("fourth-order sweep covers the families with a fourth-order ODE")
     rows = ode_sweep(family_id, max_shifted)
     return [(r.n, r.member_zero, r.residual.is_zero()) for r in rows]
 
 
 def second_order_sweep(family_id: FamilyId, max_n: int) -> List[Tuple[int, bool]]:
-    """(n, ok) for each row of ode_sweep; for P-1 a cross-relation failure
-    counts as a failure at that n."""
-    if FamilyId(family_id) not in (FamilyId.P1, FamilyId.P3):
-        raise ValueError("second-order sweep covers P-1 and P-3")
+    """(n, ok) for each row of a second-order ode_sweep; for P-1 a
+    cross-relation failure counts as a failure at that n."""
+    if len(ODES[FamilyId(family_id)][0]) - 1 != 2:
+        raise ValueError("second-order sweep covers the families with a second-order ODE")
     return [(r.n, r.ok) for r in ode_sweep(family_id, max_n)]

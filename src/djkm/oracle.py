@@ -171,12 +171,12 @@ def check_funde(order: int, family_id: FamilyId) -> bool:
             = 2 (P_{-1} + c P_{-3}) z^3 + P_{-2} z^2 + (4cz^2 - 1) P_{-4},
 
     with the left side's p(z) = 1 - 2cz^2 + z^4 read from families.QUARTIC
-    and the right side typed, specialized to the family's initial constants.
-    Checked coefficientwise through z^order after clearing denominators.
+    and the right side typed, at P_{-j} = 1 for family P-j and 0 for the
+    other three, read from family_id and never from the members, so a wrong
+    seed fails.  Checked coefficientwise through z^order after clearing
+    denominators.
     """
     family_id = FamilyId(family_id)
-    if family_id not in (FamilyId.P4, FamilyId.P2):
-        raise ValueError("generating-function ODE check covers P-4 and P-2")
     if order < 8:
         raise ValueError("order must be >= 8")
     fam = get_family(family_id)
@@ -186,11 +186,9 @@ def check_funde(order: int, family_id: FamilyId) -> bool:
     poly_a = LaurentSeries.from_terms({e + 1: p_e for e, p_e in p}, order + 5)
     poly_b = LaurentSeries.from_terms({e: p_e * Fraction(e + 2, 2) for e, p_e in p}, order + 5)
     lhs = poly_a * series.differentiate() - poly_b * series
-    if family_id is FamilyId.P4:
-        rhs = LaurentSeries.from_terms(
-            {0: RationalPoly.constant(-1), 2: RationalPoly((0, 4))}, order
-        )
-    else:
-        rhs = LaurentSeries.from_terms({2: RationalPoly.one()}, order)
+    # P_{-4}, P_{-3}, P_{-2}, P_{-1}, in FamilyId order
+    p4, p3, p2, p1 = (int(fid is family_id) for fid in FamilyId)
+    terms = {0: (-p4,), 2: (p2, 4 * p4), 3: (2 * p1, 2 * p3)}
+    rhs = LaurentSeries.from_terms({e: RationalPoly(cs) for e, cs in terms.items()}, order)
     # agrees_with raises if either side is not actually known through z^order
     return lhs.agrees_with(rhs, upto=order)

@@ -29,16 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import RationalPoly, VerificationError, is_shift_combination
+from .exact import RationalPoly, Scalar, VerificationError, is_shift_combination
 from . import families
 from .families import SEQUENCES, VIEWS, get_family
 from .families import assoc_ultraspherical  # noqa: F401  (battery and perfbench's spans use it)
-
-Scalar = Union[int, Fraction]
 
 
 class NoConvergenceError(VerificationError):

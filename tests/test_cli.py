@@ -153,6 +153,50 @@ def test_verify_ode_report_shape(capsys):
     assert odd and all(i["member_zero"] for i in odd)
 
 
+def test_verify_ode_report_shape_follows_the_stride(capsys, monkeypatch):
+    # member_zero goes with a stride-1 row, which meets the other parity's
+    # zeros, whichever family holds it
+    monkeypatch.setitem(diffops.ODES, families.FamilyId.P2, diffops.ODES[families.FamilyId.P3])
+    table, _, offset, first = diffops.ODES[families.FamilyId.P3]
+    monkeypatch.setitem(diffops.ODES, families.FamilyId.P3, (table, 1, offset, first))
+    _, out = run_cli(capsys, "verify-ode", "--family", "P-2", "--max-n", "12")
+    items = json.loads(out)["items"]
+    assert items and not any("member_zero" in i for i in items)
+    _, out = run_cli(capsys, "verify-ode", "--family", "P-3", "--max-n", "12")
+    items = json.loads(out)["items"]
+    assert items and all(isinstance(i["member_zero"], bool) for i in items)
+
+
+def _first_constant_plus_one(table):
+    """The table with 1 added to the n^0 coefficient of f_0's c^0 coefficient."""
+    (first, *c_rest), *rows = table
+    return (((first[0] + 1, *first[1:]), *c_rest), *rows)
+
+
+#: One mutant per row of ODES: the failing items of ``all --profile quick``
+#: and the first failing index of each failing sweep.  The elliptic-1 row is
+#: also the q-form operator that the Wimp discrepancy must annihilate q_2 with.
+ODES_MUTANTS = {
+    families.FamilyId.P4: {"ode-P-4": 0, "wimp-discrepancy": None},
+    families.FamilyId.P3: {"ode-P-3": 2},
+    families.FamilyId.P2: {"ode-P-2": 2},
+    families.FamilyId.P1: {"ode-P-1": 2},
+}
+
+
+@pytest.mark.parametrize("family_id", list(ODES_MUTANTS))
+def test_a_wrong_odes_row_fails_its_items(cold_caches, monkeypatch, capsys, family_id):
+    table, *rest = diffops.ODES[family_id]
+    monkeypatch.setitem(diffops.ODES, family_id, (_first_constant_plus_one(table), *rest))
+    code, out = run_cli(capsys, "all", "--profile", "quick")
+    assert code == 1
+    items = json.loads(out)["items"]
+    assert [i["check"] for i in items] == ALL_ITEMS
+    failing = {i["check"]: i.get("first_failure") for i in items if i["status"] == "fail"}
+    assert failing == ODES_MUTANTS[family_id]
+    assert not any("error" in i for i in items)
+
+
 def test_verify_ode_reports_wrong_operators(capsys, monkeypatch):
     # the identity operator leaves every member as its own residual, so every
     # nonzero member fails; the sweep must read its row of ODES at call time

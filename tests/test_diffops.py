@@ -375,6 +375,14 @@ def test_eigencheck_views():
     assert not eigencheck(wimp, FamilyId.P4, IndexView.Q, 2).is_zero()
 
 
+def test_sweeps_read_the_order_from_the_odes_row(monkeypatch):
+    # P-2 given P-3's second-order row: the guards follow the row
+    monkeypatch.setitem(diffops.ODES, FamilyId.P2, diffops.ODES[FamilyId.P3])
+    with pytest.raises(ValueError):
+        fourth_order_sweep(FamilyId.P2, 8)
+    assert [n for n, _ in second_order_sweep(FamilyId.P2, 8)] == list(range(2, 9))
+
+
 def test_sweep_family_validation():
     with pytest.raises(ValueError):
         fourth_order_sweep(FamilyId.P1, 10)

@@ -106,14 +106,21 @@ def test_both_p4_routes_agree_with_each_other():
 
 
 def test_funde_small_and_stated_orders():
-    assert check_funde(8, FamilyId.P4)
-    assert check_funde(40, FamilyId.P4)
-    assert check_funde(40, FamilyId.P2)
+    # one right side, at each family's unit initial value, holds for all four
+    for family_id in FamilyId:
+        assert check_funde(8, family_id)
+        assert check_funde(40, family_id)
 
 
-def test_funde_rejects_odd_family():
-    with pytest.raises(ValueError):
-        check_funde(40, FamilyId.P1)
+def test_funde_reads_the_initial_values_from_the_family_id(cold_caches, monkeypatch):
+    # a P-4 seeded with P_{-4} = P_{-2} = 1 keeps its parity and so generates
+    # without error, but the right side still has P_{-2} = 0 for P-4
+    wrong = families.PolynomialFamily(FamilyId.P4)
+    wrong._vals[2] = ONE
+    monkeypatch.setitem(families._REGISTRY, FamilyId.P4, wrong)
+    assert get_family(FamilyId.P4).shifted(2) == ONE
+    assert not check_funde(8, FamilyId.P4)
+    assert not check_funde(40, FamilyId.P4)
 
 
 def test_order_preconditions():
