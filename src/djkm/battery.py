@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 import djkm  # djkm.ortho, which loads numpy, is imported on first use
 from . import cocycle, diffops, families, oracle, reference
@@ -76,10 +76,20 @@ def funde(order: int) -> bool:
 
 def ode_rows(family: str, max_n: int) -> List[dict]:
     """Per-index residual status; failures carry the residual polynomial.  A
-    stride-1 ODES row meets the other parity's zeros, so it adds member_zero."""
+    stride-1 ODES row meets the other parity's zeros, so it adds member_zero.
+    A sweep with no nonzero member raises VerificationError."""
+    return _ode_sweep(family, max_n)[0]
+
+
+def _ode_sweep(family: str, max_n: int) -> Tuple[List[dict], int]:
+    """The rows of ode_rows and the number of nonzero members among them.  A
+    sweep with no nonzero member tests no operator, so it raises
+    VerificationError, as an empty one raises ValueError."""
     every_index = diffops.ODES[FamilyId(family)][1] == 1
     items = []
+    nonzero = 0
     for row in diffops.ode_sweep(FamilyId(family), max_n):
+        nonzero += not row.member_zero
         entry = {"n": row.n}
         if every_index:
             entry["member_zero"] = row.member_zero
@@ -89,17 +99,21 @@ def ode_rows(family: str, max_n: int) -> List[dict]:
         if not row.residual.is_zero():
             entry["residual"] = row.residual.to_json()
         items.append(entry)
-    return items
+    if not nonzero:
+        raise VerificationError(f"the {family} sweep to {max_n} meets no nonzero member")
+    return items, nonzero
 
 
 def ode(family: str, max_n: int):
-    """The sweep's case count, and its first failing index and residual."""
-    rows = ode_rows(family, max_n)
+    """The sweep's case and nonzero-member counts, and its first failing
+    index and residual."""
+    rows, nonzero = _ode_sweep(family, max_n)
+    counts = {"cases": len(rows), "nonzero_cases": nonzero}
     failing = next((i for i in rows if i["status"] == "fail"), None)
     if failing is None:
-        return True, {"cases": len(rows)}
+        return True, counts
     residual = {"residual": failing["residual"]} if "residual" in failing else {}
-    return False, {"cases": len(rows), "first_failure": failing["n"], **residual}
+    return False, {**counts, "first_failure": failing["n"], **residual}
 
 
 def gegenbauer_link(max_n: int):

@@ -1,8 +1,8 @@
 """Reduction of Kahler differentials mod dR and the central-extension cocycle.
 
-The coordinate ring is R = C[t, t^-1, u | u^2 = p(t)], and p(t), the only
-input of the computation, is read from ``families.QUARTIC`` whenever a class
-is solved or a u-u term formed.  Classes in Omega^1_R / dR are expanded over
+The coordinate ring is R = C[t, t^-1, u | u^2 = p(t)]; p(t), the only input,
+is read from ``families.QUARTIC`` when it is used, so the basis and its JSON
+keys follow deg p.  Classes in Omega^1_R / dR are expanded over
 
     w0 = class(t^-1 dt),    w_k = class(t^k u dt)  for k = -1, ..., -deg p,
 
@@ -30,17 +30,13 @@ _C = RationalPoly.variable()
 _ZERO = RationalPoly.zero()
 _ONE = RationalPoly.one()
 
-#: Basis names of the u-basis indices, one for each power below deg p, and
-#: all five names in JSON order.
-_U_NAMES = {k: f"w{k}" for k in range(-1, -max(families.QUARTIC) - 1, -1)}
-_NAMES = ("w0", *_U_NAMES.values())
-
 
 class OmegaVector:
-    """Exact coordinates over the center basis {w0, w-1, w-2, w-3, w-4}.
+    """Exact coordinates over the center basis {w0, w-1, ..., w-deg p}.
 
     Only the nonzero coordinates are stored, keyed by basis name, so equal
     vectors have equal mappings and the zero vector is the empty mapping.
+    Vectors are immutable, so the zero and w0 vectors are shared.
     """
 
     __slots__ = ("_coords",)
@@ -49,19 +45,27 @@ class OmegaVector:
         self._coords = {name: p for name, p in coords.items() if p}
 
     @classmethod
+    def _of(cls, coords: Dict[str, RationalPoly]) -> "OmegaVector":
+        """The vector over coords, none of them 0, taken as is.  Q[c] has no zero
+        divisors, so the products of nonzero coordinates and factors qualify."""
+        vec = object.__new__(cls)
+        vec._coords = coords
+        return vec
+
+    @classmethod
     def zero(cls) -> "OmegaVector":
-        return cls({})
+        return _ZERO_VECTOR
 
     @classmethod
     def basis_w0(cls) -> "OmegaVector":
-        return cls({"w0": _ONE})
+        return _W0_VECTOR
 
     @classmethod
     def basis_u(cls, k: int) -> "OmegaVector":
-        """The basis vector w_k for k in {-1, -2, -3, -4}."""
-        if k not in _U_NAMES:
-            raise ValueError("u-basis index must be -1..-4")
-        return cls({_U_NAMES[k]: _ONE})
+        """The basis vector w_k for k in -1, ..., -deg p."""
+        if not -max(families.QUARTIC) <= k <= -1:
+            raise ValueError(f"u-basis index must be -1..-{max(families.QUARTIC)}")
+        return cls._of({f"w{k}": _ONE})
 
     def is_zero(self) -> bool:
         return not self._coords
@@ -76,10 +80,14 @@ class OmegaVector:
         return self + other.scale(-1)
 
     def __neg__(self) -> "OmegaVector":
-        return OmegaVector({name: -p for name, p in self._coords.items()})
+        return OmegaVector._of({name: -p for name, p in self._coords.items()})
 
     def scale(self, factor) -> "OmegaVector":
-        return OmegaVector({name: p * factor for name, p in self._coords.items()})
+        if not factor:
+            return _ZERO_VECTOR
+        if not self._coords or factor == 1:
+            return self
+        return OmegaVector._of({name: p * factor for name, p in self._coords.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OmegaVector):
@@ -93,7 +101,12 @@ class OmegaVector:
         return f"OmegaVector({self._coords!r})"
 
     def to_json(self) -> dict:
-        return {name: self._coords.get(name, _ZERO).to_json() for name in _NAMES}
+        names = ("w0", *(f"w{k}" for k in range(-1, -max(families.QUARTIC) - 1, -1)))
+        return {name: self._coords.get(name, _ZERO).to_json() for name in names}
+
+
+_ZERO_VECTOR = OmegaVector._of({})
+_W0_VECTOR = OmegaVector._of({"w0": _ONE})
 
 
 @dataclass(frozen=True)
@@ -112,8 +125,8 @@ def t_pow_u(exponent: int) -> RMonomial:
     return RMonomial(exponent, True)
 
 
-# Reduction cache: the classes of t^k u dt over a contiguous window of k.
-_U_CACHE: Dict[int, OmegaVector] = {k: OmegaVector.basis_u(k) for k in _U_NAMES}
+# Reduction cache: the classes of t^k u dt over a window of k, seeded on its first miss.
+_U_CACHE: Dict[int, OmegaVector] = {}
 _U_LOCK = threading.Lock()
 
 
@@ -138,6 +151,8 @@ def reduce_u_monomial(k: int) -> OmegaVector:
     if k in _U_CACHE:
         return _U_CACHE[k]
     with _U_LOCK:
+        if not _U_CACHE:
+            _U_CACHE.update((j, OmegaVector.basis_u(j)) for j in range(-max(families.QUARTIC), 0))
         hi = max(_U_CACHE)
         while hi < k:
             hi += 1
@@ -151,7 +166,7 @@ def reduce_u_monomial(k: int) -> OmegaVector:
 
 def reduce_plain(a: int) -> OmegaVector:
     """Class of t^a dt: exact unless a = -1, where it is the basis vector w0."""
-    return OmegaVector({"w0": _ONE if a == -1 else _ZERO})
+    return _W0_VECTOR if a == -1 else _ZERO_VECTOR
 
 
 def cocycle(f: RMonomial, g: RMonomial) -> OmegaVector:
@@ -164,7 +179,9 @@ def cocycle(f: RMonomial, g: RMonomial) -> OmegaVector:
         # t^a u d(t^b u) = [b t^{a+b-1} p(t) + t^{a+b} p'(t)/2] dt
         # = sum_e (b + e/2) p_e t^{a+b+e-1} dt is plain, and of its terms only
         # t^-1 dt (e = -a-b, so b + e/2 = (b-a)/2) has a nonzero class.
-        return OmegaVector({"w0": _ONE * Fraction(b - a, 2) * families.QUARTIC.get(-a - b, 0)})
+        if a == b or -a - b not in families.QUARTIC:
+            return _ZERO_VECTOR
+        return OmegaVector({"w0": _ONE * Fraction(b - a, 2) * families.QUARTIC[-a - b]})
     if f.has_u:
         # t^a u d(t^b) = b t^{a+b-1} u dt
         return reduce_u_monomial(a + b - 1).scale(b)
@@ -204,26 +221,27 @@ class PsiReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "cases": self.cases,
-            "passed": self.passed,
-            "failures": [list(f) for f in self.failures],
-        }
+        pairs = [list(f) for f in self.failures]
+        return {"bound": self.bound, "cases": self.cases, "passed": self.passed, "failures": pairs}
+
+
+def _window(bound: int) -> range:
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    return range(-bound, bound + 1)
 
 
 def verify_psi_table(bound: int) -> PsiReport:
     """Check cocycle(t^{i-1} u, t^j) = j psi(i, j) for all |i|, |j| <= bound."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    window = _window(bound)
+    plain = [(j, t_pow(j)) for j in window if j]
     failures: List[Tuple[int, int]] = []
     cases = 0
-    for i in range(-bound, bound + 1):
-        for j in range(-bound, bound + 1):
-            if j == 0:
-                continue
+    for i in window:
+        f = t_pow_u(i - 1)
+        for j, g in plain:
             cases += 1
-            if cocycle(t_pow_u(i - 1), t_pow(j)) != psi(i, j).scale(j):
+            if cocycle(f, g) != psi(i, j).scale(j):
                 failures.append((i, j))
     return PsiReport(bound=bound, cases=cases, failures=tuple(failures))
 
@@ -234,26 +252,15 @@ def uu_central_term(i: int, j: int) -> OmegaVector:
         ((j+1) d_{i+j,-2} - 2cj d_{i+j,0} + (j-1) d_{i+j,2}) w0.
     """
     s = i + j
-    coef = _ZERO
-    if s == -2:
-        coef = RationalPoly.constant(j + 1)
-    if s == 0:
-        coef = _C * (-2 * j)
-    if s == 2:
-        coef = RationalPoly.constant(j - 1)
-    return OmegaVector({"w0": coef})
+    if s in (-2, 2):
+        return OmegaVector({"w0": RationalPoly.constant(j - s // 2)})
+    return OmegaVector({"w0": _C * (-2 * j)}) if s == 0 else _ZERO_VECTOR
 
 
 def verify_uu_terms(bound: int) -> bool:
     """The u-u bracket's central term equals uu_central_term for |i|, |j| <= bound."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    window = range(-bound, bound + 1)
-    return all(
-        cocycle(t_pow_u(i - 1), t_pow_u(j - 1)) == uu_central_term(i, j)
-        for i in window
-        for j in window
-    )
+    monomials = [(i, t_pow_u(i - 1)) for i in _window(bound)]
+    return all(cocycle(f, g) == uu_central_term(i, j) for i, f in monomials for j, g in monomials)
 
 
 def verify_antisymmetry(bound: int) -> bool:
@@ -262,12 +269,5 @@ def verify_antisymmetry(bound: int) -> bool:
     because cocycle(plain, u-monomial) is computed as -cocycle(u-monomial,
     plain), so it is not looped over.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    window = range(-bound, bound + 1)
-    return all(
-        cocycle(f, g) == -cocycle(g, f)
-        for i in window
-        for j in window
-        for f, g in ((t_pow(i), t_pow(j)), (t_pow_u(i), t_pow_u(j)))
-    )
+    plain, with_u = zip(*((t_pow(i), t_pow_u(i)) for i in _window(bound)))
+    return all(cocycle(f, g) == -cocycle(g, f) for fs in (plain, with_u) for f in fs for g in fs)

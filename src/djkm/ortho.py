@@ -588,8 +588,11 @@ def quad_orthogonality(tag: str, n_nodes: int, max_deg: int) -> float:
     if n_nodes <= max_deg:
         raise ValueError("need n_nodes > max_deg for Gauss exactness")
     nodes, weights = golub_welsch(tag, n_nodes)
+    # RationalPoly.evaluate at every node at once: the same correctly rounded
+    # coefficients in the same Horner order, so the same floats
+    points = np.array(nodes)
     values = [
-        [float(_member(tag, n).evaluate(x)) for x in nodes]
+        np.polyval([float(c) for c in reversed(_member(tag, n).coeffs)], points).tolist()
         for n in range(max_deg + 1)
     ]
     worst = 0.0

@@ -10,16 +10,15 @@ from djkm import cocycle, families, oracle, ortho
 @pytest.fixture
 def cold_caches(monkeypatch):
     """Every process-global cache back to its import state for the test:
-    fresh families, Gegenbauer sequences and cocycle reduction window, and
-    empty oracle caches.  The warm ones come back afterwards, so a test may
+    fresh families, Gegenbauer sequences, an empty cocycle reduction window
+    (seeded from deg p on its first miss) and empty oracle caches.  The warm ones come back afterwards, so a test may
     patch p(t) or the recurrence without leaving its classes behind."""
     for cache in (oracle._product, oracle._sqrt, oracle._pow_neg_3_2):
         cache.cache_clear()
     for fid in families.FamilyId:
         monkeypatch.setitem(families._REGISTRY, fid, families.PolynomialFamily(fid))
     monkeypatch.setattr(families, "_GEGENBAUER", {})
-    basis = {k: cocycle.OmegaVector.basis_u(k) for k in cocycle._U_NAMES}
-    monkeypatch.setattr(cocycle, "_U_CACHE", basis)
+    monkeypatch.setattr(cocycle, "_U_CACHE", {})
 
 
 @pytest.fixture

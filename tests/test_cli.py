@@ -10,7 +10,7 @@ import pytest
 
 from djkm import battery, cli, diffops, families, ortho
 from djkm.cli import GEN_FAMILIES, main
-from djkm.exact import RationalPoly
+from djkm.exact import RationalPoly, VerificationError
 from djkm.families import VIEW_START, IndexView, generate
 
 
@@ -155,9 +155,10 @@ def test_verify_ode_report_shape(capsys):
 
 def test_verify_ode_report_shape_follows_the_stride(capsys, monkeypatch):
     # member_zero goes with a stride-1 row, which meets the other parity's
-    # zeros, whichever family holds it
-    monkeypatch.setitem(diffops.ODES, families.FamilyId.P2, diffops.ODES[families.FamilyId.P3])
+    # zeros, whichever family holds it.  P-2 gets P-3's stride-2 row on its
+    # even, nonzero members: on the odd ones the sweep would test nothing.
     table, _, offset, first = diffops.ODES[families.FamilyId.P3]
+    monkeypatch.setitem(diffops.ODES, families.FamilyId.P2, (table, 2, offset - 1, first))
     monkeypatch.setitem(diffops.ODES, families.FamilyId.P3, (table, 1, offset, first))
     _, out = run_cli(capsys, "verify-ode", "--family", "P-2", "--max-n", "12")
     items = json.loads(out)["items"]
@@ -165,6 +166,36 @@ def test_verify_ode_report_shape_follows_the_stride(capsys, monkeypatch):
     _, out = run_cli(capsys, "verify-ode", "--family", "P-3", "--max-n", "12")
     items = json.loads(out)["items"]
     assert items and all(isinstance(i["member_zero"], bool) for i in items)
+
+
+def test_a_sweep_of_zero_members_fails(capsys, monkeypatch):
+    # P-2's operator on its odd original indices, where every member is 0:
+    # each residual vanishes, but no case tests the operator
+    monkeypatch.setitem(
+        diffops.ODES, families.FamilyId.P2, (diffops.ELLIPTIC2_TABLE, 2, -3, 2)
+    )
+    message = "the P-2 sweep to 60 meets no nonzero member"
+    with pytest.raises(VerificationError, match=message):
+        battery.ode("P-2", 60)
+    assert main(["verify-ode", "--family", "P-2", "--max-n", "60"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: verification failed: {message}\n")
+    code, out = run_cli(capsys, "all", "--profile", "quick")
+    assert code == 1
+    failing = [i for i in json.loads(out)["items"] if i["status"] == "fail"]
+    assert failing == [{"check": "ode-P-2", "status": "fail", "error": message}]
+
+
+def test_ode_items_count_the_nonzero_members():
+    # P-4 and P-2 walk every shifted index and meet the other parity's zeros
+    desk = {name: args for name, _, (args, _) in battery.ROWS if name.startswith("ode-")}
+    counts = {name: battery.ode(*args) for name, args in desk.items()}
+    assert counts == {
+        "ode-P-4": (True, {"cases": 401, "nonzero_cases": 200}),
+        "ode-P-2": (True, {"cases": 401, "nonzero_cases": 199}),
+        "ode-P-1": (True, {"cases": 199, "nonzero_cases": 199}),
+        "ode-P-3": (True, {"cases": 199, "nonzero_cases": 199}),
+    }
 
 
 def _first_constant_plus_one(table):
@@ -235,12 +266,14 @@ def test_verify_ode_reports_wrong_operators(capsys, monkeypatch):
         assert RationalPoly.from_json(residual).to_json() == residual
         assert residual == first_residual[family]
     assert items["ode-P-4"] == {
-        "check": "ode-P-4", "status": "fail", "cases": 61, "first_failure": 0
+        "check": "ode-P-4", "status": "fail", "cases": 61, "nonzero_cases": 30, "first_failure": 0
     }
     assert items["ode-P-1"] == {
-        "check": "ode-P-1", "status": "fail", "cases": 39, "first_failure": 2
+        "check": "ode-P-1", "status": "fail", "cases": 39, "nonzero_cases": 39, "first_failure": 2
     }
-    assert items["ode-P-2"] == {"check": "ode-P-2", "status": "pass", "cases": 61}
+    assert items["ode-P-2"] == {
+        "check": "ode-P-2", "status": "pass", "cases": 61, "nonzero_cases": 29
+    }
     assert items["gegenbauer-link"] == {
         "check": "gegenbauer-link", "status": "fail", "first_failure": 5
     }

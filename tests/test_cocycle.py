@@ -1,11 +1,13 @@
 """Differential reduction, cocycle shapes, and the central-extension table."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import djkm.cocycle as cocycle_mod
 from djkm import families
 from djkm.cocycle import (
     OmegaVector,
@@ -87,6 +89,28 @@ def test_a_p_with_a_nonconstant_end_coefficient_is_refused(cold_caches, monkeypa
         reduce_u_monomial(0)
 
 
+def test_the_center_basis_follows_the_degree_of_p(cold_caches, monkeypatch):
+    # p is read when it is used: a degree-6 p patched after import reduces
+    # over w0, w-1, ..., w-6, top end first, then bottom end
+    with monkeypatch.context() as patch:
+        patch.setitem(families.QUARTIC, 6, 1)
+        # d(t^-5 u^3) at m = -5: 8 t^0 u dt == 10 w-6 - 8c w-4 - 2 w-2
+        assert reduce_u_monomial(0).scale(8) == vec(m6=10, m4=C * -8, m2=-2)
+        for k in range(-1, -7, -1):
+            assert reduce_u_monomial(k) == OmegaVector.basis_u(k)
+        with pytest.raises(ValueError):
+            OmegaVector.basis_u(-7)
+        # d(t^m u^3) = sum_e (m + 3e/2) p_e t^{m+e-1} u dt == 0 for every m
+        for m in range(-40, 41):
+            total = OmegaVector.zero()
+            for e, p_e in families.QUARTIC.items():
+                total = total + reduce_u_monomial(m + e - 1).scale(p_e * (2 * m + 3 * e))
+            assert total.is_zero(), f"relation fails at m={m}"
+        assert len(OmegaVector.zero().to_json()) == 7
+        assert list(reduce_u_monomial(-40).to_json())[-1] == "w-6"
+    assert len(OmegaVector.zero().to_json()) == 5
+
+
 def test_reduce_plain_cases():
     assert reduce_plain(3).is_zero()  # d(t^4/4)
     assert reduce_plain(-2).is_zero()  # d(-t^-1)
@@ -124,6 +148,73 @@ def test_uu_central_terms_sweep():
         for j in range(-12, 13):
             got = cocycle(t_pow_u(i - 1), t_pow_u(j - 1))
             assert (got - uu_central_term(i, j)).is_zero()
+
+
+def test_cocycle_matches_its_branch_formulas():
+    # the four branches of cocycle's docstring, each summed term by term over
+    # p(t) with the public vector arithmetic
+    w0 = OmegaVector.basis_w0()
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            # t^a d(t^b) = b t^{a+b-1} dt, of class b w0 at t^-1 dt alone
+            plain = w0.scale(b) if a + b == 0 else OmegaVector.zero()
+            # t^a u d(t^b u) = sum_e (b + e/2) p_e t^{a+b+e-1} dt
+            uu = OmegaVector.zero()
+            for e, p_e in families.QUARTIC.items():
+                if a + b + e == 0:
+                    uu = uu + w0.scale(p_e * (b + F(e, 2)))
+            assert cocycle(t_pow(a), t_pow(b)) == plain, (a, b)
+            assert cocycle(t_pow_u(a), t_pow_u(b)) == uu, (a, b)
+            # t^a u d(t^b) = b t^{a+b-1} u dt
+            got = cocycle(t_pow_u(a), t_pow(b))
+            assert got == reduce_u_monomial(a + b - 1).scale(b), (a, b)
+            # t^a d(t^b u) = d(t^{a+b} u) - a t^{a+b-1} u dt
+            got = cocycle(t_pow(a), t_pow_u(b))
+            assert got == reduce_u_monomial(a + b - 1).scale(-a), (a, b)
+
+
+def test_each_verify_loop_calls_each_function_once_per_case(monkeypatch):
+    # no case may be skipped, or served from a result kept across cases: each
+    # (i, j) calls cocycle, psi and uu_central_term through the module
+    calls = {name: Counter() for name in ("cocycle", "psi", "uu_central_term")}
+    for name, counter in calls.items():
+        real = getattr(cocycle_mod, name)
+
+        def counted(*args, real=real, counter=counter):
+            counter[args] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cocycle_mod, name, counted)
+
+    def run(check, bound):
+        for counter in calls.values():
+            counter.clear()
+        result = check(bound)
+        return result, {name: dict(counter) for name, counter in calls.items()}
+
+    b = 4
+    window = range(-b, b + 1)
+    cases = [(i, j) for i in window for j in window if j]
+    report, got = run(verify_psi_table, b)
+    assert report.passed and report.cases == 2 * b * (2 * b + 1) == len(cases)
+    assert got == {
+        "cocycle": {(t_pow_u(i - 1), t_pow(j)): 1 for i, j in cases},
+        "psi": {case: 1 for case in cases},
+        "uu_central_term": {},
+    }
+    cases = [(i, j) for i in window for j in window]
+    assert run(verify_uu_terms, b) == (True, {
+        "cocycle": {(t_pow_u(i - 1), t_pow_u(j - 1)): 1 for i, j in cases},
+        "psi": {},
+        "uu_central_term": {case: 1 for case in cases},
+    })
+    # the case (f, g) calls cocycle(f, g) and cocycle(g, f), and so does (g, f)
+    pairs = [(t(i), t(j)) for t in (t_pow, t_pow_u) for i, j in cases]
+    assert run(verify_antisymmetry, b) == (True, {
+        "cocycle": {pair: 2 for pair in pairs},
+        "psi": {},
+        "uu_central_term": {},
+    })
 
 
 def test_antisymmetry_all_shapes():

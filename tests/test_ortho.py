@@ -529,6 +529,25 @@ def test_quad_orthogonality_error_bound(tag):
     assert quad_orthogonality(tag, 20, 8) <= 1e-10
 
 
+@pytest.mark.parametrize("tag, n_nodes, max_deg", [("q", 60, 20), ("qbar", 60, 20), ("q", 20, 8)])
+def test_quad_orthogonality_matches_evaluate_at_the_nodes(tag, n_nodes, max_deg):
+    # each member on all the nodes at once gives evaluate's floats bit for
+    # bit, so the largest off-diagonal sum is the one of the per-node loop
+    nodes, weights = golub_welsch(tag, n_nodes)
+    values = []
+    for n in range(max_deg + 1):
+        member = ortho_mod._member(tag, n)
+        at_once = np.polyval([float(c) for c in reversed(member.coeffs)], np.array(nodes))
+        values.append([float(member.evaluate(x)) for x in nodes])
+        assert at_once.tolist() == values[-1]
+    sums = (
+        sum(w * values[i][k] * values[j][k] for k, w in enumerate(weights))
+        for i in range(max_deg + 1)
+        for j in range(i)
+    )
+    assert quad_orthogonality(tag, n_nodes, max_deg) == max(abs(acc) for acc in sums)
+
+
 def test_quad_diagonal_positive():
     nodes, weights = golub_welsch("qbar", 20)
     for n in range(9):
