@@ -74,24 +74,19 @@ def funde(order: int) -> bool:
     return all(oracle.check_funde(order, family_id) for family_id in FamilyId)
 
 
-def ode_rows(family: str, max_n: int) -> List[dict]:
-    """Per-index residual status; failures carry the residual polynomial.  A
-    stride-1 ODES row meets the other parity's zeros, so it adds member_zero.
-    A sweep with no nonzero member raises VerificationError."""
-    return _ode_sweep(family, max_n)[0]
-
-
-def _ode_sweep(family: str, max_n: int) -> Tuple[List[dict], int]:
-    """The rows of ode_rows and the number of nonzero members among them.  A
-    sweep with no nonzero member tests no operator, so it raises
-    VerificationError, as an empty one raises ValueError."""
-    every_index = diffops.ODES[FamilyId(family)][1] == 1
+def ode_rows(family: str, max_n: int) -> Tuple[List[dict], int]:
+    """Per-index residual status, failures with their residual polynomial, and
+    the number of nonzero members.  A stride-1 ODES row meets the other
+    parity's zeros, so it adds member_zero.  A sweep with no nonzero member
+    tests no operator: ValueError if it is empty or ends below original index
+    0, else VerificationError (a wrong ODES row)."""
+    _, stride, offset, _ = diffops.ODES[FamilyId(family)]
     items = []
     nonzero = 0
     for row in diffops.ode_sweep(FamilyId(family), max_n):
         nonzero += not row.member_zero
         entry = {"n": row.n}
-        if every_index:
+        if stride == 1:
             entry["member_zero"] = row.member_zero
         if row.identity is not None:
             entry["identity"] = status(row.identity)
@@ -100,6 +95,9 @@ def _ode_sweep(family: str, max_n: int) -> Tuple[List[dict], int]:
             entry["residual"] = row.residual.to_json()
         items.append(entry)
     if not nonzero:
+        last = stride * max_n + offset
+        if last < 0:
+            raise ValueError(f"the {family} sweep to {max_n} ends at original index {last} < 0")
         raise VerificationError(f"the {family} sweep to {max_n} meets no nonzero member")
     return items, nonzero
 
@@ -107,7 +105,7 @@ def _ode_sweep(family: str, max_n: int) -> Tuple[List[dict], int]:
 def ode(family: str, max_n: int):
     """The sweep's case and nonzero-member counts, and its first failing
     index and residual."""
-    rows, nonzero = _ode_sweep(family, max_n)
+    rows, nonzero = ode_rows(family, max_n)
     counts = {"cases": len(rows), "nonzero_cases": nonzero}
     failing = next((i for i in rows if i["status"] == "fail"), None)
     if failing is None:

@@ -129,7 +129,7 @@ def _gen_text(family_id: FamilyId, view: IndexView, polys) -> str:
 
 def _cmd_verify_ode(args) -> tuple:
     with _usage_errors("--max-n"):
-        items = battery.ode_rows(args.family, args.max_n)
+        items, _ = battery.ode_rows(args.family, args.max_n)
     return {"family": args.family, "max_n": args.max_n}, items
 
 

@@ -31,6 +31,9 @@ over the lcm of their denominators, at one point.
 (x, y, z) of two others without building or reducing the step, stopping at
 the first unequal numerator.
 
+One fraction-free elimination, ``_bareiss``, gives ``leading_minors`` (the
+Hankel determinants) and ``nullspace`` (the nonclassicality system) exactly.
+
 All values are immutable after construction and safe to share across threads.
 """
 
@@ -41,7 +44,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import gcd, lcm
 from operator import add, eq, mul, neg, sub
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -66,6 +69,12 @@ class ResidueError(VerificationError):
 
 def _as_rational(x) -> Scalar:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _integer_row(row: Sequence[Scalar]) -> tuple:
+    """(s * row, s) for s the lcm of the denominators of the entries."""
+    s = lcm(*(x.denominator for x in row))
+    return [x.numerator * (s // x.denominator) for x in row], s
 
 
 def _canonical(num: list, den: int) -> tuple:
@@ -160,11 +169,7 @@ class RationalPoly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        fs = [_as_rational(x) for x in coeffs]
-        den = lcm(*(f.denominator for f in fs))
-        self._num, self._den = _canonical(
-            [f.numerator * (den // f.denominator) for f in fs], den
-        )
+        self._num, self._den = _canonical(*_integer_row([_as_rational(x) for x in coeffs]))
 
     # -- constructors -------------------------------------------------------
 
@@ -916,3 +921,70 @@ class LaurentSeries:
             "truncation_order": self._trunc,
             "coeffs": [p.to_json() for p in self._coeffs],
         }
+
+
+# -- fraction-free elimination (Bareiss, Math. Comp. 22, 1968) ---------------
+
+
+def _bareiss(m: list, width: int) -> tuple:
+    """Row echelon form of the integer rows m in columns 0..width-1, in place:
+    below the pivot p of column k a row becomes (p row - row[k] top) / p', p'
+    the previous pivot, an exact division since every entry is a minor of the
+    rows in their final order; entries left of a pivot are stale.  Returns the
+    pivot columns of m[0], m[1], ... and the steps that swapped out a zero pivot."""
+    pivots, swaps, prev = [], [], 1
+    for col in range(width):
+        r = len(pivots)
+        at = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if at is None:
+            continue
+        if at != r:
+            m[r], m[at] = m[at], m[r]
+            swaps.append(r)
+        top, pivot = m[r], m[r][col]
+        for row in m[r + 1 :]:
+            for j in range(col + 1, width):
+                row[j] = (row[j] * pivot - row[col] * top[j]) // prev
+        pivots.append(col)
+        prev = pivot
+    return pivots, swaps
+
+
+def leading_minors(rows: Sequence[Sequence[Scalar]]) -> list:
+    """Exact determinants of the leading N x N blocks of rows, N = 1..len(rows).
+
+    Until the first exchange or skipped column of one pass on the rows scaled
+    to integers, pivot r is the (r+1)-th leading minor.  Each larger minor is
+    the last pivot of its own block, negated per exchange, or 0 if singular."""
+    scaled = [_integer_row(row) for row in rows]
+    m = [ints[:] for ints, _ in scaled]
+    pivots, swaps = _bareiss(m, len(m))
+    run = min([r for r, col in enumerate(pivots) if col != r] + swaps + [len(pivots)])
+    out, den = [], 1
+    for size, (_, s) in enumerate(scaled, 1):
+        den *= s
+        if size <= run:
+            det = m[size - 1][size - 1]
+        else:
+            block = [ints[:size] for ints, _ in scaled[:size]]
+            pivots, swaps = _bareiss(block, size)
+            det = (-1) ** len(swaps) * block[-1][-1] if len(pivots) == size else 0
+        out.append(Fraction(det, den))
+    return out
+
+
+def nullspace(rows: Iterable[Sequence[Scalar]], width: int) -> list:
+    """The reduced row echelon basis of {v : sum_j row[j] v[j] = 0 for every row}
+    over Q: one vector per free column, 1 there and 0 at the other free ones.
+    The pivot entries come by back-substitution over Fraction on the at most
+    width pivot rows of one pass on the rows scaled to integers."""
+    m = [_integer_row(row)[0] for row in rows]
+    pivots, _ = _bareiss(m, width)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        vec = [Fraction(0)] * width
+        vec[free] = Fraction(1)
+        for row, col in reversed(list(zip(m, pivots))):
+            vec[col] = Fraction(-sum(map(mul, row[col + 1 : width], vec[col + 1 :])), row[col])
+        basis.append(tuple(vec))
+    return basis

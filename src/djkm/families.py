@@ -20,10 +20,9 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
-from .exact import Rational, RationalPoly, Scalar, VerificationError, shift_combination
+from .exact import RationalPoly, Scalar, VerificationError, _integer_row, shift_combination
 
 _C = RationalPoly.variable()
 
@@ -165,13 +164,12 @@ _GEGENBAUER_LOCK = threading.Lock()
 def _ultraspherical(nu: Fraction, c: Scalar, count: int) -> List[RationalPoly]:
     """The shared C_n^(nu)(x; c), extended under the lock through count; not to
     be changed.  Step m solves (m + c) C_m = (2m + 2(nu + c - 1)) x C_{m-1}
-    - (m + 2 nu + c - 2) C_{m-2}, times d, the lcm of the denominators of nu
-    and c, so that its three multipliers are integers."""
+    - (m + 2 nu + c - 2) C_{m-2}, times d, the lcm of the denominators of
+    2 (nu + c - 1), 2 - 2 nu - c and c, so that its three multipliers are integers."""
     with _GEGENBAUER_LOCK:
         seq = _GEGENBAUER.setdefault((nu, c), [RationalPoly.one()])
         if len(seq) <= count:
-            d = lcm(nu.denominator, c.denominator)
-            a, b, e = int(2 * d * (nu + c - 1)), int(-d * (2 * nu + c - 2)), int(d * c)
+            (a, b, e), d = _integer_row([2 * (nu + c - 1), 2 - 2 * nu - c, c])
             for m in range(len(seq), count + 1):
                 z = d * m + e
                 if not z:
@@ -197,7 +195,7 @@ def assoc_ultraspherical(nu: Scalar, assoc_c: Scalar, count: int) -> List[Ration
     return _ultraspherical(nu, assoc_c, count)[: count + 1]
 
 
-def gegenbauer(lam: Union[Rational, int], n: int) -> RationalPoly:
+def gegenbauer(lam: Scalar, n: int) -> RationalPoly:
     """Gegenbauer polynomial C_n^(lam), exact for rational lam: the association-0
     sequence of ``assoc_ultraspherical``, n C_n = 2(n + lam - 1) c C_{n-1}
     - (n + 2 lam - 2) C_{n-2} with C_0 = 1, cached so that n = 0..N costs N steps.

@@ -6,20 +6,20 @@ The orthogonal sequences are the degree-graded views of the even families:
     qbar_n = P_{-2, 2n+2} (original indexing),  qbar_0 = 1/5,  deg qbar_n = n
 
 Both satisfy x p_n = A_{n+1} p_{n+1} + C_{n-1} p_{n-1} with zero diagonal and
-A_n C_{n-1} > 0, so Favard's theorem applies after symmetrization; A_n and
-C_n come from ``families.master_step``, which generates the families.  Exact
-work (moments, Hankel determinants, Gram matrices, the nonclassicality linear
-system) runs on integer numerators over one denominator, like RationalPoly,
-and builds Fractions only for its results.  The Jacobi matrix enters through
-beta_n^2 = A_n C_{n-1} via the similarity that puts beta_n^2 above the
-diagonal and 1 below, so no square root is ever taken.  Its zero diagonal
-makes the odd moments vanish, so each Hankel determinant splits by parity
-into an even and an odd block.  Floating point appears only in the Gauss
-quadrature (golub_welsch, quad_orthogonality) and in hyp2f1: golub_welsch
-takes LAPACK eigenvalues of the tridiagonal B^T B, B the bidiagonal half of
-J, refines each node by one Newton step, builds the eigenvectors from a
-twisted three-term recurrence, and checks every eigenpair's residual and the
-nodes' strict order.
+A_n C_{n-1} > 0, so Favard's theorem applies after symmetrization; A_n and C_n
+come from ``families.master_step``, which generates the families.  Exact work
+runs on integer numerators over one denominator, like RationalPoly, and builds
+Fractions only for its results; the Hankel minors and the nullspace of the
+nonclassicality system come from ``exact``'s one elimination kernel.  The
+Jacobi matrix enters through beta_n^2 = A_n C_{n-1} via the similarity that
+puts beta_n^2 above the diagonal and 1 below, so no square root is ever taken.
+Its zero diagonal makes the odd moments vanish, so each Hankel determinant
+splits by parity into an even and an odd block.  Floating point appears only
+in the Gauss quadrature (golub_welsch, quad_orthogonality) and in hyp2f1:
+golub_welsch takes LAPACK eigenvalues of the tridiagonal B^T B, B the
+bidiagonal half of J, refines each node by one Newton step, builds the
+eigenvectors from a twisted three-term recurrence, and checks every
+eigenpair's residual and the nodes' strict order.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .exact import RationalPoly, Scalar, VerificationError, is_shift_combination
+from .exact import _integer_row, leading_minors, nullspace
 from . import families
 from .families import SEQUENCES, VIEWS, get_family
 from .families import assoc_ultraspherical  # noqa: F401  (battery and perfbench's spans use it)
@@ -167,12 +167,6 @@ def favard_lambdas(tag: str, count: int) -> List[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _integer_row(row: Sequence[Scalar]) -> Tuple[List[int], int]:
-    """(s * row, s) for s the lcm of the denominators of the entries."""
-    s = lcm(*(x.denominator for x in row))
-    return [x.numerator * (s // x.denominator) for x in row], s
-
-
 def _moment_numerators(tag: str, max_order: int) -> Tuple[List[int], int]:
     """(V, L) with m_k = V_k / L**k, L the lcm of the denominators of beta_n^2."""
     data = three_term(tag)
@@ -200,61 +194,6 @@ def moments(tag: str, max_order: int) -> List[Fraction]:
     return [Fraction(x, den**k) for k, x in enumerate(nums)]
 
 
-def _det_fraction(rows: List[List[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination with partial pivoting."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for cc in range(col, n):
-                    m[r][cc] -= factor * m[col][cc]
-    return det
-
-
-def _leading_minors(rows: Sequence[Sequence[Scalar]]) -> List[Fraction]:
-    """Exact determinants of the leading N x N blocks of rows, N = 1..len(rows).
-
-    Bareiss elimination without row exchanges on the rows scaled to integers:
-    the N-th pivot is the N-th leading minor of the scaled rows, and every
-    division by the previous pivot is exact.  A zero pivot makes its minor
-    exactly 0; each larger minor then falls back to _det_fraction on the
-    original rows.
-    """
-    n = len(rows)
-    scaled = [_integer_row(row) for row in rows]
-    m = [ints for ints, _ in scaled]
-    out: List[Fraction] = []
-    prev, den = 1, 1
-    for k in range(n):
-        pivot = m[k][k]
-        if not pivot:
-            out.append(Fraction(0))
-            break
-        den *= scaled[k][1]
-        out.append(Fraction(pivot, den))
-        pivot_row = m[k]
-        for row in m[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
-        prev = pivot
-    for size in range(len(out) + 1, n + 1):
-        block = [[Fraction(x) for x in row[:size]] for row in rows[:size]]
-        out.append(_det_fraction(block))
-    return out
-
-
 def hankel(tag: str, max_size: int) -> List[Fraction]:
     """Hankel determinants det[m_{i+j}]_{0<=i,j<N} for N = 1..max_size.
 
@@ -269,8 +208,8 @@ def hankel(tag: str, max_size: int) -> List[Fraction]:
         raise VerificationError(f"{tag}: a nonzero odd moment, H_N is not block diagonal")
     even, den = _integer_row(ms[0::2])
     half, rest = (max_size + 1) // 2, max_size // 2
-    e = [1] + _leading_minors([even[i : i + half] for i in range(half)])
-    o = [1] + _leading_minors([even[i + 1 : i + 1 + rest] for i in range(rest)])
+    e = [1] + leading_minors([even[i : i + half] for i in range(half)])
+    o = [1] + leading_minors([even[i + 1 : i + 1 + rest] for i in range(rest)])
     return [e[(n + 1) // 2] * o[n // 2] / den**n for n in range(1, max_size + 1)]
 
 
@@ -334,10 +273,7 @@ class NonclassicalWitness:
 
     @property
     def verified(self) -> bool:
-        if self.solution_space_dim != 1:
-            return False
-        (vec,) = self.basis
-        return all(vec[i] == 0 for i in range(5)) and vec[5] != 0
+        return self.basis == ((0, 0, 0, 0, 0, 1),)  # the echelon basis of the constants
 
     def to_json(self) -> dict:
         return {
@@ -349,43 +285,6 @@ class NonclassicalWitness:
             "basis": [[str(x) for x in vec] for vec in self.basis],
             "verified": self.verified,
         }
-
-
-def _nullspace(rows: Sequence[Sequence[Fraction]], width: int):
-    """Reduced row echelon form nullspace basis over Q, fraction-free.
-
-    Rows are scaled to integers and divided by their gcd after each update,
-    so each stays a nonzero multiple of its Fraction RREF counterpart.
-    """
-    m = [_integer_row(r)[0] for r in rows]
-    pivots: List[int] = []
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        top = m[r]
-        lead = top[col]
-        for i in range(len(m)):
-            factor = m[i][col]
-            if i != r and factor:
-                row = [lead * x - factor * y for x, y in zip(m[i], top)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = Fraction(-m[row_idx][fc], m[row_idx][pc])
-        basis.append(tuple(vec))
-    return basis
 
 
 def nonclassical_check(tag: str, max_n: int) -> NonclassicalWitness:
@@ -411,7 +310,7 @@ def nonclassical_check(tag: str, max_n: int) -> NonclassicalWitness:
             row = tuple(col.coefficient(power) for col in columns)
             if any(row):
                 rows.append(row)
-    basis = _nullspace(rows, len(UNKNOWNS))
+    basis = nullspace(rows, len(UNKNOWNS))
     return NonclassicalWitness(
         family=tag,
         max_n=max_n,

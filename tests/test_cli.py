@@ -186,6 +186,27 @@ def test_a_sweep_of_zero_members_fails(capsys, monkeypatch):
     assert failing == [{"check": "ode-P-2", "status": "fail", "error": message}]
 
 
+@pytest.mark.parametrize("max_n", [0, 1])
+def test_a_bound_below_the_first_nonzero_member_is_a_usage_error(capsys, monkeypatch, max_n):
+    # P-2's sweep to 0 or 1 ends at original index -4 or -3 and meets only
+    # zero initial values: nothing failed, the bound is too small (exit 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-ode", "--family", "P-2", "--max-n", str(max_n)])
+    assert exc.value.code == 2
+    message = f"the P-2 sweep to {max_n} ends at original index {max_n - 4} < 0"
+    assert capsys.readouterr() == ("", f"error: --max-n: {message}\n")
+    with pytest.raises(ValueError, match=message):
+        battery.ode("P-2", max_n)
+    # the sweep to 2 reaches P_{-2,-2}, a nonzero member
+    assert run_cli(capsys, "verify-ode", "--family", "P-2", "--max-n", "2")[0] == 0
+    # a wrong ODES row whose sweep ends past 0 among zero members still fails (exit 1)
+    monkeypatch.setitem(
+        diffops.ODES, families.FamilyId.P2, (diffops.ELLIPTIC2_TABLE, 2, -3, 2)
+    )
+    assert main(["verify-ode", "--family", "P-2", "--max-n", "60"]) == 1
+    assert capsys.readouterr().err.startswith("error: verification failed: ")
+
+
 def test_ode_items_count_the_nonzero_members():
     # P-4 and P-2 walk every shifted index and meet the other parity's zeros
     desk = {name: args for name, _, (args, _) in battery.ROWS if name.startswith("ode-")}

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from djkm.exact import (
@@ -753,3 +753,109 @@ def test_series_json_round_trip():
         data["truncation_order"],
     )
     assert rebuilt == s
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free elimination
+# ---------------------------------------------------------------------------
+
+
+def det_fraction(rows):
+    """Reference: exact determinant by Gaussian elimination over Fraction with
+    partial pivoting."""
+    n = len(rows)
+    m = [[F(x) for x in row] for row in rows]
+    det = F(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                for cc in range(col, n):
+                    m[r][cc] -= factor * m[col][cc]
+    return det
+
+
+def assert_entries_are_minors(ints, width):
+    """Run the kernel on a copy of the integer rows and check Sylvester's
+    identity: entry j >= pivot of echelon row k is the minor of the first k + 1
+    rows, in their final order, on the first k pivot columns and column j.  A
+    division that left a remainder would break it.  Rows past the rank vanish
+    off the pivot columns, and the rows before the first exchange stay put."""
+    m = [row[:] for row in ints]
+    origin = {id(row): i for i, row in enumerate(m)}
+    pivots, swaps = exact._bareiss(m, width)
+    order = [origin[id(row)] for row in m]
+    rank = len(pivots)
+    assert pivots == sorted(set(pivots)) and swaps == sorted(set(swaps))
+    assert all(step < rank for step in swaps)
+    unmoved = swaps[0] if swaps else len(m)
+    assert order[:unmoved] == list(range(unmoved))
+    for k, col in enumerate(pivots):
+        assert m[k][col] != 0
+        for j in range(col, width):
+            cols = pivots[:k] + [j]
+            assert m[k][j] == det_fraction([[ints[i][c] for c in cols] for i in order[: k + 1]])
+    assert all(row[j] == 0 for row in m[rank:] for j in range(width) if j not in pivots)
+    return pivots, swaps
+
+
+def rectangular_matrices():
+    """1-6 rows of 1-6 integer or Fraction entries in [-2, 2], so that zero
+    pivots, exchanges, skipped columns and rank deficiency are common."""
+    entry = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    return st.integers(1, 6).flatmap(
+        lambda width: st.lists(
+            st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=6
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rectangular_matrices())
+@example([[0, 1], [1, 0]])  # a zero first pivot: one exchange
+@example([[0, 1, 2], [0, 2, 4], [0, 3, 7]])  # a zero column is skipped
+@example([[1, 2, 3], [2, 4, 6], [1, 0, 1], [F(1, 2), 1, F(3, 2)]])  # rank 2 of 4 rows
+@example([[F(1, 2), F(1, 3)], [F(1, 5), F(2, 7)]])  # rows over different denominators
+def test_bareiss_entries_are_minors_of_the_exchanged_rows(rows):
+    width = len(rows[0])
+    ints = [exact._integer_row(row)[0] for row in rows]
+    pivots, _ = assert_entries_are_minors(ints, width)
+    # the kernel's rank is the rank of the rows, and the nullspace has the rest
+    basis = exact.nullspace(rows, width)
+    assert len(basis) == width - len(pivots)
+    for vec in basis:
+        assert all(sum(F(x) * v for x, v in zip(row, vec)) == 0 for row in rows)
+
+
+def wide_square_matrices():
+    """6 x 6 integer matrices with entries up to 2**30 in size; some have a
+    zero leading entry, and some a row that is the sum of two others."""
+    entry = st.integers(-(2**30), 2**30)
+    rows = st.lists(st.lists(entry, min_size=6, max_size=6), min_size=6, max_size=6)
+
+    def shaped(args):
+        m, zero_lead, dependent = args
+        m = [row[:] for row in m]
+        if zero_lead:
+            m[0][0] = 0
+        if dependent:
+            m[4] = [x + y for x, y in zip(m[1], m[2])]
+        return m
+
+    return st.tuples(rows, st.booleans(), st.booleans()).map(shaped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_square_matrices())
+def test_bareiss_divides_exactly_on_wide_entries(rows):
+    assert_entries_are_minors(rows, 6)
+    expected = [det_fraction([row[:size] for row in rows[:size]]) for size in range(1, 7)]
+    assert exact.leading_minors(rows) == expected

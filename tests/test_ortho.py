@@ -10,14 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import djkm.ortho as ortho_mod
-from djkm.exact import RationalPoly, VerificationError
+from djkm.exact import RationalPoly, VerificationError, _integer_row, leading_minors, nullspace
 from djkm.families import FamilyId, get_family
 from djkm.ortho import (
     NoConvergenceError,
-    _det_fraction,
-    _integer_row,
-    _leading_minors,
-    _nullspace,
     assoc_jacobi,
     assoc_ultraspherical,
     favard_lambdas,
@@ -32,6 +28,7 @@ from djkm.ortho import (
     recurrence_mismatch,
     three_term,
 )
+from test_exact import det_fraction  # the reference determinant
 
 
 def pochhammer(x, n):
@@ -243,10 +240,10 @@ def square_matrices():
 def test_leading_minors_match_det_fraction(rows):
     exact = [[F(x) for x in row] for row in rows]
     expected = [
-        _det_fraction([row[:size] for row in exact[:size]])
+        det_fraction([row[:size] for row in exact[:size]])
         for size in range(1, len(rows) + 1)
     ]
-    got = _leading_minors(rows)
+    got = leading_minors(rows)
     assert got == expected
     assert all(type(d) is F for d in got)
 
@@ -256,7 +253,7 @@ def test_hankel_equals_determinant_of_each_size(tag):
     # the full moment matrix, not its parity blocks
     ms = moments(tag, 38)
     expected = [
-        _det_fraction([[ms[i + j] for j in range(size)] for i in range(size)])
+        det_fraction([[ms[i + j] for j in range(size)] for i in range(size)])
         for size in range(1, 21)
     ]
     assert hankel(tag, 20) == expected
@@ -415,7 +412,7 @@ def rational_systems(draw):
 @example(([[F(0), F(0)], [F(1, 2), F(1, 3)], [F(1, 5), F(2, 7)]], 2))
 def test_nullspace_matches_fraction_reference(system):
     rows, width = system
-    got = _nullspace(rows, width)
+    got = nullspace(rows, width)
     assert got == fraction_nullspace(rows, width)
     assert all(type(x) is F for vec in got for x in vec)
 
