@@ -673,12 +673,12 @@ def _as_poly(x) -> RationalPoly:
 
 
 class LaurentSeries:
-    """Truncated Laurent series in z with RationalPoly coefficients.
+    """Truncated Laurent series in z with RationalPoly coefficients: what the oracles use.
 
     Coefficients are known exactly for every exponent ``lowest_order`` through
     ``truncation_order`` inclusive, and are zero below ``lowest_order``.
-    Binary operations take the minimum truncation consistent with what both
-    operands actually determine.
+    A product takes the minimum truncation consistent with what both operands
+    actually determine.
     """
 
     __slots__ = ("_low", "_coeffs", "_trunc")
@@ -763,36 +763,12 @@ class LaurentSeries:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        trunc = min(self._trunc, other._trunc)
-        low = min(self._low, other._low)
-        if low > trunc:
-            return LaurentSeries.zero(trunc)
-        coeffs = [
-            self.coefficient(n) + other.coefficient(n) for n in range(low, trunc + 1)
-        ]
-        return LaurentSeries(low, coeffs, trunc)
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self._low, [-p for p in self._coeffs], self._trunc)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalPoly)):
-            return self.scale(other)
+    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         # The result coefficient at n is fully determined only while every
         # contributing pair is inside both known ranges.
         trunc = min(self._trunc + other._low, other._trunc + self._low)
-        if self.is_zero() or other.is_zero():
-            return LaurentSeries.zero(trunc)
         low = self._low + other._low
         size = trunc - low + 1
         if size <= 0:
@@ -807,14 +783,6 @@ class LaurentSeries:
         ]
         return LaurentSeries(low, out, trunc)
 
-    __rmul__ = __mul__
-
-    def scale(self, factor) -> "LaurentSeries":
-        f = _as_poly(factor)
-        if f.is_zero():
-            return LaurentSeries.zero(self._trunc)
-        return LaurentSeries(self._low, [p * f for p in self._coeffs], self._trunc)
-
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by z**k."""
         return LaurentSeries(self._low + k, self._coeffs, self._trunc + k)
@@ -827,15 +795,6 @@ class LaurentSeries:
         return LaurentSeries(
             self._low, self._coeffs[: new_trunc - self._low + 1], new_trunc
         )
-
-    def differentiate(self) -> "LaurentSeries":
-        """d/dz, exact termwise; truncation drops by one."""
-        terms = {}
-        for i, p in enumerate(self._coeffs):
-            n = self._low + i
-            if n != 0 and not p.is_zero():
-                terms[n - 1] = p * n
-        return LaurentSeries.from_terms(terms, self._trunc - 1)
 
     def integrate(self) -> "LaurentSeries":
         """Termwise antiderivative with integration constant 0.

@@ -2,10 +2,10 @@
 
 All four families satisfy one master recurrence in the original index k,
 z P_k = x c P_{k-2} + y P_{k-4} with the integers (x, y, z) of
-``master_step(k)``, and differ only in which of the four initial entries
-P_{-4}..P_{-1} equals 1.  The canonical internal indexing is the original one
-(k >= -4); the shifted, q and qbar views are reindexings n -> stride n +
-offset, each one row of ``VIEWS``.
+``master_step(k)``, the table ``MASTER`` at k, and differ only in which of
+the four initial entries P_{-4}..P_{-1} equals 1.  The canonical internal
+indexing is the original one (k >= -4); the shifted, q and qbar views are
+reindexings n -> stride n + offset, each one row of ``VIEWS``.
 
 ``QUARTIC`` is the one statement of the curve p(t) = t^4 - 2ct^2 + 1 of the
 ring C[t, t^-1, u | u^2 = p(t)].  The cocycle's reduction and u-u term, the
@@ -22,7 +22,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .exact import RationalPoly, Scalar, VerificationError, _integer_row, shift_combination
+from .exact import (
+    RationalPoly, Scalar, VerificationError, _horner, _integer_row, shift_combination
+)
 
 _C = RationalPoly.variable()
 
@@ -62,9 +64,14 @@ SEQUENCES = {
 }
 
 
+#: x, y and z of the master recurrence as integer polynomials in k, lowest power first.
+MASTER = ((0, 4), (6, -2), (6, 2))
+
+
 def master_step(k: int) -> Tuple[int, int, int]:
-    """(x, y, z) = (4k, 6 - 2k, 6 + 2k): z P_k = x c P_{k-2} + y P_{k-4} for k >= 0."""
-    return 4 * k, 6 - 2 * k, 6 + 2 * k
+    """``MASTER`` at k, (4k, 6 - 2k, 6 + 2k): z P_k = x c P_{k-2} + y P_{k-4} for k >= 0."""
+    x, y, z = MASTER
+    return _horner(x, k), _horner(y, k), _horner(z, k)
 
 
 #: p(t) = t^4 - 2ct^2 + 1 as {power of t: coefficient}.  The constant

@@ -12,9 +12,10 @@ the families by a route that never touches the recurrence, which makes the
 two engines mutual oracles.  All comparisons are coefficient-exact; there is
 no tolerance anywhere in this module.
 
-The quartic 1 - 2cz^2 + z^4 is the curve's p(z): ``_quartic`` and the left
-side of ``check_funde`` read it from ``families.QUARTIC`` when they run, so
-a patch to p reaches all three expansions and the ODE check.  The prefactors
+The quartic 1 - 2cz^2 + z^4 is the curve's p(z): ``_quartic`` and the
+weights (2m - 2 - 3e) p_e / 2 of ``check_funde``'s row read it from
+``families.QUARTIC`` when they run, so a patch to p reaches all three
+expansions and the ODE check, which builds no series.  The prefactors
 (4cz^2 - 1, the Gegenbauer bracket) and the ODE's right side stay typed.
 
 Every expansion ends the same way: an odd series in z (the antiderivative,
@@ -45,11 +46,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import families
 from .exact import LaurentSeries, RationalPoly, shift_combination
-from .families import FamilyId, gegenbauer, get_family
+from .families import FamilyId, IndexView, gegenbauer, get_family
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,15 @@ def expand_gegenbauer_sum(order: int) -> OracleResult:
     return _compare(bracket, FamilyId.P4, order)
 
 
+def _funde_lhs(members: Sequence[RationalPoly], m: int) -> RationalPoly:
+    """The z^m coefficient of check_funde's left side at P = sum_n members[n] z^n."""
+    total = RationalPoly.zero()
+    for e, p_e in families.QUARTIC.items():
+        if e <= m:
+            total = total + members[m - e] * (p_e * Fraction(2 * m - 2 - 3 * e, 2))
+    return total
+
+
 def check_funde(order: int, family_id: FamilyId) -> bool:
     """Verify the first-order ODE in z that every generating function solves:
 
@@ -173,22 +183,16 @@ def check_funde(order: int, family_id: FamilyId) -> bool:
     with the left side's p(z) = 1 - 2cz^2 + z^4 read from families.QUARTIC
     and the right side typed, at P_{-j} = 1 for family P-j and 0 for the
     other three, read from family_id and never from the members, so a wrong
-    seed fails.  Checked coefficientwise through z^order after clearing
-    denominators.
+    seed fails.  Checked coefficientwise through z^order: at P = sum_n a_n z^n,
+    the z^m coefficient of z p P' is sum_e p_e (m - e) a_{m-e} and that of
+    (p + z p'/2) P is sum_e p_e (1 + e/2) a_{m-e}, so the left side's is the
+    row sum_e p_e (2m - 2 - 3e) a_{m-e} / 2 of ``_funde_lhs``.
     """
     family_id = FamilyId(family_id)
     if order < 8:
         raise ValueError("order must be >= 8")
-    fam = get_family(family_id)
-    series = LaurentSeries(0, [fam.shifted(n) for n in range(order + 1)], order)
-    # z p(z) and p(z) + z p'(z) / 2, from families.QUARTIC
-    p = families.QUARTIC.items()
-    poly_a = LaurentSeries.from_terms({e + 1: p_e for e, p_e in p}, order + 5)
-    poly_b = LaurentSeries.from_terms({e: p_e * Fraction(e + 2, 2) for e, p_e in p}, order + 5)
-    lhs = poly_a * series.differentiate() - poly_b * series
+    members = families.generate(family_id, IndexView.SHIFTED, order)
     # P_{-4}, P_{-3}, P_{-2}, P_{-1}, in FamilyId order
     p4, p3, p2, p1 = (int(fid is family_id) for fid in FamilyId)
-    terms = {0: (-p4,), 2: (p2, 4 * p4), 3: (2 * p1, 2 * p3)}
-    rhs = LaurentSeries.from_terms({e: RationalPoly(cs) for e, cs in terms.items()}, order)
-    # agrees_with raises if either side is not actually known through z^order
-    return lhs.agrees_with(rhs, upto=order)
+    rhs = {0: (-p4,), 2: (p2, 4 * p4), 3: (2 * p1, 2 * p3)}
+    return all(_funde_lhs(members, m) == RationalPoly(rhs.get(m, ())) for m in range(order + 1))

@@ -594,6 +594,19 @@ def test_a_wrong_master_step_fails_the_pinned_closed_forms(cold_caches, monkeypa
     assert "first_failure" not in favard and favard["lambda1_sq"] != "1/10"
 
 
+def test_a_wrong_master_table_fails_the_generating_function_ode(cold_caches, monkeypatch, capsys):
+    # z = 8 + 2k in MASTER: the families follow it, and the ODE's row, which
+    # reads p and never MASTER, meets members that do not solve the ODE
+    monkeypatch.setattr(families, "MASTER", ((0, 4), (6, -2), (8, 2)))
+    assert families.master_step(1) == (4, 4, 10)
+    code, out = run_cli(capsys, "all", "--profile", "quick")
+    assert code == 1
+    items = {item["check"]: item for item in json.loads(out)["items"]}
+    assert list(items) == ALL_ITEMS
+    assert items["family-tables"]["status"] == "fail"
+    assert items["generating-function-ode"]["status"] == "fail"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_cli(

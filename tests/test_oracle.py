@@ -7,8 +7,11 @@ from fractions import Fraction as F
 from itertools import repeat
 from math import lcm
 from operator import add, mul
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from djkm import cli, families, oracle
 from djkm.exact import LaurentSeries, RationalPoly, VerificationError
@@ -123,6 +126,59 @@ def test_funde_reads_the_initial_values_from_the_family_id(cold_caches, monkeypa
     assert not check_funde(40, FamilyId.P4)
 
 
+def _convolve(a: list, b: list) -> list:
+    out = [RationalPoly.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _funde_lhs_by_convolution(members: list, p: list) -> list:
+    """z p F' - (p + z p'/2) F through z^(len(members) - 1) for F the members
+    and p a dense list, lowest power first, by plain list convolution."""
+    zero = RationalPoly.zero()
+    z_p = [zero] + p
+    f_prime = [a * n for n, a in enumerate(members)][1:]
+    p_prime = [q * e for e, q in enumerate(p)][1:]
+    # p + z p' / 2
+    weight = [q + z_dq / 2 for q, z_dq in zip(p, [zero] + p_prime)]
+    left, right = _convolve(z_p, f_prime), _convolve(weight, members)
+    return [left[m] - right[m] for m in range(len(members))]
+
+
+#: p = 1 + 3cz - 2cz^2 + z^4 - z^5/3 + (2 + c^2) z^6: every e from 0 to 6
+#: but 3, with int, Fraction and RationalPoly coefficients.
+DEGREE_6_CURVE = {
+    6: RationalPoly((2, 0, 1)),
+    5: F(-1, 3),
+    4: 1,
+    2: RationalPoly((0, -2)),
+    1: RationalPoly((0, 3)),
+    0: 1,
+}
+
+
+@pytest.mark.parametrize("curve", [families.QUARTIC, DEGREE_6_CURVE], ids=["quartic", "degree-6"])
+@settings(max_examples=25, deadline=None)
+@given(
+    members=st.lists(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=12), max_size=4).map(
+            RationalPoly
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_funde_row_matches_the_convolved_left_side(curve, members):
+    p = [RationalPoly.zero()] * (max(curve) + 1)
+    for e, p_e in curve.items():
+        p[e] = p_e if isinstance(p_e, RationalPoly) else RationalPoly.constant(p_e)
+    expected = _funde_lhs_by_convolution(members, p)
+    with mock.patch.object(families, "QUARTIC", curve):
+        assert [oracle._funde_lhs(members, m) for m in range(len(members))] == expected
+
+
 def test_order_preconditions():
     with pytest.raises(ValueError):
         expand_elliptic1(3)
@@ -168,7 +224,10 @@ def _integrate_plus_one(monkeypatch):
 
     def wrong(self):
         right = integrate(self)
-        return right + LaurentSeries.from_terms({0: ONE}, right.truncation_order)
+        trunc = right.truncation_order
+        terms = {n: right.coefficient(n) for n in range(right.lowest_order, trunc + 1)}
+        terms[0] = terms.get(0, RationalPoly.zero()) + ONE
+        return LaurentSeries.from_terms(terms, trunc)
 
     monkeypatch.setattr(LaurentSeries, "integrate", wrong)
 
