@@ -144,6 +144,8 @@ def antisymmetry(bound: int) -> bool:
 def favard(tag: str, count: int):
     """lambda_1^2..lambda_count^2 from A_1..A_count and C_0..C_{count-1}: the
     sequence's own lambda_1^2, and every one > 0."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1 for lambda_1^2, got {count}")
     bad = djkm.ortho.recurrence_mismatch(tag, count + 1)
     if bad is not None:
         return False, {"first_failure": bad}
@@ -175,6 +177,8 @@ def nonclassical(tag: str, max_n: int):
 
 def assoc_ultraspherical(max_n: int) -> bool:
     """C_n^(-1/2)(x; 3/2) = q_n for n <= max_n."""
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, C_0 = q_0 = 1 by construction, got {max_n}")
     ultra = djkm.ortho.assoc_ultraspherical(Fraction(-1, 2), Fraction(3, 2), max_n)
     p4 = families.get_family(FamilyId.P4)
     return all(ultra[n] == p4.q(n) for n in range(max_n + 1))

@@ -7,12 +7,10 @@ keys follow deg p.  Classes in Omega^1_R / dR are expanded over
     w0 = class(t^-1 dt),    w_k = class(t^k u dt)  for k = -1, ..., -deg p,
 
 with RationalPoly coordinates.  Monomials t^k u dt reduce into this basis by
-
-    d(t^m u^3) = sum_e (m + 3e/2) p_e t^{m+e-1} u dt == 0   (mod dR),
-
-solved for its top term (e = deg p) when k >= 0 and for its bottom term
-(e = 0) when k < -deg p.  The cocycle of two ring monomials is the class of
-f dg, computed with d(t^b u) = b t^{b-1} u dt + t^b du and u du = p'(t) dt / 2.
+d(t^m u^3) == 0 (mod dR), the row ``families.curve_row(m)``, solved for its
+top term (e = deg p) when k >= 0 and for its bottom term (e = 0) when
+k < -deg p.  The cocycle of two ring monomials is the class of f dg, computed
+with d(t^b u) = b t^{b-1} u dt + t^b du and u du = p'(t) dt / 2.
 """
 
 from __future__ import annotations
@@ -131,19 +129,19 @@ _U_LOCK = threading.Lock()
 
 
 def _solve(k: int, end: int) -> OmegaVector:
-    """Class of t^k u dt as the e = end term of 2 d(t^m u^3) = sum_e (2m + 3e)
-    p_e t^{m+e-1} u dt == 0; the classes of the other terms must be cached.
-    2m + 3 end is 2k + 6 >= 6 at the top (k >= 0), 2k + 2 <= -8 at the bottom."""
-    p = families.QUARTIC
-    lead = p[end]
+    """Class of t^k u dt as the e = end term of ``families.curve_row(m)`` == 0,
+    m = k + 1 - end; the classes of the other terms must be cached.  The end
+    weight (2k + 2 + end) p_end is not 0 for k >= 0 or k < -deg p."""
+    lead = families.QUARTIC[end]
     if not isinstance(lead, (int, Fraction)) or not lead:
         raise VerificationError(f"p(t) has t^{end} coefficient {lead}, not a nonzero constant")
     m = k + 1 - end
+    row = families.curve_row(m)
     total = OmegaVector.zero()
-    for e, p_e in p.items():
+    for e, weight in row.items():
         if e != end:
-            total = total + _U_CACHE[m + e - 1].scale(p_e * (2 * m + 3 * e))
-    return total.scale(Fraction(-1, 2 * m + 3 * end) / lead)
+            total = total + _U_CACHE[m + e - 1].scale(weight)
+    return total.scale(Fraction(-1, row[end]))
 
 
 def reduce_u_monomial(k: int) -> OmegaVector:

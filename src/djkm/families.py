@@ -10,9 +10,10 @@ reindexings n -> stride n + offset, each one row of ``VIEWS``.
 ``QUARTIC`` is the one statement of the curve p(t) = t^4 - 2ct^2 + 1 of the
 ring C[t, t^-1, u | u^2 = p(t)].  The cocycle's reduction and u-u term, the
 oracles' quartic and the generating-function ODE's left side read it through
-this module when they run, so a patch to it moves every check derived from
-p.  The recurrence, the operator tables and the closed forms the oracles
-compare against stay typed: they are the claims those checks test.
+this module when they run, the reduction and the ODE as ``curve_row``, so a
+patch to it moves every check derived from p.  The recurrence, the operator
+tables and the closed forms the oracles compare against stay typed: they are
+the claims those checks test.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ def master_step(k: int) -> Tuple[int, int, int]:
 #: p(t) = t^4 - 2ct^2 + 1 as {power of t: coefficient}.  The constant
 #: coefficients are ints: the reduction divides by the two end ones.
 QUARTIC = {4: 1, 2: _C * -2, 0: 1}
+
+
+def curve_row(m: int) -> dict:
+    """{e: (2m + 3e) p_e} for p = ``QUARTIC`` now: 2 d(t^m u^3) = sum_e (2m + 3e)
+    p_e t^{m+e-1} u dt.  The cocycle solves the row at m = k + 1 - end for
+    t^k u dt; the generating-function ODE's z^m coefficient is -1/2 the row at
+    1 - m against a_{m-e}.  For p = t^4 - 2ct^2 + 1 it reads {0: -z, 2: x c,
+    4: y} at m = -k - 3 and {0: -y, 2: -x c, 4: z} at k - 3, (x, y, z) =
+    ``master_step(k)``."""
+    return {e: p_e * (2 * m + 3 * e) for e, p_e in QUARTIC.items()}
 
 
 class PolynomialFamily:

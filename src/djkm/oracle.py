@@ -12,11 +12,11 @@ the families by a route that never touches the recurrence, which makes the
 two engines mutual oracles.  All comparisons are coefficient-exact; there is
 no tolerance anywhere in this module.
 
-The quartic 1 - 2cz^2 + z^4 is the curve's p(z): ``_quartic`` and the
-weights (2m - 2 - 3e) p_e / 2 of ``check_funde``'s row read it from
-``families.QUARTIC`` when they run, so a patch to p reaches all three
-expansions and the ODE check, which builds no series.  The prefactors
-(4cz^2 - 1, the Gegenbauer bracket) and the ODE's right side stay typed.
+The quartic 1 - 2cz^2 + z^4 is the curve's p(z): ``_quartic`` reads it from
+``families.QUARTIC`` and ``check_funde``'s row from ``families.curve_row``
+when they run, so a patch to p reaches all three expansions and the ODE
+check, which builds no series.  The prefactors (4cz^2 - 1, the Gegenbauer
+bracket) and the ODE's right side stay typed.
 
 Every expansion ends the same way: an odd series in z (the antiderivative,
 or the Gegenbauer bracket) times z sqrt(1 - 2cz^2 + z^4), compared with the
@@ -166,11 +166,12 @@ def expand_gegenbauer_sum(order: int) -> OracleResult:
 
 
 def _funde_lhs(members: Sequence[RationalPoly], m: int) -> RationalPoly:
-    """The z^m coefficient of check_funde's left side at P = sum_n members[n] z^n."""
+    """The z^m coefficient of check_funde's left side at P = sum_n members[n] z^n:
+    -1/2 the curve's row at 1 - m against members[m - e]."""
     total = RationalPoly.zero()
-    for e, p_e in families.QUARTIC.items():
+    for e, weight in families.curve_row(1 - m).items():
         if e <= m:
-            total = total + members[m - e] * (p_e * Fraction(2 * m - 2 - 3 * e, 2))
+            total = total + members[m - e] * (weight * Fraction(-1, 2))
     return total
 
 
@@ -183,10 +184,8 @@ def check_funde(order: int, family_id: FamilyId) -> bool:
     with the left side's p(z) = 1 - 2cz^2 + z^4 read from families.QUARTIC
     and the right side typed, at P_{-j} = 1 for family P-j and 0 for the
     other three, read from family_id and never from the members, so a wrong
-    seed fails.  Checked coefficientwise through z^order: at P = sum_n a_n z^n,
-    the z^m coefficient of z p P' is sum_e p_e (m - e) a_{m-e} and that of
-    (p + z p'/2) P is sum_e p_e (1 + e/2) a_{m-e}, so the left side's is the
-    row sum_e p_e (2m - 2 - 3e) a_{m-e} / 2 of ``_funde_lhs``.
+    seed fails.  Checked coefficientwise through z^order, the left side's
+    z^m coefficient as the row ``_funde_lhs``.
     """
     family_id = FamilyId(family_id)
     if order < 8:

@@ -113,6 +113,20 @@ def test_gegenbauer_link_rejects_an_empty_sweep():
         battery.gegenbauer_link(1)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_favard_rejects_a_count_without_lambda_1(count):
+    # count 0 computes only lambda_0^2 = 1, and the check reads lambda_1^2
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        battery.favard("q", count)
+
+
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_assoc_ultraspherical_rejects_a_bound_that_checks_nothing(max_n):
+    # max_n = 0 compares only C_0 = q_0 = 1, which holds by construction
+    with pytest.raises(ValueError, match="max_n must be >= 1"):
+        battery.assoc_ultraspherical(max_n)
+
+
 @pytest.mark.parametrize("profile", battery.PROFILES)
 def test_a_psi_wrong_at_one_pair_of_one_sum_fails_the_table(monkeypatch, profile):
     # psi depends on s = i + j alone; a psi wrong only at i = 2 of s = 5 must

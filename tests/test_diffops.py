@@ -19,7 +19,7 @@ from djkm.diffops import (
     ode_sweep,
     second_order_sweep,
 )
-from djkm.exact import RationalPoly
+from djkm.exact import RationalPoly, nullspace, table_combinations
 from djkm.families import FamilyId, IndexView, gegenbauer, get_family
 
 C = RationalPoly.variable()
@@ -395,3 +395,59 @@ def test_sweep_family_validation():
         second_order_sweep(FamilyId.P1, 1)
     with pytest.raises(ValueError):
         ode_sweep(FamilyId.P3, -5)
+
+
+# ---------------------------------------------------------------------------
+# derive, don't transcribe: each ODES table is the one operator of its shape
+# ---------------------------------------------------------------------------
+
+#: The ansatz for each ODES row: sum_i f_i(c, n) D^i of order <= order with
+#: deg_c f_i <= i + extra and deg_n <= deg_n, over the members n = first..top.
+ANSATZ = {
+    FamilyId.P4: (4, 0, 4, 30),
+    FamilyId.P3: (2, 0, 2, 40),
+    FamilyId.P2: (4, 0, 4, 30),
+    FamilyId.P1: (2, 2, 2, 40),
+}
+
+
+@pytest.mark.parametrize("family", ANSATZ, ids=lambda fid: fid.value)
+def test_each_odes_table_is_the_only_operator_of_its_shape(family):
+    order, extra, deg_n, top = ANSATZ[family]
+    table, stride, offset, first = diffops.ODES[family]
+    fam = get_family(family)
+    points = [(n, fam.original(stride * n + offset)) for n in range(first, top + 1)]
+    unknowns = [
+        (i, t, j) for i in range(order + 1) for t in range(i + extra + 1) for j in range(deg_n + 1)
+    ]
+    # the residuals of c^t n^j D^i, as one-hot tables in the ODES layout
+    residuals = [
+        table_combinations(
+            tuple(((),) * t + ((0,) * j + (1,),) if r == i else () for r in range(order + 1)),
+            points,
+        )
+        for i, t, j in unknowns
+    ]
+    rows = []
+    for column in zip(*residuals):
+        for power in range(max(p.degree for p in column) + 1):
+            row = [p.coefficient(power) for p in column]
+            if any(row):
+                rows.append(row)
+    (basis,) = nullspace(rows, len(unknowns))
+
+    def entry(i, t, j):
+        return table[i][t][j] if t < len(table[i]) and j < len(table[i][t]) else 0
+
+    committed = [entry(*u) for u in unknowns]
+    # every nonzero entry of the table lies inside the ansatz
+    assert sum(map(bool, committed)) == sum(x != 0 for f in table for cs in f for x in cs)
+    free = basis.index(1)
+
+    def spanned(vec):
+        return vec[free] != 0 and vec == [vec[free] * x for x in basis]
+
+    assert spanned(committed)
+    changed = list(committed)
+    changed[0] += 1
+    assert not spanned(changed)

@@ -335,3 +335,42 @@ def test_gegenbauer_link_sweep():
 def test_gegenbauer_link_rejects_small_n():
     with pytest.raises(ValueError):
         verify_gegenbauer_link(1)
+
+
+# 2 d(t^m u^3) against the master step (x, y, z) at k: at m = -k - 3 the row
+# is the generating-function ODE's z^(k+4) coefficient, times -2, and at
+# m = k - 3 the psi reducer's top step, for t^k u dt.
+ROW_IDENTITIES = {
+    "generating-function-ode": (lambda k: -k - 3, lambda x, y, z: {0: -z, 2: C * x, 4: y}),
+    "psi-top-step": (lambda k: k - 3, lambda x, y, z: {0: -y, 2: C * -x, 4: z}),
+}
+
+
+def _row_mismatches(identity):
+    """The k at which curve_row and the master step disagree.  Both sides are
+    polynomials in k of degree at most max(deg MASTER, 1), so that many points
+    plus one decide the identity; k = -40..40 is checked besides."""
+    at, expected = ROW_IDENTITIES[identity]
+    degree = max(len(row) for row in families.MASTER) - 1
+    ks = [*range(max(degree, 1) + 1), *range(-40, 41)]
+    return [k for k in ks if families.curve_row(at(k)) != expected(*families.master_step(k))]
+
+
+@pytest.mark.parametrize("identity", ROW_IDENTITIES)
+def test_the_curve_row_is_the_master_step(identity):
+    # with the base terms m = 0..3 that check_funde checks, the first identity
+    # is the generating-function ODE at every order
+    assert _row_mismatches(identity) == []
+
+
+WRONG_TABLES = {
+    "master-z": lambda patch: patch.setattr(families, "MASTER", ((0, 4), (6, -2), (8, 2))),
+    "quartic-3c": lambda patch: patch.setitem(families.QUARTIC, 2, C * -3),
+}
+
+
+@pytest.mark.parametrize("identity", ROW_IDENTITIES)
+@pytest.mark.parametrize("wrong", WRONG_TABLES)
+def test_a_wrong_table_breaks_the_curve_row_identity(cold_caches, monkeypatch, identity, wrong):
+    WRONG_TABLES[wrong](monkeypatch)
+    assert _row_mismatches(identity)
