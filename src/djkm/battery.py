@@ -4,6 +4,8 @@ A check returns ok, or ok and the extra fields of its report item.  ``all``
 runs every row of ROWS; the other checking subcommands call the same checks
 at the bounds their flags give.  Checks look library functions up through
 their module when they run, so patches and traces of a module see the call.
+Where ``os.fork`` exists, ``run`` runs the CHILD_ROWS in one forked child: a
+patch made before reaches both processes, a trace only this one's rows.
 ``favard`` and ``hankel`` first tie exactly the A_n and C_n they read from
 ``ortho.ThreeTermData`` to the generated members.
 """
@@ -11,6 +13,7 @@ their module when they run, so patches and traces of a module see the call.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
@@ -36,13 +39,53 @@ def item(name: str, check: Callable, *args) -> dict:
 def run(profile: str) -> List[dict]:
     """The items of ``djkm all``; a raised VerificationError fails its item alone."""
     column = PROFILES.index(profile)
-    items = []
-    for name, check, args in ROWS:
-        try:
-            items.append(item(name, check, *args[column]))
-        except VerificationError as exc:
-            items.append({"check": name, "status": "fail", "error": str(exc)})
+    got = _forked(column) if hasattr(os, "fork") else _rows(column, range(len(ROWS)))
+    items = [got[at] for at in sorted(got)]
+    error = next((i for i in items if isinstance(i, Exception)), None)
+    if error is not None:
+        raise error
     return items
+
+
+def _rows(column: int, positions) -> dict:
+    """{position: item} of the ROWS at positions, run in order; the first
+    exception other than a VerificationError ends the run in its item's place."""
+    items = {}
+    for at in positions:
+        name, check, args = ROWS[at]
+        try:
+            items[at] = item(name, check, *args[column])
+        except VerificationError as exc:
+            items[at] = {"check": name, "status": "fail", "error": str(exc)}
+        except Exception as exc:
+            return {**items, at: exc}
+    return items
+
+
+def _forked(column: int) -> dict:
+    """_rows of the CHILD_ROWS in one forked child, and of the others here meanwhile."""
+    import pickle  # here, not at module level, where it adds 3 ms to each import
+    forked = [at for at, row in enumerate(ROWS) if row[0] in CHILD_ROWS]
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # never returns; os._exit flushes no file the child inherited
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pickle.dump(_rows(column, forked), pipe)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:
+            here = _rows(column, (at for at in range(len(ROWS)) if at not in forked))
+            sent = pipe.read()
+    finally:  # reaped on every path, after the close ends a child blocked on a full pipe
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code or not sent:
+        raise RuntimeError(f"the forked battery rows ended with status {code} and no result")
+    return {**pickle.loads(sent), **here}
 
 
 def family_tables() -> bool:
@@ -219,6 +262,13 @@ def _sequences(check: Callable, tags: tuple, bound: int):
             return False, {"family": tag, **extra}
     return True
 
+
+#: The rows ``run`` runs in its forked child: members to shifted index 120, and no numpy.
+CHILD_ROWS = (
+    "family-tables", "oracle-elliptic-1", "oracle-elliptic-2", "oracle-gegenbauer-sum",
+    "generating-function-ode", "gegenbauer-link", "wimp-discrepancy",
+    "cocycle-psi-table", "cocycle-uu-central-terms", "cocycle-antisymmetry",
+)
 
 #: The items of ``djkm all`` in report order: name, check, and the check's
 #: arguments under each of PROFILES.  With gamma_n eliminated the nonclassical

@@ -1,11 +1,14 @@
-"""The check table of djkm.battery: its shape, the three-term ties of the
-orthogonality checks, and the cocycle checks one by one."""
+"""The check table of djkm.battery: its shape, the forked run of ``all``, the
+three-term ties of the orthogonality checks, and the cocycle checks one by
+one."""
+
+import os
 
 import pytest
 
-from djkm import battery, cocycle, families
+from djkm import battery, cocycle, diffops, families, oracle, ortho
 from djkm.cocycle import OmegaVector
-from djkm.exact import RationalPoly
+from djkm.exact import RationalPoly, VerificationError
 
 
 def test_every_row_has_one_argument_tuple_per_profile():
@@ -25,6 +28,81 @@ def test_rows_hold_only_battery_checks():
 def test_run_rejects_an_unknown_profile():
     with pytest.raises(ValueError):
         battery.run("deep")
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_the_child_rows_are_ten_rows_of_all():
+    assert sorted(battery.CHILD_ROWS) == sorted([
+        "family-tables", "oracle-elliptic-1", "oracle-elliptic-2", "oracle-gegenbauer-sum",
+        "generating-function-ode", "gegenbauer-link", "wimp-discrepancy",
+        "cocycle-psi-table", "cocycle-uu-central-terms", "cocycle-antisymmetry",
+    ])
+    names = [name for name, _, _ in battery.ROWS]
+    assert len(set(battery.CHILD_ROWS)) == 10 and set(battery.CHILD_ROWS) <= set(names)
+
+
+@pytest.mark.parametrize("profile", battery.PROFILES)
+def test_the_forked_run_gives_the_serial_result(cold_caches, monkeypatch, profile):
+    forked = battery.run(profile)
+    assert no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert battery.run(profile) == forked
+    assert [i["check"] for i in forked] == [name for name, _, _ in battery.ROWS]
+    assert {i["status"] for i in forked} == {"pass"}
+
+
+def raise_(exc):
+    def check(*args):
+        raise exc
+
+    return check
+
+
+def outcome(monkeypatch, fork: bool):
+    """The type and message that battery.run("quick") raises, forked or not."""
+    with monkeypatch.context() as patch:
+        if not fork:
+            patch.delattr(os, "fork")
+        with pytest.raises(Exception) as info:
+            battery.run("quick")
+    assert no_child_left()
+    return info.type, str(info.value)
+
+
+def test_an_error_in_a_child_row_is_raised_as_in_one_process(monkeypatch):
+    monkeypatch.setattr(cocycle, "verify_psi_table", raise_(ValueError("psi bound")))
+    assert outcome(monkeypatch, True) == outcome(monkeypatch, False) == (ValueError, "psi bound")
+
+
+@pytest.mark.parametrize(
+    "first, later",
+    [
+        ((diffops, "ode_sweep"), (cocycle, "verify_psi_table")),  # ode-P-4 in this process
+        ((oracle, "check_funde"), (ortho, "recurrence_mismatch")),  # the child's funde
+    ],
+    ids=["parent-row-first", "child-row-first"],
+)
+def test_the_earlier_row_wins_when_both_processes_raise(monkeypatch, first, later):
+    monkeypatch.setattr(*first, raise_(KeyError("first")))
+    monkeypatch.setattr(*later, raise_(ZeroDivisionError("later")))
+    assert outcome(monkeypatch, True) == outcome(monkeypatch, False) == (KeyError, "'first'")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="in-process, os._exit would end the tests")
+def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch):
+    monkeypatch.setattr(cocycle, "verify_antisymmetry", lambda bound: os._exit(3))
+    with pytest.raises(Exception) as info:
+        battery.run("quick")
+    assert info.type is RuntimeError and not isinstance(info.value, VerificationError)
+    assert "status 3" in str(info.value)
+    assert no_child_left()
 
 
 def _tied_rows(profile):
@@ -93,11 +171,17 @@ def test_each_cocycle_check_fails_alone(monkeypatch):
             lambda a: OmegaVector.basis_w0() if a == 0 else real_plain(a),
         ),
     }
+    items = {"psi": "cocycle-psi-table", "uu": "cocycle-uu-central-terms",
+             "antisymmetry": "cocycle-antisymmetry"}
     for broken, (attr, mutant) in mutants.items():
         with monkeypatch.context() as patch:
             patch.setattr(cocycle, attr, mutant)
             got = cocycle_verdicts()
+            # through all, where the cocycle rows run in the forked child
+            failed = [i["check"] for i in battery.run("quick") if i["status"] == "fail"]
         assert got == {name: "fail" if name == broken else "pass" for name in COCYCLE_CHECKS}, broken
+        assert failed == [items[broken]], broken
+        assert no_child_left()
 
 
 def test_a_wrong_ring_fails_the_psi_table(cold_caches, monkeypatch):

@@ -73,6 +73,25 @@ def test_import_loads_neither(module):
     assert fresh(f"import sys, {module}\nprint({LOADED})\n") == "[]\n"
 
 
+def test_the_cli_loads_no_process_machinery():
+    # battery.run imports pickle where it forks; multiprocessing is never used
+    loaded = "[m for m in ('pickle', 'multiprocessing') if m in sys.modules]"
+    assert fresh(f"import sys, djkm.cli\nprint({loaded})\n") == "[]\n"
+
+
+def test_the_forked_rows_of_all_load_neither():
+    # the child never calls numpy, so forking after numpy's threads start is safe
+    script = (
+        "import sys\n"
+        "from djkm import battery\n"
+        "for name, check, args in battery.ROWS:\n"
+        "    if name in battery.CHILD_ROWS:\n"
+        "        battery.item(name, check, *args[0])\n"
+        f"print({LOADED})\n"
+    )
+    assert fresh(script) == "[]\n"
+
+
 def test_assoc_ultraspherical_loads_neither():
     script = (
         "import sys, djkm\n"
