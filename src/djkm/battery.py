@@ -5,7 +5,9 @@ runs every row of ROWS; the other checking subcommands call the same checks
 at the bounds their flags give.  Checks look library functions up through
 their module when they run, so patches and traces of a module see the call.
 Where ``os.fork`` exists, ``run`` runs the CHILD_ROWS in one forked child: a
-patch made before reaches both processes, a trace only this one's rows.
+patch made before reaches both processes, a trace only this one's rows, and
+an exception from a child row is raised here with the child's traceback as
+its cause.
 ``favard`` and ``hankel`` first tie exactly the A_n and C_n they read from
 ``ortho.ThreeTermData`` to the generated members.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import djkm  # djkm.ortho, which loads numpy, is imported on first use
 from . import cocycle, diffops, families, oracle, reference
@@ -41,10 +43,15 @@ def run(profile: str) -> List[dict]:
     column = PROFILES.index(profile)
     got = _forked(column) if hasattr(os, "fork") else _rows(column, range(len(ROWS)))
     items = [got[at] for at in sorted(got)]
-    error = next((i for i in items if isinstance(i, Exception)), None)
+    error = _error(items)
     if error is not None:
         raise error
     return items
+
+
+def _error(items) -> Optional[Exception]:
+    """The first exception among items, or None."""
+    return next((i for i in items if isinstance(i, Exception)), None)
 
 
 def _rows(column: int, positions) -> dict:
@@ -62,6 +69,15 @@ def _rows(column: int, positions) -> dict:
     return items
 
 
+class ChildTraceback(Exception):
+    """The traceback of an exception raised in the forked child, which pickle
+    drops: set as the cause of that exception where it is raised again, as
+    ``concurrent.futures`` does with a worker's exception."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
 def _forked(column: int) -> dict:
     """_rows of the CHILD_ROWS in one forked child, and of the others here meanwhile."""
     import pickle  # here, not at module level, where it adds 3 ms to each import
@@ -71,8 +87,14 @@ def _forked(column: int) -> dict:
     if pid == 0:  # never returns; os._exit flushes no file the child inherited
         try:
             os.close(read)
+            got = _rows(column, forked)
+            error, text = _error(got.values()), None
+            if error is not None:
+                import traceback
+
+                text = "".join(traceback.format_exception(type(error), error, error.__traceback__))
             with open(write, "wb") as pipe:
-                pickle.dump(_rows(column, forked), pipe)
+                pickle.dump((got, text), pipe)
             os._exit(0)
         finally:
             os._exit(1)
@@ -85,7 +107,10 @@ def _forked(column: int) -> dict:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code or not sent:
         raise RuntimeError(f"the forked battery rows ended with status {code} and no result")
-    return {**pickle.loads(sent), **here}
+    got, text = pickle.loads(sent)
+    if text is not None:
+        _error(got.values()).__cause__ = ChildTraceback(text)
+    return {**got, **here}
 
 
 def family_tables() -> bool:

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional, TextIO
+from typing import Iterable, Iterator, List, Optional, TextIO
 
 from . import battery
 from .cocycle import cocycle as cocycle_of, t_pow, t_pow_u
@@ -51,19 +51,23 @@ def _usage_errors(flag: str):
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def _emit(text: str, out: Optional[TextIO]) -> None:
-    """Write text to the open --out file, or to stdout with a final newline.
+def _emit(chunks: Iterable[str], out: Optional[TextIO]) -> None:
+    """Write the chunks, as they come, to the open --out file, or to stdout
+    with a final newline.
 
     A reader that closes stdout early (``djkm gen ... | head``) is not an
-    error: the rest of the output is dropped, and stdout is pointed at
+    error: the remaining chunks are dropped, and stdout is pointed at
     os.devnull so the flush at exit stays quiet.
     """
     if out is not None:
-        out.write(text)
+        for chunk in chunks:
+            out.write(chunk)
         return
     try:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        chunk = ""
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        if not chunk.endswith("\n"):
             sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
@@ -82,7 +86,7 @@ def _report(
         "items": items,
         "wall_time_ms": int((time.perf_counter() - started) * 1000),
     }
-    _emit(json.dumps(report, indent=2), out)
+    _emit((json.dumps(report, indent=2),), out)
     return 0 if status == "pass" else 1
 
 
@@ -100,8 +104,9 @@ def _cmd_gen(args) -> None:
     _emit(_gen_text(family_id, view, polys), args.out)
 
 
-def _gen_text(family_id: FamilyId, view: IndexView, polys) -> str:
-    """The gen payload in exactly the layout of ``json.dumps(..., indent=2)``.
+def _gen_text(family_id: FamilyId, view: IndexView, polys) -> Iterator[str]:
+    """The gen payload in exactly the layout of ``json.dumps(..., indent=2)``,
+    one chunk per entry, so that no more than one entry is held as text.
 
     Written directly because ``json.dumps`` falls back to its pure-Python
     encoder whenever ``indent`` is set.  Every string in the payload holds
@@ -109,22 +114,19 @@ def _gen_text(family_id: FamilyId, view: IndexView, polys) -> str:
     nonempty, as ``generate`` returns it.
     """
     start = VIEW_START[view]
-    entries = []
+    head = f'{{\n  "family": "{family_id.value}",\n  "view": "{view.value}",\n  "entries": [\n'
     for offset, poly in enumerate(polys):
         pairs = ",\n".join(
             f'          [\n            "{num}",\n            "{den}"\n          ]'
             for num, den in poly.to_json()["coeffs"]
         )
         coeffs = f"[\n{pairs}\n        ]" if pairs else "[]"
-        entries.append(
-            f'    {{\n      "n": {start + offset},\n      "poly": {{\n'
+        yield (
+            f'{head}    {{\n      "n": {start + offset},\n      "poly": {{\n'
             f'        "coeffs": {coeffs}\n      }}\n    }}'
         )
-    body = ",\n".join(entries)
-    return (
-        f'{{\n  "family": "{family_id.value}",\n  "view": "{view.value}",\n'
-        f'  "entries": [\n{body}\n  ]\n}}'
-    )
+        head = ",\n"
+    yield "\n  ]\n}"
 
 
 def _cmd_verify_ode(args) -> tuple:
@@ -160,7 +162,7 @@ def _cmd_cocycle(args) -> Optional[tuple]:
     if args.i is None or args.j is None:
         raise UsageError("cocycle requires --i and --j (or --verify)")
     vec = cocycle_of(t_pow_u(args.i - 1), t_pow(args.j))
-    _emit(json.dumps(vec.to_json(), indent=2), args.out)
+    _emit((json.dumps(vec.to_json(), indent=2),), args.out)
     return None
 
 
@@ -189,11 +191,11 @@ def _cmd_quadrature(args) -> None:
             "nodes": [f"{x:.17g}" for x in nodes],
             "weights": [f"{w:.17g}" for w in weights],
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit((json.dumps(payload, indent=2),), args.out)
     else:
         lines = ["node,weight"]
         lines += [f"{x:.17g},{w:.17g}" for x, w in zip(nodes, weights)]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("\n".join(lines) + "\n",), args.out)
 
 
 def _cmd_nonclassical(args) -> tuple:

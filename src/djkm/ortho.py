@@ -78,12 +78,25 @@ class ThreeTermData:
         # p_n is P at original index stride n + offset, read once per tag
         stride, offset, _ = VIEWS[_sequence(self.family)[1]]
         object.__setattr__(self, "_k", lambda n: stride * n + offset)
+        object.__setattr__(self, "_last", [(None, None)])
+
+    def _step(self, n: int) -> Tuple[int, int, int]:
+        """families.master_step at p_n's original index.  A_n and C_{n-2} both
+        read it, and so do neighbouring calls on a walk up n: A_{n+1} and
+        C_{n-1} in one step of the tie, C_{n-2} and then A_n in beta_{n-1} and
+        beta_n.  So the last step read is kept, and a walk reads each index
+        once."""
+        at, step = self._last[0]
+        if at != n:
+            step = families.master_step(self._k(n))
+            self._last[0] = n, step
+        return step
 
     def A_pair(self, n: int) -> Tuple[int, int]:
         """A_n as an integer (numerator, denominator) pair, not reduced."""
         if n < 1:
             raise ValueError("A_n is defined for n >= 1")
-        x, _, z = families.master_step(self._k(n))
+        x, _, z = self._step(n)
         return z, x
 
     def C_pair(self, n: int) -> Tuple[int, int]:
@@ -92,7 +105,7 @@ class ThreeTermData:
             return 0, 1
         if n < -1:
             raise ValueError("C_n is defined for n >= -1")
-        x, y, _ = families.master_step(self._k(n + 2))
+        x, y, _ = self._step(n + 2)
         return -y, x
 
     def A(self, n: int) -> Fraction:
@@ -158,7 +171,7 @@ def favard_lambdas(tag: str, count: int) -> List[Fraction]:
         raise ValueError("count must be >= 0")
     out = [Fraction(1)]
     for n in range(1, count + 1):
-        out.append(out[-1] * data.C(n - 1) / data.A(n))
+        out.append(out[-1] / data.A(n) * data.C(n - 1))
     return out
 
 
@@ -367,7 +380,7 @@ def assoc_jacobi(
 
 _EIGEN_RESIDUAL_BOUND = 1e-12
 _NODE_GAP = 2e-12
-_RESIDUAL_ROWS = 128
+_BLOCK_ROWS = 128
 
 
 def _newton_step(beta: List[float], theta: np.ndarray) -> np.ndarray:
@@ -395,7 +408,9 @@ def _twisted_vectors(beta: List[float], theta: np.ndarray) -> np.ndarray:
     backward walk from q_{n-1} = 1, q_n = 0, scaled to meet the forward value
     at r (Parlett & Dhillon, Linear Algebra Appl. 267, 1997), so each walk is
     used only where it is accurate.  The backward walk keeps O(len(theta))
-    state and writes into the forward walk's array.
+    state and writes into the forward walk's array, and the twist rows and
+    the scaling go one block of rows at a time, so no temporary is as large
+    as the array.
     """
     n, m = len(beta), len(theta)
     vec = np.empty((n, m))
@@ -405,20 +420,44 @@ def _twisted_vectors(beta: List[float], theta: np.ndarray) -> np.ndarray:
     for k in range(2, n):
         vec[k] = (theta * vec[k - 1] - beta[k - 2] * vec[k - 2]) / beta[k - 1]
     cols = np.arange(m)
-    twist = np.where(vec.max(axis=0) >= -vec.min(axis=0), vec.argmax(axis=0), vec.argmin(axis=0))
+    twist = _twist_rows(vec)
     forward = vec[twist, cols]
-    tail = np.arange(n)[:, None] >= twist
+    first = int(twist.min())
     after, cur = np.zeros(m), np.ones(m)
-    for k in range(n - 1, int(twist.min()) - 1, -1):
-        np.copyto(vec[k], cur, where=tail[k])
+    for k in range(n - 1, first - 1, -1):
+        np.copyto(vec[k], cur, where=k >= twist)
         if k:
             # row k of J v = theta v, solved for v_{k-1}; beta_n multiplies q_n = 0
             after, cur = cur, (theta * cur - beta[k] * after) / beta[k - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         # a theta off the spectrum can make q_r = 0: the NaN fails the residual
-        np.multiply(vec, forward / vec[twist, cols], out=vec, where=tail)
+        scale = forward / vec[twist, cols]
+        for lo in range(first, n, _BLOCK_ROWS):
+            rows = vec[lo : lo + _BLOCK_ROWS]
+            tail = np.arange(lo, lo + len(rows))[:, None] >= twist
+            np.multiply(rows, scale, out=rows, where=tail)
     vec /= np.sqrt(np.einsum("ij,ij->j", vec, vec))
     return vec
+
+
+def _twist_rows(vec: np.ndarray) -> np.ndarray:
+    """Each column's row of largest |v_k|: the first row of its largest entry,
+    or of its smallest if that is larger in size, with a NaN the largest and
+    the smallest entry, as vec.argmax(axis=0) and vec.argmin(axis=0) give
+    them.  Both copy the whole array, so they are taken one block of rows at
+    a time, and a later block wins only with a larger entry or a first NaN.
+    """
+    m = vec.shape[1]
+    top, bottom = np.full(m, -np.inf), np.full(m, np.inf)
+    top_row, bottom_row = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=np.intp)
+    for lo in range(0, len(vec), _BLOCK_ROWS):
+        block = vec[lo : lo + _BLOCK_ROWS]
+        high, low = block.max(axis=0), block.min(axis=0)
+        new = ~(np.isnan(top) | (high <= top))
+        top_row[new], top[new] = block.argmax(axis=0)[new] + lo, high[new]
+        new = ~(np.isnan(bottom) | (low >= bottom))
+        bottom_row[new], bottom[new] = block.argmin(axis=0)[new] + lo, low[new]
+    return np.where(top >= -bottom, top_row, bottom_row)
 
 
 def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
@@ -448,15 +487,18 @@ def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
     # and subdiagonal beta_{2j+2} beta_{2j+3}, with beta_n read as 0
     off = np.append(beta[:-1], 0.0)
     upper, lower = off[0 : 2 * cols : 2], off[1 : 2 * cols : 2]
-    gram = np.diag(upper**2 + lower**2) + np.diag(lower[:-1] * upper[1:], -1)
+    gram = np.zeros((cols, cols))
+    np.fill_diagonal(gram, upper**2 + lower**2)
+    np.fill_diagonal(gram[1:], lower[:-1] * upper[1:])
     sigma = np.sqrt(np.linalg.eigvalsh(gram))  # ascending, as LAPACK returns them
+    del gram  # half the size of the eigenvectors' block, which comes next
     theta = _newton_step(beta, np.concatenate([np.zeros(n_nodes - 2 * cols), sigma]))
     vec = _twisted_vectors(beta, theta)
     # ||J v - theta v||^2 per column, summed over blocks of rows so that no
     # temporary is as large as vec; row i of J holds off[i-1] and off[i]
     sq_norms = np.zeros(len(theta))
-    for lo in range(0, n_nodes, _RESIDUAL_ROWS):
-        hi = min(lo + _RESIDUAL_ROWS, n_nodes)
+    for lo in range(0, n_nodes, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_nodes)
         res = vec[lo:hi] * -theta
         up = min(hi, n_nodes - 1)  # the last row has no right neighbour
         res[: up - lo] += off[lo:up, None] * vec[lo + 1 : up + 1]

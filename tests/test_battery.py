@@ -3,6 +3,7 @@ three-term ties of the orthogonality checks, and the cocycle checks one by
 one."""
 
 import os
+import traceback
 
 import pytest
 
@@ -79,6 +80,22 @@ def outcome(monkeypatch, fork: bool):
 def test_an_error_in_a_child_row_is_raised_as_in_one_process(monkeypatch):
     monkeypatch.setattr(cocycle, "verify_psi_table", raise_(ValueError("psi bound")))
     assert outcome(monkeypatch, True) == outcome(monkeypatch, False) == (ValueError, "psi bound")
+
+
+def test_a_child_rows_traceback_names_the_failing_function(monkeypatch):
+    # pickle drops the traceback of an exception raised in the forked child;
+    # it comes back as the cause, so the report names the code that failed
+    def verify_uu_terms_that_raises(bound):
+        raise ValueError("no u-u terms")
+
+    monkeypatch.setattr(cocycle, "verify_uu_terms", verify_uu_terms_that_raises)
+    with pytest.raises(ValueError) as info:
+        battery.run("quick")
+    assert no_child_left()
+    text = "".join(traceback.format_exception(info.type, info.value, info.tb))
+    assert "in verify_uu_terms_that_raises" in text
+    if hasattr(os, "fork"):
+        assert isinstance(info.value.__cause__, battery.ChildTraceback)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from djkm import battery, cli, diffops, families, ortho
 from djkm.cli import GEN_FAMILIES, main
 from djkm.exact import RationalPoly, VerificationError
-from djkm.families import VIEW_START, IndexView, generate
+from djkm.families import VIEW_START, FamilyId, IndexView, generate
 
 
 #: The items of `djkm all`, in report order.
@@ -548,18 +549,62 @@ def test_orthogonality_checks_sizes_before_any_work(sizes, flag, capsys, monkeyp
     assert calls == []
 
 
-def test_closed_stdout_is_not_an_error():
-    # 1.5 MB of output, far beyond a pipe buffer; the reader stops after 10 bytes
+def gen_into_a_closed_pipe(max_n: int, size: int):
+    """The exit code and stderr of gen at max_n, its reader gone after size bytes."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "djkm.cli", "gen", "--family", "P-4", "--max-n", "300"],
+        [sys.executable, "-m", "djkm.cli", "gen", "--family", "P-4", "--max-n", str(max_n)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    assert len(proc.stdout.read(10)) == 10
+    assert len(proc.stdout.read(size)) == size
     proc.stdout.close()
     err = proc.stderr.read()
-    assert proc.wait() == 0
-    assert err == b""
+    return proc.wait(), err
+
+
+def test_closed_stdout_is_not_an_error():
+    # 1.5 MB of output, far beyond a pipe buffer; the reader stops after 10 bytes
+    assert gen_into_a_closed_pipe(300, 10) == (0, b"")
+
+
+def test_stdout_closed_mid_stream_is_not_an_error():
+    # 9.6 MB of output, written entry by entry; the reader stops after 1 MiB,
+    # while gen is still writing
+    assert gen_into_a_closed_pipe(600, 2**20) == (0, b"")
+
+
+def test_gen_holds_one_entry_at_a_time(tmp_path):
+    # the 1.5 MB payload of P-4:300 is written as it is formatted, so gen's
+    # own allocations stay near the largest entry (4.4 MiB when the payload
+    # was joined before one write)
+    generate(FamilyId.P4, IndexView.SHIFTED, 300)  # the members, outside the trace
+    argv = ["gen", "--family", "P-4", "--max-n", "300", "--out", str(tmp_path / "gen.json")]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
+
+
+def test_a_generation_that_raises_late_writes_no_byte(monkeypatch, tmp_path, capsys):
+    # P_249 of P-4, which must be zero, made 1: the parity check of the
+    # extension raises at k = 251, near the end of max-n 300, and by then
+    # not one entry has been written
+    fam = families.PolynomialFamily(FamilyId.P4)
+    fam.original(250)
+    fam._vals[249 + 4] = RationalPoly.one()
+    monkeypatch.setitem(families._REGISTRY, FamilyId.P4, fam)
+    target = tmp_path / "gen.json"
+    assert main(["gen", "--family", "P-4", "--max-n", "300", "--out", str(target)]) == 1
+    assert target.read_bytes() == b""
+    assert main(["gen", "--family", "P-4", "--max-n", "300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "P-4: parity entry k=251 not zero" in captured.err
 
 
 def test_deterministic_output(capsys):

@@ -2,6 +2,7 @@
 associated recurrences, quadrature, and the Gauss hypergeometric series."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -767,6 +768,59 @@ def test_golub_welsch_residual_floor(monkeypatch, tag):
     off = [math.sqrt(data.beta_sq(k)) for k in range(1, 1000)]
     jacobi = np.diag(off, 1) + np.diag(off, -1)
     assert np.max(np.linalg.norm(jacobi @ vec - vec * theta, axis=0)) <= 1e-14
+
+
+def reference_twist_rows(vec):
+    return np.where(vec.max(axis=0) >= -vec.min(axis=0), vec.argmax(axis=0), vec.argmin(axis=0))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 128])
+def test_twist_rows_in_blocks_are_the_whole_arrays_first_rows(monkeypatch, rows):
+    # ties within and across blocks, |max| = |min|, infinities and NaN rows
+    monkeypatch.setattr(ortho_mod, "_BLOCK_ROWS", rows)
+    vec = np.random.default_rng(7).integers(-3, 4, size=(9, 60)).astype(float)
+    vec[0] = 1.0
+    vec[4, :5] = vec[7, 3:8] = vec[8, 50] = np.nan
+    vec[2, 10] = vec[6, 10] = np.inf
+    vec[5, 11] = -np.inf
+    assert np.array_equal(ortho_mod._twist_rows(vec), reference_twist_rows(vec))
+
+
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+def test_each_master_step_is_read_once(monkeypatch, tag):
+    # a walk up n reads A_n and C_{n-2} from one step; beta_1..beta_n read n + 1
+    read = []
+    real = ortho_mod.families.master_step
+
+    def counted(k):
+        read.append(k)
+        return real(k)
+
+    for walk, count, steps in (
+        (golub_welsch, 50, 51), (recurrence_mismatch, 40, 40), (favard_lambdas, 30, 31)
+    ):
+        walk(tag, count)  # the members it ties, generated outside the count
+        with monkeypatch.context() as patch:
+            patch.setattr(ortho_mod.families, "master_step", counted)
+            read.clear()
+            walk(tag, count)
+        assert len(read) == len(set(read)) == steps, walk.__name__
+
+
+def test_golub_welsch_holds_no_dense_copy_of_the_vectors():
+    # the 1000 x 500 block of eigenvectors is the largest array, and nothing
+    # copies it; numpy reports its buffers to tracemalloc
+    block = 1000 * 500 * 8
+    golub_welsch("q", 20)  # numpy's lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        golub_welsch("q", 1000)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block
 
 
 def test_golub_welsch_large_rule():
