@@ -551,15 +551,15 @@ def test_orthogonality_checks_sizes_before_any_work(sizes, flag, capsys, monkeyp
 
 def gen_into_a_closed_pipe(max_n: int, size: int):
     """The exit code and stderr of gen at max_n, its reader gone after size bytes."""
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "djkm.cli", "gen", "--family", "P-4", "--max-n", str(max_n)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    assert len(proc.stdout.read(size)) == size
-    proc.stdout.close()
-    err = proc.stderr.read()
-    return proc.wait(), err
+    ) as proc:
+        assert len(proc.stdout.read(size)) == size
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(), err
 
 
 def test_closed_stdout_is_not_an_error():
