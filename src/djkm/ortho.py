@@ -444,20 +444,22 @@ def _twist_rows(vec: np.ndarray) -> np.ndarray:
     """Each column's row of largest |v_k|: the first row of its largest entry,
     or of its smallest if that is larger in size, with a NaN the largest and
     the smallest entry, as vec.argmax(axis=0) and vec.argmin(axis=0) give
-    them.  Both copy the whole array, so they are taken one block of rows at
-    a time, and a later block wins only with a larger entry or a first NaN.
+    them.  Both copy the whole array, so each block of rows gives its own,
+    and the same rule among the blocks' extremes picks the first block that
+    holds the column's extreme (or its first NaN).
     """
-    m = vec.shape[1]
-    top, bottom = np.full(m, -np.inf), np.full(m, np.inf)
-    top_row, bottom_row = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=np.intp)
-    for lo in range(0, len(vec), _BLOCK_ROWS):
-        block = vec[lo : lo + _BLOCK_ROWS]
-        high, low = block.max(axis=0), block.min(axis=0)
-        new = ~(np.isnan(top) | (high <= top))
-        top_row[new], top[new] = block.argmax(axis=0)[new] + lo, high[new]
-        new = ~(np.isnan(bottom) | (low >= bottom))
-        bottom_row[new], bottom[new] = block.argmin(axis=0)[new] + lo, low[new]
-    return np.where(top >= -bottom, top_row, bottom_row)
+    cols = np.arange(vec.shape[1])
+    starts = range(0, len(vec), _BLOCK_ROWS)
+    blocks = [vec[lo : lo + _BLOCK_ROWS] for lo in starts]
+    offsets = np.array(starts)[:, None]
+    top, bottom = np.array([b.max(axis=0) for b in blocks]), np.array([b.min(axis=0) for b in blocks])
+    top_row = np.array([b.argmax(axis=0) for b in blocks]) + offsets
+    bottom_row = np.array([b.argmin(axis=0) for b in blocks]) + offsets
+    return np.where(
+        top.max(axis=0) >= -bottom.min(axis=0),
+        top_row[top.argmax(axis=0), cols],
+        bottom_row[bottom.argmin(axis=0), cols],
+    )
 
 
 def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
