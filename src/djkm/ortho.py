@@ -17,9 +17,8 @@ Its zero diagonal makes the odd moments vanish, so each Hankel determinant
 splits by parity into an even and an odd block.  Floating point appears only
 in the Gauss quadrature (golub_welsch, quad_orthogonality) and in hyp2f1:
 golub_welsch takes LAPACK eigenvalues of the tridiagonal B^T B, B the
-bidiagonal half of J, refines each node by one Newton step, builds the
-eigenvectors from a twisted three-term recurrence, and checks every
-eigenpair's residual and the nodes' strict order.
+bidiagonal half of J, refines each node by one Newton step, weights it by
+its Christoffel number, and certifies every node with Sturm counts.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ def _member(tag: str, n: int) -> RationalPoly:
     return get_family(family_id).member(view, n)
 
 
-@dataclass(frozen=True)
 class ThreeTermData:
     """Coefficients of x p_n = A_{n+1} p_{n+1} + C_{n-1} p_{n-1}.
 
@@ -72,13 +70,11 @@ class ThreeTermData:
     0 by convention (its recurrence partner p_{-1} is the zero polynomial).
     """
 
-    family: str
-
-    def __post_init__(self):
-        # p_n is P at original index stride n + offset, read once per tag
-        stride, offset, _ = VIEWS[_sequence(self.family)[1]]
-        object.__setattr__(self, "_k", lambda n: stride * n + offset)
-        object.__setattr__(self, "_last", [(None, None)])
+    def __init__(self, family: str):
+        self.family = family
+        # p_n is P at original index stride n + offset
+        self._stride, self._offset, _ = VIEWS[_sequence(family)[1]]
+        self._last = None, None  # (n, master step) of the last step read
 
     def _step(self, n: int) -> Tuple[int, int, int]:
         """families.master_step at p_n's original index.  A_n and C_{n-2} both
@@ -86,10 +82,10 @@ class ThreeTermData:
         C_{n-1} in one step of the tie, C_{n-2} and then A_n in beta_{n-1} and
         beta_n.  So the last step read is kept, and a walk reads each index
         once."""
-        at, step = self._last[0]
+        at, step = self._last
         if at != n:
-            step = families.master_step(self._k(n))
-            self._last[0] = n, step
+            step = families.master_step(self._stride * n + self._offset)
+            self._last = n, step
         return step
 
     def A_pair(self, n: int) -> Tuple[int, int]:
@@ -378,17 +374,18 @@ def assoc_jacobi(
 # Gauss quadrature (the only floating-point corner, with hyp2f1 below)
 # ---------------------------------------------------------------------------
 
-_EIGEN_RESIDUAL_BOUND = 1e-12
-_NODE_GAP = 2e-12
-_BLOCK_ROWS = 128
+_NODE_RADIUS = 1e-12
 
 
-def _newton_step(beta: List[float], theta: np.ndarray) -> np.ndarray:
-    """theta - p_n(theta) / p_n'(theta) for the orthonormal p_n, beta = beta_1..beta_n.
+def _forward(beta: List[float], theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p_{n-1}(theta), p_n(theta) and sum_{k<n} p_k(theta)^2 for the orthonormal
+    p_k, beta = beta_1..beta_n, from one forward walk of the recurrence
+    beta_{k+1} p_{k+1} = theta p_k - beta_k p_{k-1}.
 
     At a zero of p_n the Christoffel-Darboux identity gives
-    p_n' = sum_{k<n} p_k^2 / (beta_n p_{n-1}), so one forward walk of the
-    recurrence beta_{k+1} p_{k+1} = theta p_k - beta_k p_{k-1} suffices.
+    p_n' = sum_{k<n} p_k^2 / (beta_n p_{n-1}), so the Newton step is
+    theta - beta_n p_n p_{n-1} / sum, and the Gauss weight m_0 / sum is the
+    Christoffel number (Gautschi, Orthogonal Polynomials, 2004, 3.1).
     """
     prev, cur = np.zeros_like(theta), np.ones_like(theta)
     total = np.zeros_like(theta)
@@ -397,87 +394,41 @@ def _newton_step(beta: List[float], theta: np.ndarray) -> np.ndarray:
         total += cur * cur
         prev, cur = cur, (theta * cur - below * prev) / b
         below = b
-    return theta - beta[-1] * cur * prev / total
+    return prev, cur, total
 
 
-def _twisted_vectors(beta: List[float], theta: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of J, one column per theta, from a twisted recurrence.
-
-    The forward walk p_0 = 1, p_1, ... fills every row; each column is then
-    twisted at its row r of largest |p_k|: rows r..n-1 are replaced by a
-    backward walk from q_{n-1} = 1, q_n = 0, scaled to meet the forward value
-    at r (Parlett & Dhillon, Linear Algebra Appl. 267, 1997), so each walk is
-    used only where it is accurate.  The backward walk keeps O(len(theta))
-    state and writes into the forward walk's array, and the twist rows and
-    the scaling go one block of rows at a time, so no temporary is as large
-    as the array.
+def _count_below(beta: List[float], x: np.ndarray) -> np.ndarray:
+    """Eigenvalues of J (off-diagonal beta = beta_1..beta_{n-1}) below each x:
+    the negative pivots of J - x = L D L^T (Wilkinson, The Algebraic
+    Eigenvalue Problem, 1965, ch. 5).  A pivot below the least normal float
+    reads as minus it, as in LAPACK's dlaebz, so an exact zero pivot counts
+    as negative and nothing is divided by zero.
     """
-    n, m = len(beta), len(theta)
-    vec = np.empty((n, m))
-    vec[0] = 1.0
-    if n > 1:
-        vec[1] = theta / beta[0]
-    for k in range(2, n):
-        vec[k] = (theta * vec[k - 1] - beta[k - 2] * vec[k - 2]) / beta[k - 1]
-    cols = np.arange(m)
-    twist = _twist_rows(vec)
-    forward = vec[twist, cols]
-    first = int(twist.min())
-    after, cur = np.zeros(m), np.ones(m)
-    for k in range(n - 1, first - 1, -1):
-        np.copyto(vec[k], cur, where=k >= twist)
-        if k:
-            # row k of J v = theta v, solved for v_{k-1}; beta_n multiplies q_n = 0
-            after, cur = cur, (theta * cur - beta[k] * after) / beta[k - 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a theta off the spectrum can make q_r = 0: the NaN fails the residual
-        scale = forward / vec[twist, cols]
-        for lo in range(first, n, _BLOCK_ROWS):
-            rows = vec[lo : lo + _BLOCK_ROWS]
-            tail = np.arange(lo, lo + len(rows))[:, None] >= twist
-            np.multiply(rows, scale, out=rows, where=tail)
-    vec /= np.sqrt(np.einsum("ij,ij->j", vec, vec))
-    return vec
-
-
-def _twist_rows(vec: np.ndarray) -> np.ndarray:
-    """Each column's row of largest |v_k|: the first row of its largest entry,
-    or of its smallest if that is larger in size, with a NaN the largest and
-    the smallest entry, as vec.argmax(axis=0) and vec.argmin(axis=0) give
-    them.  Both copy the whole array, so each block of rows gives its own,
-    and the same rule among the blocks' extremes picks the first block that
-    holds the column's extreme (or its first NaN).
-    """
-    cols = np.arange(vec.shape[1])
-    starts = range(0, len(vec), _BLOCK_ROWS)
-    blocks = [vec[lo : lo + _BLOCK_ROWS] for lo in starts]
-    offsets = np.array(starts)[:, None]
-    top, bottom = np.array([b.max(axis=0) for b in blocks]), np.array([b.min(axis=0) for b in blocks])
-    top_row = np.array([b.argmax(axis=0) for b in blocks]) + offsets
-    bottom_row = np.array([b.argmin(axis=0) for b in blocks]) + offsets
-    return np.where(
-        top.max(axis=0) >= -bottom.min(axis=0),
-        top_row[top.argmax(axis=0), cols],
-        bottom_row[bottom.argmin(axis=0), cols],
-    )
+    tiny = np.finfo(float).tiny
+    # the first pivot is -x: a beta_0 of 0 over an infinite pivot
+    pivot, count = np.full_like(x, np.inf), np.zeros(len(x), dtype=np.intp)
+    for b in [0.0, *beta]:
+        pivot = -x - b * b / pivot
+        pivot[np.abs(pivot) < tiny] = -tiny
+        count += pivot < 0
+    return count
 
 
 def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
     """Gauss nodes/weights from the truncated Jacobi matrix eigendata.
 
     Nodes are eigenvalues of the n x n symmetric tridiagonal truncation J,
-    weights are m_0 times the squared first eigenvector components.  J has a
+    weights their Christoffel numbers m_0 / sum_{k<n} p_k(theta)^2.  J has a
     zero diagonal, so in even-odd index order it is [[0, B], [B^T, 0]] with B
     the ceil(n/2) x floor(n/2) lower bidiagonal block (Golub-Kahan), and its
-    eigenvalues are +-sigma, sigma^2 the eigenvalues of the tridiagonal B^T B,
-    plus an exact 0 when n is odd.  Each sigma takes one Newton step on the
-    orthonormal p_n.  The eigenvectors of the ceil(n/2) nonnegative nodes come
-    from a twisted three-term recurrence, and the mirrored node -theta has the
-    same vector up to the signs of its odd rows: nodes come out exactly
-    antisymmetric and mirrored weights exactly equal.  Every eigenpair must
-    satisfy ||J v - theta v|| <= 1e-12 over all n rows, and the nodes must be
-    strictly ascending with every gap above 2e-12, which certifies n distinct
-    eigenpairs of J; otherwise NoConvergenceError is raised.
+    eigenvalues are +-sigma, sigma^2 the eigenvalues of the tridiagonal
+    B^T B, plus an exact 0 when n is odd.  Each sigma takes one Newton step
+    on the orthonormal p_n.  The ceil(n/2) nonnegative nodes are mirrored:
+    nodes come out exactly antisymmetric and mirrored weights exactly equal.
+    Sturm counts must put exactly j eigenvalues of J below theta - 1e-12 and
+    j + 1 below theta + 1e-12 for node j (from 0, ascending) at theta, which
+    certifies each node within 1e-12 of its own eigenvalue, in strict order,
+    with none missed; otherwise NoConvergenceError is raised.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
@@ -493,33 +444,22 @@ def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
     np.fill_diagonal(gram, upper**2 + lower**2)
     np.fill_diagonal(gram[1:], lower[:-1] * upper[1:])
     sigma = np.sqrt(np.linalg.eigvalsh(gram))  # ascending, as LAPACK returns them
-    del gram  # half the size of the eigenvectors' block, which comes next
-    theta = _newton_step(beta, np.concatenate([np.zeros(n_nodes - 2 * cols), sigma]))
-    vec = _twisted_vectors(beta, theta)
-    # ||J v - theta v||^2 per column, summed over blocks of rows so that no
-    # temporary is as large as vec; row i of J holds off[i-1] and off[i]
-    sq_norms = np.zeros(len(theta))
-    for lo in range(0, n_nodes, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n_nodes)
-        res = vec[lo:hi] * -theta
-        up = min(hi, n_nodes - 1)  # the last row has no right neighbour
-        res[: up - lo] += off[lo:up, None] * vec[lo + 1 : up + 1]
-        down = max(lo, 1)  # the first row has no left neighbour
-        res[down - lo :] += off[down - 1 : hi - 1, None] * vec[down - 1 : hi - 1]
-        sq_norms += np.einsum("ij,ij->j", res, res)
-    worst = float(np.sqrt(np.max(sq_norms)))
-    if not worst <= _EIGEN_RESIDUAL_BOUND:  # a NaN residual fails too
+    sigma = np.concatenate([np.zeros(n_nodes - 2 * cols), sigma])
+    prev, cur, total = _forward(beta, sigma)
+    theta = sigma - beta[-1] * cur * prev / total
+    half = 1.0 / _forward(beta, theta)[2]  # m_0 = 1
+    # theta[i] is node cols + i of n in ascending order; the spectrum of J is
+    # symmetric, so the mirrored nodes need no count of their own
+    index = np.arange(cols, n_nodes)
+    points = np.concatenate([theta - _NODE_RADIUS, theta + _NODE_RADIUS])
+    low, high = _count_below(beta[:-1], points).reshape(2, -1)
+    bad = index[(low != index) | (high != index + 1)]
+    if len(bad):
         raise NoConvergenceError(
-            f"eigen residual {worst:.3e} exceeds {_EIGEN_RESIDUAL_BOUND:.1e}"
+            f"Sturm counts do not put node {bad[0]} of {n_nodes} within "
+            f"{_NODE_RADIUS:.1e} of eigenvalue {bad[0]} of J"
         )
-    # every residual can pass on a repeated or misplaced eigenpair; J has a
-    # simple spectrum, so n strictly ascending nodes are n distinct eigenvalues
     nodes = np.concatenate([-theta[::-1][:cols], theta])
-    if not np.all(np.diff(nodes) > _NODE_GAP):  # a NaN node fails too
-        raise NoConvergenceError(
-            f"nodes are not strictly ascending with gaps above {_NODE_GAP:.0e}"
-        )
-    half = vec[0] ** 2  # m_0 = 1
     weights = np.concatenate([half[::-1][:cols], half])
     return [float(x) for x in nodes], [float(w) for w in weights]
 

@@ -747,24 +747,24 @@ def test_a_curve_the_series_cannot_root_fails_the_oracles_with_an_error(
 
 
 def test_a_numeric_failure_fails_the_quadrature_items_alone(monkeypatch, capsys):
-    # every eigenpair residual exceeds a bound of 0: the two quadrature items
+    # no node is certified within a radius of 0: the two quadrature items
     # fail with the message, and every other item, the domain guard of hyp2f1
     # included, still passes
-    monkeypatch.setattr(ortho, "_EIGEN_RESIDUAL_BOUND", 0)
+    monkeypatch.setattr(ortho, "_NODE_RADIUS", 0)
     code, out = run_cli(capsys, "all", "--profile", "quick")
     assert code == 1
     items = json.loads(out)["items"]
     assert [i["check"] for i in items] == ALL_ITEMS
     failing = [i for i in items if i["status"] == "fail"]
     assert [i["check"] for i in failing] == ["quadrature-q", "quadrature-qbar"]
-    assert all(i["error"].startswith("eigen residual ") for i in failing)
+    assert all(i["error"].startswith("Sturm counts do not put node ") for i in failing)
     # the command itself prints one error line instead of a table
     assert main(["quadrature", "--family", "q"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: verification failed: eigen residual ")
+    assert lines[0].startswith("error: verification failed: Sturm counts do not put node ")
 
 
 def test_console_entry_point_runs():

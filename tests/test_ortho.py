@@ -1,6 +1,7 @@
 """Orthogonality machinery: Favard data, moments, Hankel, nonclassicality,
 associated recurrences, quadrature, and the Gauss hypergeometric series."""
 
+import decimal
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -566,12 +567,16 @@ def test_quad_orthogonality_rejects_a_degree_that_compares_no_pair(max_deg):
         quad_orthogonality("qbar", 12, max_deg)
 
 
-def dense_gauss_rule(tag, n_nodes):
-    """Reference: dense symmetric eigendecomposition of the n x n Jacobi matrix."""
+def dense_jacobi(tag, n_nodes):
+    """The n x n Jacobi matrix, dense, from the exact beta_n^2."""
     data = three_term(tag)
     off = [math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes)]
-    matrix = np.diag(off, 1) + np.diag(off, -1)
-    eigvals, eigvecs = np.linalg.eigh(matrix)
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+def dense_gauss_rule(tag, n_nodes):
+    """Reference: dense symmetric eigendecomposition of the n x n Jacobi matrix."""
+    eigvals, eigvecs = np.linalg.eigh(dense_jacobi(tag, n_nodes))
     return eigvals, eigvecs[0, :] ** 2
 
 
@@ -593,9 +598,9 @@ def wrap_eigvalsh(monkeypatch, corrupt):
     monkeypatch.setattr(ortho_mod.np.linalg, "eigvalsh", lambda gram: corrupt(real(gram).copy()))
 
 
-def assert_rejected(n_nodes, match):
+def assert_rejected(n_nodes):
     for tag in ("q", "qbar"):
-        with pytest.raises(NoConvergenceError, match=match):
+        with pytest.raises(NoConvergenceError, match="Sturm counts do not put node"):
             golub_welsch(tag, n_nodes)
 
 
@@ -606,33 +611,33 @@ def move_largest(sigma_sq):
 
 
 def test_golub_welsch_enforces_eigen_residual_bound(monkeypatch):
+    # a node that no eigenvalue of J is within 1e-12 of fails its Sturm counts
     with monkeypatch.context() as patch:
         wrap_eigvalsh(patch, np.zeros_like)
         for n_nodes in (4, 6):
-            assert_rejected(n_nodes, "eigen residual")
+            assert_rejected(n_nodes)
     wrap_eigvalsh(monkeypatch, move_largest)
-    # 127 and 129 sit on each side of the 128-row blocks of the residual sum
     for n_nodes in (6, 7, 20, 21, 127, 129):
-        assert_rejected(n_nodes, "eigen residual")
+        assert_rejected(n_nodes)
 
 
 @pytest.mark.parametrize("n_nodes", [5, 7])
 def test_golub_welsch_bound_bites_for_odd_n(monkeypatch, n_nodes):
-    # an all-zero spectrum: for odd n the kernel vector of J is a true
-    # eigenpair at 0, so only the ordering check can see the repeated node
+    # an all-zero spectrum: for odd n 0 is a true eigenvalue of J, so every
+    # node is within 1e-12 of one, but not of one of its own
     wrap_eigvalsh(monkeypatch, np.zeros_like)
-    assert_rejected(n_nodes, "ascending")
+    assert_rejected(n_nodes)
 
 
 @pytest.mark.parametrize("n_nodes", [6, 7, 20])
 def test_golub_welsch_bound_bites_on_swapped_singular_values(monkeypatch, n_nodes):
-    # each node keeps its own true eigenvector, so every residual passes
+    # each node is a true eigenvalue, but out of order
     def swap(sigma_sq):
         sigma_sq[[0, 1]] = sigma_sq[[1, 0]]
         return sigma_sq
 
     wrap_eigvalsh(monkeypatch, swap)
-    assert_rejected(n_nodes, "ascending")
+    assert_rejected(n_nodes)
 
 
 @pytest.mark.parametrize("n_nodes", [6, 7, 20])
@@ -642,38 +647,88 @@ def test_golub_welsch_bound_bites_on_a_duplicated_singular_value(monkeypatch, n_
         return sigma_sq
 
     wrap_eigvalsh(monkeypatch, duplicate)
-    assert_rejected(n_nodes, "ascending")
+    assert_rejected(n_nodes)
 
 
-@pytest.mark.parametrize("n_nodes", [3, 7, 21, 127, 129])
-def test_golub_welsch_bound_bites_on_a_wrong_null_vector(monkeypatch, n_nodes):
-    real = ortho_mod._twisted_vectors
+@pytest.mark.parametrize("n_nodes", [1, 2, 7, 20, 21, 129])
+@pytest.mark.parametrize("node", [0, -1])
+@pytest.mark.parametrize("shift", [3, -3])
+def test_golub_welsch_rejects_a_node_moved_after_the_newton_step(monkeypatch, n_nodes, node, shift):
+    # the second walk of each rule is the weights' one, at the Newton step's
+    # nonnegative nodes; a node moved there by 3r is what the counts then read
+    real, walks = ortho_mod._forward, []
 
-    def replace_null(beta, theta):
-        vec = real(beta, theta)
-        vec[:, 0] = np.eye(len(beta))[0]  # e_0 in place of the kernel vector of J
-        return vec
+    def move(beta, theta):
+        walks.append(theta)
+        if len(walks) % 2 == 0:
+            theta[node] += shift * ortho_mod._NODE_RADIUS
+        return real(beta, theta)
 
-    monkeypatch.setattr(ortho_mod, "_twisted_vectors", replace_null)
-    assert_rejected(n_nodes, "eigen residual")
+    monkeypatch.setattr(ortho_mod, "_forward", move)
+    assert_rejected(n_nodes)
 
 
-@pytest.mark.parametrize(
-    "n_nodes, row",
-    [(20, 0), (20, 19), (127, 126), (128, 127), (129, 127), (129, 128), (257, 256)],
-)
-def test_golub_welsch_residual_covers_every_row(monkeypatch, n_nodes, row):
-    # the residual is summed over blocks of 128 rows: one bad row of the
-    # vectors, first or last, on either side of a block boundary, must fail
-    real = ortho_mod._twisted_vectors
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+@pytest.mark.parametrize("n_nodes", [1, 2, 3, 7, 20, 21, 60, 129])
+def test_count_below_matches_dense_eigvalsh(tag, n_nodes):
+    # at points 1e-9 or more from the spectrum, on both sides of every
+    # eigenvalue and beyond its ends
+    spectrum = np.linalg.eigvalsh(dense_jacobi(tag, n_nodes))
+    points = np.concatenate([np.linspace(-1.5, 1.5, 1001), spectrum - 2e-9, spectrum + 2e-9])
+    points = points[np.min(np.abs(points[:, None] - spectrum), axis=1) >= 1e-9]
+    beta = [three_term(tag).beta(k) for k in range(1, n_nodes)]
+    below = np.searchsorted(spectrum, points)
+    assert np.array_equal(ortho_mod._count_below(beta, points), below)
 
-    def bump(beta, theta):
-        vec = real(beta, theta)
-        vec[row] += 1e-6
-        return vec
 
-    monkeypatch.setattr(ortho_mod, "_twisted_vectors", bump)
-    assert_rejected(n_nodes, "eigen residual")
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+@pytest.mark.parametrize("n_nodes", [1, 3, 5, 7, 21, 61, 129])
+def test_count_below_at_the_zero_eigenvalue(tag, n_nodes):
+    # 0 is an eigenvalue of J for odd n, and at x = 0 a pivot can be exactly
+    # 0; the count may put that eigenvalue on either side, and no other
+    beta = [three_term(tag).beta(k) for k in range(1, n_nodes)]
+    (count,) = ortho_mod._count_below(beta, np.zeros(1))
+    assert count in ((n_nodes - 1) // 2, (n_nodes + 1) // 2)
+
+
+def christoffel_reference(tag, nodes):
+    """The zeros of the degree-n orthonormal p_n nearest the nodes, by Newton
+    steps, and their Christoffel weights 1 / sum_{k<n} p_k^2, in decimal at
+    40 digits with beta_k the square root of the exact beta_sq(k)."""
+    data = three_term(tag)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        beta = []
+        for k in range(1, len(nodes) + 1):
+            exact = data.beta_sq(k)
+            beta.append((decimal.Decimal(exact.numerator) / exact.denominator).sqrt())
+        zeros, weights = [], []
+        for x in map(decimal.Decimal, nodes):
+            for _ in range(4):
+                # p_k and p_k' walked up together; the last pass sums p_k^2
+                prev, cur, dprev, dcur, total, below = 0, 1, 0, 0, 0, 0
+                for b in beta:
+                    total += cur * cur
+                    prev, cur, dprev, dcur = (
+                        cur,
+                        (x * cur - below * prev) / b,
+                        dcur,
+                        (cur + x * dcur - below * dprev) / b,
+                    )
+                    below = b
+                x -= cur / dcur
+            zeros.append(float(x))
+            weights.append(float(1 / total))
+    return zeros, weights
+
+
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+@pytest.mark.parametrize("n_nodes", [7, 20, 60, 120])
+def test_golub_welsch_weights_match_a_decimal_reference(tag, n_nodes):
+    nodes, weights = golub_welsch(tag, n_nodes)
+    zeros, ref_weights = christoffel_reference(tag, nodes)
+    assert np.max(np.abs(np.subtract(nodes, zeros))) <= 1e-15
+    assert np.max(np.abs(np.subtract(weights, ref_weights)) / ref_weights) <= 2e-13
 
 
 def dense_assembly_rule(tag, n_nodes):
@@ -705,8 +760,8 @@ def test_golub_welsch_agrees_with_dense_assembly(tag, n_nodes):
 
 
 def dense_signed_rule(tag, n_nodes):
-    """Reference: the Newton step and the twisted vectors run on all n signed
-    eigenvalues, giving the dense n x n eigenvector matrix, with no mirroring."""
+    """Reference: the Newton step and the Christoffel weights run on all n
+    signed eigenvalues, with no mirroring."""
     data = three_term(tag)
     beta = [math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes + 1)]
     cols = n_nodes // 2
@@ -715,10 +770,10 @@ def dense_signed_rule(tag, n_nodes):
     gram = np.diag(upper**2 + lower**2) + np.diag(lower[:-1] * upper[1:], -1)
     sigma = np.sqrt(np.linalg.eigvalsh(gram))
     signed = np.concatenate([-sigma[::-1], np.zeros(n_nodes - 2 * cols), sigma])
-    theta = ortho_mod._newton_step(beta, signed)
-    eigvecs = ortho_mod._twisted_vectors(beta, theta)
-    assert eigvecs.shape == (n_nodes, n_nodes)
-    return [float(x) for x in theta], [float(w) for w in eigvecs[0] ** 2]
+    prev, cur, total = ortho_mod._forward(beta, signed)
+    theta = signed - beta[-1] * cur * prev / total
+    weights = 1.0 / ortho_mod._forward(beta, theta)[2]
+    return [float(x) for x in theta], [float(w) for w in weights]
 
 
 @pytest.mark.parametrize("tag", ["q", "qbar"])
@@ -751,42 +806,6 @@ def test_golub_welsch_nodes_bracket_the_exact_zeros(tag):
 
 
 @pytest.mark.parametrize("tag", ["q", "qbar"])
-def test_golub_welsch_residual_floor(monkeypatch, tag):
-    # at n = 1000 forward-only vectors leave a worst residual of 2.1-2.3e-13,
-    # and nodes without the Newton step 3.7e-13 (q) and 1.3e-12 (qbar)
-    seen = []
-    real = ortho_mod._twisted_vectors
-
-    def keep(beta, theta):
-        seen.append((theta, real(beta, theta)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(ortho_mod, "_twisted_vectors", keep)
-    golub_welsch(tag, 1000)
-    (theta, vec), = seen
-    data = three_term(tag)
-    off = [math.sqrt(data.beta_sq(k)) for k in range(1, 1000)]
-    jacobi = np.diag(off, 1) + np.diag(off, -1)
-    assert np.max(np.linalg.norm(jacobi @ vec - vec * theta, axis=0)) <= 1e-14
-
-
-def reference_twist_rows(vec):
-    return np.where(vec.max(axis=0) >= -vec.min(axis=0), vec.argmax(axis=0), vec.argmin(axis=0))
-
-
-@pytest.mark.parametrize("rows", [1, 2, 3, 128])
-def test_twist_rows_in_blocks_are_the_whole_arrays_first_rows(monkeypatch, rows):
-    # ties within and across blocks, |max| = |min|, infinities and NaN rows
-    monkeypatch.setattr(ortho_mod, "_BLOCK_ROWS", rows)
-    vec = np.random.default_rng(7).integers(-3, 4, size=(9, 60)).astype(float)
-    vec[0] = 1.0
-    vec[4, :5] = vec[7, 3:8] = vec[8, 50] = np.nan
-    vec[2, 10] = vec[6, 10] = np.inf
-    vec[5, 11] = -np.inf
-    assert np.array_equal(ortho_mod._twist_rows(vec), reference_twist_rows(vec))
-
-
-@pytest.mark.parametrize("tag", ["q", "qbar"])
 def test_each_master_step_is_read_once(monkeypatch, tag):
     # a walk up n reads A_n and C_{n-2} from one step; beta_1..beta_n read n + 1
     read = []
@@ -808,9 +827,9 @@ def test_each_master_step_is_read_once(monkeypatch, tag):
 
 
 def test_golub_welsch_holds_no_dense_copy_of_the_vectors():
-    # the 1000 x 500 block of eigenvectors is the largest array, and nothing
-    # copies it; numpy reports its buffers to tracemalloc
-    block = 1000 * 500 * 8
+    # no eigenvector is built: the 500 x 500 B^T B is the largest array, and
+    # its eigenvalues set the peak; numpy reports its buffers to tracemalloc
+    gram = 500 * 500 * 8
     golub_welsch("q", 20)  # numpy's lazy imports, outside the trace
     tracemalloc.start()
     try:
@@ -820,7 +839,7 @@ def test_golub_welsch_holds_no_dense_copy_of_the_vectors():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * block
+    assert peak < 1.5 * gram
 
 
 def test_golub_welsch_large_rule():
