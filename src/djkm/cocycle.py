@@ -16,9 +16,8 @@ with d(t^b u) = b t^{b-1} u dt + t^b du and u du = p'(t) dt / 2.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from . import families
 from .exact import RationalPoly, VerificationError
@@ -107,8 +106,7 @@ _ZERO_VECTOR = OmegaVector._of({})
 _W0_VECTOR = OmegaVector._of({"w0": _ONE})
 
 
-@dataclass(frozen=True)
-class RMonomial:
+class RMonomial(NamedTuple):
     """t^exponent, or t^exponent * u when has_u is set."""
 
     exponent: int
@@ -208,8 +206,7 @@ def psi(i: int, j: int) -> OmegaVector:
     return OmegaVector({"w-4": p4, "w-2": p2})
 
 
-@dataclass(frozen=True)
-class PsiReport:
+class PsiReport(NamedTuple):
     bound: int
     cases: int
     failures: Tuple[Tuple[int, int], ...]

@@ -7,16 +7,14 @@ means the residual is literally the zero polynomial, never a small norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .exact import Rational, RationalPoly, diff_combination, specialise, table_combinations
 from .families import FamilyId, IndexView, get_family
 
 
-@dataclass(frozen=True)
-class LinearDiffOp:
+class LinearDiffOp(NamedTuple):
     """sum_i coeffs[i] * (d/dc)^i with RationalPoly coefficients."""
 
     coeffs: Tuple[RationalPoly, ...]
@@ -174,8 +172,7 @@ def eigencheck(
     return op.apply(get_family(family_id).member(view, n))
 
 
-@dataclass(frozen=True)
-class OdeRow:
+class OdeRow(NamedTuple):
     """One index of an ODE sweep: the member's exact residual and, for P-1
     only, whether the cross relation P_{-1,2n-3} = c P_{-3,2n-3} holds."""
 

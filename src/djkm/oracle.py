@@ -44,17 +44,15 @@ LaurentSeries.integrate raise ResidueError, which is a VerificationError.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import families
 from .exact import LaurentSeries, RationalPoly, shift_combination
 from .families import FamilyId, IndexView, gegenbauer, get_family
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     family: FamilyId
     truncation: int
     series: LaurentSeries

@@ -24,10 +24,9 @@ its Christoffel number, and certifies every node with Sturm counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -260,8 +259,7 @@ def gram_check(tag: str, max_deg: int) -> bool:
 UNKNOWNS = ("a", "b", "c", "e", "f", "g")
 
 
-@dataclass(frozen=True)
-class NonclassicalWitness:
+class NonclassicalWitness(NamedTuple):
     """Solution space of D p_n = gamma_n p_n over the order <= 2 ansatz
 
         D = (a x^2 + b x + c) d^2/dx^2 + (e x + f) d/dx + g.

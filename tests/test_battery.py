@@ -26,6 +26,18 @@ def test_rows_hold_only_battery_checks():
         assert all(f.__module__ == "djkm.battery" for f in callables), name
 
 
+def test_every_check_returns_a_verdict_or_a_verdict_and_fields():
+    # item splits any tuple into (ok, fields), so a bare result record, itself
+    # a tuple, would be split into its first two fields
+    quick = battery.PROFILES.index("quick")
+    for name, check, args in battery.ROWS:
+        result = check(*args[quick])
+        if isinstance(result, tuple):
+            assert len(result) == 2 and type(result[1]) is dict, name
+            result = result[0]
+        assert type(result) is bool, name
+
+
 def test_run_rejects_an_unknown_profile():
     with pytest.raises(ValueError):
         battery.run("deep")

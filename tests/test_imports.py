@@ -73,6 +73,20 @@ def test_import_loads_neither(module):
     assert fresh(f"import sys, {module}\nprint({LOADED})\n") == "[]\n"
 
 
+@pytest.mark.parametrize("module", ["djkm", "djkm.battery", "djkm.cli", "djkm.ortho"])
+def test_import_loads_no_record_machinery(module):
+    # dataclasses, and the inspect, ast and dis it loads, took ~10 ms of each
+    # start; numpy itself loads inspect, so djkm.ortho is held to dataclasses
+    unwanted = {"dataclasses"} if module == "djkm.ortho" else {"dataclasses", "inspect"}
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"import {module}\n"
+        f"print(sorted({unwanted!r} & (set(sys.modules) - before)))\n"
+    )
+    assert fresh(script) == "[]\n"
+
+
 def test_the_cli_loads_no_process_machinery():
     # battery.run imports pickle where it forks; multiprocessing is never used
     loaded = "[m for m in ('pickle', 'multiprocessing') if m in sys.modules]"

@@ -610,7 +610,7 @@ def move_largest(sigma_sq):
     return sigma_sq
 
 
-def test_golub_welsch_enforces_eigen_residual_bound(monkeypatch):
+def test_golub_welsch_enforces_the_sturm_count_certificate(monkeypatch):
     # a node that no eigenvalue of J is within 1e-12 of fails its Sturm counts
     with monkeypatch.context() as patch:
         wrap_eigvalsh(patch, np.zeros_like)
@@ -622,7 +622,7 @@ def test_golub_welsch_enforces_eigen_residual_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("n_nodes", [5, 7])
-def test_golub_welsch_bound_bites_for_odd_n(monkeypatch, n_nodes):
+def test_golub_welsch_sturm_counts_bite_for_odd_n(monkeypatch, n_nodes):
     # an all-zero spectrum: for odd n 0 is a true eigenvalue of J, so every
     # node is within 1e-12 of one, but not of one of its own
     wrap_eigvalsh(monkeypatch, np.zeros_like)
@@ -630,7 +630,7 @@ def test_golub_welsch_bound_bites_for_odd_n(monkeypatch, n_nodes):
 
 
 @pytest.mark.parametrize("n_nodes", [6, 7, 20])
-def test_golub_welsch_bound_bites_on_swapped_singular_values(monkeypatch, n_nodes):
+def test_golub_welsch_sturm_counts_bite_on_swapped_singular_values(monkeypatch, n_nodes):
     # each node is a true eigenvalue, but out of order
     def swap(sigma_sq):
         sigma_sq[[0, 1]] = sigma_sq[[1, 0]]
@@ -641,7 +641,7 @@ def test_golub_welsch_bound_bites_on_swapped_singular_values(monkeypatch, n_node
 
 
 @pytest.mark.parametrize("n_nodes", [6, 7, 20])
-def test_golub_welsch_bound_bites_on_a_duplicated_singular_value(monkeypatch, n_nodes):
+def test_golub_welsch_sturm_counts_bite_on_a_duplicated_singular_value(monkeypatch, n_nodes):
     def duplicate(sigma_sq):
         sigma_sq[1] = sigma_sq[0]
         return sigma_sq
@@ -826,7 +826,7 @@ def test_each_master_step_is_read_once(monkeypatch, tag):
         assert len(read) == len(set(read)) == steps, walk.__name__
 
 
-def test_golub_welsch_holds_no_dense_copy_of_the_vectors():
+def test_golub_welsch_peak_is_bounded_by_the_btb_block():
     # no eigenvector is built: the 500 x 500 B^T B is the largest array, and
     # its eigenvalues set the peak; numpy reports its buffers to tracemalloc
     gram = 500 * 500 * 8
