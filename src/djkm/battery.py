@@ -133,9 +133,9 @@ ORACLES = (
 
 
 def oracle_expansion(expand: str, order: int):
-    """Whether the expansion named expand matched its family, and the OracleResult."""
+    """Whether the expansion named expand matched its family, and its OracleResult's fields."""
     res = getattr(oracle, expand)(order)
-    return res.matched, res
+    return res.matched, res.to_json()
 
 
 def funde(order: int) -> bool:
@@ -238,9 +238,9 @@ def gram(tag: str, max_deg: int) -> bool:
 
 
 def nonclassical(tag: str, max_n: int):
-    """Whether only the constants solve the eigen-system, and the witness."""
+    """Whether only the constants solve the eigen-system, and the witness's fields."""
     witness = djkm.ortho.nonclassical_check(tag, max_n)
-    return witness.verified, witness
+    return witness.verified, witness.to_json()
 
 
 def assoc_ultraspherical(max_n: int) -> bool:
@@ -275,8 +275,9 @@ def _verdict(check: Callable, *args) -> bool:
 
 
 def _first_mismatch(expand: str, order: int):
-    ok, res = oracle_expansion(expand, order)
-    return ok, {"first_mismatch": res.first_mismatch}
+    # the OracleResult itself, so that all never serializes the product series
+    res = getattr(oracle, expand)(order)
+    return res.matched, {"first_mismatch": res.first_mismatch}
 
 
 def _sequences(check: Callable, tags: tuple, bound: int):
@@ -288,11 +289,13 @@ def _sequences(check: Callable, tags: tuple, bound: int):
     return True
 
 
-#: The rows ``run`` runs in its forked child: members to shifted index 120, and no numpy.
+#: The rows ``run`` runs in its forked child, chosen so that both halves take
+#: about as long: P-4 and P-2 to shifted index 120, P-1 and P-3 to original
+#: index 397 (which this process then never generates past the link's 97),
+#: and no numpy.
 CHILD_ROWS = (
     "family-tables", "oracle-elliptic-1", "oracle-elliptic-2", "oracle-gegenbauer-sum",
-    "generating-function-ode", "gegenbauer-link", "wimp-discrepancy",
-    "cocycle-psi-table", "cocycle-uu-central-terms", "cocycle-antisymmetry",
+    "ode-P-1", "ode-P-3", "wimp-discrepancy",
 )
 
 #: The items of ``djkm all`` in report order: name, check, and the check's

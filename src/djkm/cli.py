@@ -140,8 +140,8 @@ def _cmd_oracle_compare(args) -> tuple:
     for _, family, name, expand in battery.ORACLES:
         if family == args.family:
             with _usage_errors("--order"):
-                ok, res = battery.oracle_expansion(expand, args.order)
-            items.append({**res.to_json(), "oracle": name, "status": battery.status(ok)})
+                ok, fields = battery.oracle_expansion(expand, args.order)
+            items.append({**fields, "oracle": name, "status": battery.status(ok)})
     return {"family": args.family, "order": args.order}, items
 
 
@@ -207,8 +207,8 @@ def _cmd_nonclassical(args) -> tuple:
             "--max-n: must be >= 4; below that the order <= 2 eigen-system "
             "is underdetermined"
         )
-    ok, witness = battery.nonclassical(args.family, args.max_n)
-    items = [{**witness.to_json(), "status": battery.status(ok)}]
+    ok, fields = battery.nonclassical(args.family, args.max_n)
+    items = [{**fields, "status": battery.status(ok)}]
     return {"family": args.family, "max_n": args.max_n}, items
 
 

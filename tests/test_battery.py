@@ -7,7 +7,7 @@ import traceback
 
 import pytest
 
-from djkm import battery, cocycle, diffops, families, oracle, ortho
+from djkm import battery, cocycle, diffops, families, oracle
 from djkm.cocycle import OmegaVector
 from djkm.exact import RationalPoly, VerificationError
 
@@ -28,10 +28,14 @@ def test_rows_hold_only_battery_checks():
 
 def test_every_check_returns_a_verdict_or_a_verdict_and_fields():
     # item splits any tuple into (ok, fields), so a bare result record, itself
-    # a tuple, would be split into its first two fields
+    # a tuple, would be split into its first two fields; the checks that only
+    # the nonclassical and oracle-compare subcommands call are held to it too
     quick = battery.PROFILES.index("quick")
-    for name, check, args in battery.ROWS:
-        result = check(*args[quick])
+    calls = [(name, check, args[quick]) for name, check, args in battery.ROWS]
+    calls += [(tag, battery.nonclassical, (tag, 4)) for tag in families.SEQUENCES]
+    calls += [(name, battery.oracle_expansion, (expand, 8)) for name, _, _, expand in battery.ORACLES]
+    for name, check, args in calls:
+        result = check(*args)
         if isinstance(result, tuple):
             assert len(result) == 2 and type(result[1]) is dict, name
             result = result[0]
@@ -51,14 +55,13 @@ def no_child_left() -> bool:
     return False
 
 
-def test_the_child_rows_are_ten_rows_of_all():
+def test_the_child_rows_are_seven_rows_of_all():
     assert sorted(battery.CHILD_ROWS) == sorted([
         "family-tables", "oracle-elliptic-1", "oracle-elliptic-2", "oracle-gegenbauer-sum",
-        "generating-function-ode", "gegenbauer-link", "wimp-discrepancy",
-        "cocycle-psi-table", "cocycle-uu-central-terms", "cocycle-antisymmetry",
+        "ode-P-1", "ode-P-3", "wimp-discrepancy",
     ])
     names = [name for name, _, _ in battery.ROWS]
-    assert len(set(battery.CHILD_ROWS)) == 10 and set(battery.CHILD_ROWS) <= set(names)
+    assert len(set(battery.CHILD_ROWS)) == 7 and set(battery.CHILD_ROWS) <= set(names)
 
 
 @pytest.mark.parametrize("profile", battery.PROFILES)
@@ -90,22 +93,23 @@ def outcome(monkeypatch, fork: bool):
 
 
 def test_an_error_in_a_child_row_is_raised_as_in_one_process(monkeypatch):
-    monkeypatch.setattr(cocycle, "verify_psi_table", raise_(ValueError("psi bound")))
-    assert outcome(monkeypatch, True) == outcome(monkeypatch, False) == (ValueError, "psi bound")
+    monkeypatch.setattr(oracle, "expand_elliptic2", raise_(ValueError("elliptic-2 order")))
+    expected = (ValueError, "elliptic-2 order")
+    assert outcome(monkeypatch, True) == outcome(monkeypatch, False) == expected
 
 
 def test_a_child_rows_traceback_names_the_failing_function(monkeypatch):
     # pickle drops the traceback of an exception raised in the forked child;
     # it comes back as the cause, so the report names the code that failed
-    def verify_uu_terms_that_raises(bound):
-        raise ValueError("no u-u terms")
+    def build_wimp_op_that_raises(*args):
+        raise ValueError("no Wimp operator")
 
-    monkeypatch.setattr(cocycle, "verify_uu_terms", verify_uu_terms_that_raises)
+    monkeypatch.setattr(diffops, "build_wimp_op", build_wimp_op_that_raises)
     with pytest.raises(ValueError) as info:
         battery.run("quick")
     assert no_child_left()
     text = "".join(traceback.format_exception(info.type, info.value, info.tb))
-    assert "in verify_uu_terms_that_raises" in text
+    assert "in build_wimp_op_that_raises" in text
     if hasattr(os, "fork"):
         assert isinstance(info.value.__cause__, battery.ChildTraceback)
 
@@ -113,8 +117,8 @@ def test_a_child_rows_traceback_names_the_failing_function(monkeypatch):
 @pytest.mark.parametrize(
     "first, later",
     [
-        ((diffops, "ode_sweep"), (cocycle, "verify_psi_table")),  # ode-P-4 in this process
-        ((oracle, "check_funde"), (ortho, "recurrence_mismatch")),  # the child's funde
+        ((oracle, "check_funde"), (diffops, "build_wimp_op")),  # funde in this process
+        ((oracle, "expand_elliptic1"), (cocycle, "verify_psi_table")),  # the child's elliptic-1
     ],
     ids=["parent-row-first", "child-row-first"],
 )
@@ -126,7 +130,7 @@ def test_the_earlier_row_wins_when_both_processes_raise(monkeypatch, first, late
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="in-process, os._exit would end the tests")
 def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch):
-    monkeypatch.setattr(cocycle, "verify_antisymmetry", lambda bound: os._exit(3))
+    monkeypatch.setattr(oracle, "expand_elliptic2", lambda order: os._exit(3))
     with pytest.raises(Exception) as info:
         battery.run("quick")
     assert info.type is RuntimeError and not isinstance(info.value, VerificationError)
@@ -206,7 +210,7 @@ def test_each_cocycle_check_fails_alone(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(cocycle, attr, mutant)
             got = cocycle_verdicts()
-            # through all, where the cocycle rows run in the forked child
+            # through all, where the cocycle rows run beside the forked child
             failed = [i["check"] for i in battery.run("quick") if i["status"] == "fail"]
         assert got == {name: "fail" if name == broken else "pass" for name in COCYCLE_CHECKS}, broken
         assert failed == [items[broken]], broken

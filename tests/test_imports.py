@@ -106,6 +106,20 @@ def test_the_forked_rows_of_all_load_neither():
     assert fresh(script) == "[]\n"
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="without fork, one process generates all")
+def test_the_forked_desk_run_generates_the_odd_families_deep_only_in_the_child():
+    # the child's ode-P-1 and ode-P-3 take P-1 and P-3 to original index 397;
+    # in the parent, gegenbauer-link reads them through 97 and the Favard ties
+    # read P-4 through 402 and P-2 through 404, so no parent row generates
+    # the odd families to the sweeps' depth a second time
+    script = (
+        "from djkm import battery, families\n"
+        "battery.run('desk')\n"
+        "print({f.value: len(families.get_family(f)._vals) - 5 for f in families.FamilyId})\n"
+    )
+    assert fresh(script) == "{'P-4': 402, 'P-3': 97, 'P-2': 404, 'P-1': 97}\n"
+
+
 def test_assoc_ultraspherical_loads_neither():
     script = (
         "import sys, djkm\n"
