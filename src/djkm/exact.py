@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import gcd, lcm
 from operator import add, eq, mul, neg, sub
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -347,7 +347,7 @@ class RationalPoly:
 
     # -- formatting / serialization ------------------------------------------
 
-    def to_str(self, var: str = "c") -> str:
+    def to_str(self) -> str:
         coeffs = self.coeffs
         if not coeffs:
             return "0"
@@ -362,7 +362,7 @@ class RationalPoly:
                 body = str(mag)
             else:
                 head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{var}" + (f"^{i}" if i > 1 else "")
+                body = f"{head}c" + (f"^{i}" if i > 1 else "")
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")
             else:
@@ -750,16 +750,6 @@ class LaurentSeries:
     def __hash__(self) -> int:
         # the canonical pairs that __eq__ compares, so no Fraction is built
         return hash((self._low, self._trunc, tuple((p._num, p._den) for p in self._coeffs)))
-
-    def agrees_with(self, other: "LaurentSeries", upto: Optional[int] = None) -> bool:
-        """Coefficientwise equality on the common known exponent range."""
-        bound = min(self._trunc, other._trunc)
-        if upto is not None:
-            if upto > bound:
-                raise ValueError("comparison extends beyond a truncation order")
-            bound = upto
-        lo = min(self._low, other._low)
-        return all(self.coefficient(n) == other.coefficient(n) for n in range(lo, bound + 1))
 
     # -- arithmetic ---------------------------------------------------------
 

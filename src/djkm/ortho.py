@@ -67,25 +67,17 @@ class ThreeTermData:
     sequences, so the Jacobi matrix is fixed by its squared off-diagonal
     entries beta_n^2.  A and C are exposed by their own subscript; C_{-1} is
     0 by convention (its recurrence partner p_{-1} is the zero polynomial).
+    Every read calls families.master_step, so a check sees the recurrence as
+    it is when the check runs.
     """
 
     def __init__(self, family: str):
-        self.family = family
         # p_n is P at original index stride n + offset
         self._stride, self._offset, _ = VIEWS[_sequence(family)[1]]
-        self._last = None, None  # (n, master step) of the last step read
 
     def _step(self, n: int) -> Tuple[int, int, int]:
-        """families.master_step at p_n's original index.  A_n and C_{n-2} both
-        read it, and so do neighbouring calls on a walk up n: A_{n+1} and
-        C_{n-1} in one step of the tie, C_{n-2} and then A_n in beta_{n-1} and
-        beta_n.  So the last step read is kept, and a walk reads each index
-        once."""
-        at, step = self._last
-        if at != n:
-            step = families.master_step(self._stride * n + self._offset)
-            self._last = n, step
-        return step
+        """families.master_step at p_n's original index."""
+        return families.master_step(self._stride * n + self._offset)
 
     def A_pair(self, n: int) -> Tuple[int, int]:
         """A_n as an integer (numerator, denominator) pair, not reduced."""
@@ -489,13 +481,16 @@ def quad_orthogonality(tag: str, n_nodes: int, max_deg: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def hyp2f1(a, b, c, z, tol: float = 1e-15, max_terms: int = 500_000) -> complex:
+_MAX_TERMS = 500_000
+
+
+def hyp2f1(a, b, c, z, tol: float = 1e-15) -> complex:
     """Gauss hypergeometric series 2F1(a, b; c; z) = sum (a)_n (b)_n / ((c)_n n!) z^n.
 
     (The n! belongs in the denominator even though some displays omit it.)
     Convergence domain: |z| < 1, or |z| = 1 with Re(c - a - b) > 0; outside it
     NoConvergenceError is raised, as it is when the tolerance is not reached
-    within max_terms or a (c)_n factor hits zero.
+    within _MAX_TERMS terms or a (c)_n factor hits zero.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -510,7 +505,7 @@ def hyp2f1(a, b, c, z, tol: float = 1e-15, max_terms: int = 500_000) -> complex:
             raise NoConvergenceError("series diverges on |z| = 1 unless Re(c-a-b) > 0")
     total = complex(1.0)
     term = complex(1.0)
-    for n in range(max_terms):
+    for n in range(_MAX_TERMS):
         denom = (c + n) * (n + 1)
         if denom == 0:
             raise NoConvergenceError(f"(c)_n factor vanishes at n={n + 1}")
@@ -524,4 +519,4 @@ def hyp2f1(a, b, c, z, tol: float = 1e-15, max_terms: int = 500_000) -> complex:
             tail = abs(term) * radius / (1.0 - radius)
         if tail < tol and n >= 1:
             return total
-    raise NoConvergenceError(f"tolerance {tol} not reached in {max_terms} terms")
+    raise NoConvergenceError(f"tolerance {tol} not reached in {_MAX_TERMS} terms")

@@ -465,7 +465,7 @@ def test_sqrt_against_binomial_oracle():
 
 def test_sqrt_of_one():
     one = LaurentSeries.from_terms({0: 1}, 10)
-    assert one.sqrt().agrees_with(one)
+    assert one.sqrt().truncate(10) == one.truncate(10)
 
 
 def test_pow_neg_3_2_against_binomial_oracle():
@@ -479,7 +479,7 @@ def test_pow_neg_3_2_against_binomial_oracle():
 
 def test_pow_neg_3_2_of_one():
     one = LaurentSeries.from_terms({0: 1}, 10)
-    assert one.pow_neg_3_2().agrees_with(one)
+    assert one.pow_neg_3_2().truncate(10) == one.truncate(10)
 
 
 def even_unit_series(trunc=10):
@@ -499,14 +499,15 @@ def even_unit_series(trunc=10):
 @settings(max_examples=30, deadline=None)
 @given(even_unit_series())
 def test_sqrt_inverts_square(r):
-    assert (r * r).sqrt().agrees_with(r)
+    m = r.truncation_order
+    assert (r * r).sqrt().truncate(m) == r.truncate(m)
 
 
 @settings(max_examples=30, deadline=None)
 @given(even_unit_series())
 def test_sqrt_squares_back(s):
-    root = s.sqrt()
-    assert (root * root).agrees_with(s)
+    root, m = s.sqrt(), s.truncation_order
+    assert (root * root).truncate(m) == s.truncate(m)
 
 
 @settings(max_examples=20, deadline=None)
@@ -514,9 +515,10 @@ def test_sqrt_squares_back(s):
 def test_pow_neg_3_2_inverse_pair(s):
     # s^(-3/2) * s * sqrt(s) = 1, and (s^(-3/2))^2 * s^3 = 1
     r = s.pow_neg_3_2()
-    one = LaurentSeries.from_terms({0: 1}, s.truncation_order)
-    assert (r * s * s.sqrt()).agrees_with(one)
-    assert (r * r * s * s * s).agrees_with(one)
+    m = s.truncation_order
+    one = LaurentSeries.from_terms({0: 1}, m)
+    assert (r * s * s.sqrt()).truncate(m) == one.truncate(m)
+    assert (r * r * s * s * s).truncate(m) == one.truncate(m)
 
 
 def test_sqrt_preconditions():
@@ -532,7 +534,7 @@ def test_sqrt_with_even_valuation():
     s = quartic(8).shift(4)
     r = s.sqrt()
     assert r.lowest_order == 2
-    assert (r * r).agrees_with(s)
+    assert (r * r).truncate(12) == s.truncate(12)
 
 
 def test_integrate_power_rule():

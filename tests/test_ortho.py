@@ -805,25 +805,14 @@ def test_golub_welsch_nodes_bracket_the_exact_zeros(tag):
             assert below * above <= 0, (n_nodes, x)
 
 
-@pytest.mark.parametrize("tag", ["q", "qbar"])
-def test_each_master_step_is_read_once(monkeypatch, tag):
-    # a walk up n reads A_n and C_{n-2} from one step; beta_1..beta_n read n + 1
-    read = []
-    real = ortho_mod.families.master_step
-
-    def counted(k):
-        read.append(k)
-        return real(k)
-
-    for walk, count, steps in (
-        (golub_welsch, 50, 51), (recurrence_mismatch, 40, 40), (favard_lambdas, 30, 31)
-    ):
-        walk(tag, count)  # the members it ties, generated outside the count
-        with monkeypatch.context() as patch:
-            patch.setattr(ortho_mod.families, "master_step", counted)
-            read.clear()
-            walk(tag, count)
-        assert len(read) == len(set(read)) == steps, walk.__name__
+def test_three_term_data_reads_the_recurrence_on_every_call(monkeypatch):
+    # a step read before the recurrence changes is not served after it
+    data = three_term("q")
+    data.A_pair(5)
+    monkeypatch.setattr(
+        ortho_mod.families, "master_step", lambda k: (4 * k, 7 - 2 * k, 6 + 2 * k)
+    )
+    assert data.C_pair(3) == three_term("q").C_pair(3) == (13, 40)
 
 
 def test_golub_welsch_peak_is_bounded_by_the_btb_block():
@@ -915,3 +904,10 @@ def test_hyp2f1_domain_errors():
 def test_hyp2f1_rejects_bad_tol():
     with pytest.raises(ValueError):
         hyp2f1(1, 1, 2, 0.5, tol=0)
+
+
+def test_hyp2f1_raises_when_the_term_budget_runs_out(monkeypatch):
+    # 2F1(1,1;2;1/2) needs ~45 terms for 1e-15; five leave a tail near 1e-3
+    monkeypatch.setattr(ortho_mod, "_MAX_TERMS", 5)
+    with pytest.raises(NoConvergenceError, match=r"tolerance 1e-15 not reached in 5 terms"):
+        hyp2f1(1, 1, 2, 0.5)
