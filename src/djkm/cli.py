@@ -219,65 +219,64 @@ def _cmd_all(args) -> tuple:
 # -- argument parsing ---------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: name -> (help, command, each add_argument's flags and options); all take --out FILE
+SUBCOMMANDS = {
+    "gen": ("generate family members", _cmd_gen, (
+        ("--family", dict(required=True, choices=sorted(GEN_FAMILIES))),
+        ("--view", dict(choices=[v.value for v in IndexView], default=None)),
+        ("--max-n", "--max", dict(dest="max_n", type=int, required=True)))),
+    "verify-ode": ("exact ODE residual sweeps", _cmd_verify_ode, (
+        ("--family", dict(required=True, choices=[fid.value for fid in ODES])),
+        ("--max-n", dict(type=int, default=100)))),
+    "oracle-compare": ("generating-function reconstruction", _cmd_oracle_compare, (
+        ("--family", dict(required=True, choices=list(dict.fromkeys(
+            family for _, family, _, _ in battery.ORACLES)))),
+        ("--order", dict(type=int, default=120)))),
+    "cocycle": ("central-extension cocycle values/checks", _cmd_cocycle, (
+        ("--i", dict(type=int, default=None)),
+        ("--j", dict(type=int, default=None)),
+        ("--verify", dict(action="store_true")),
+        ("--bound", dict(type=int, default=None)))),
+    "orthogonality": ("Favard data, Hankel, Gram checks", _cmd_orthogonality, (
+        ("--family", dict(required=True, choices=list(SEQUENCES))),
+        ("--hankel", dict(type=int, default=14)),
+        ("--gram", dict(type=int, default=8)))),
+    "quadrature": ("Gauss nodes and weights", _cmd_quadrature, (
+        ("--family", dict(required=True, choices=list(SEQUENCES))),
+        ("--nodes", dict(type=int, default=20)),
+        ("--json", dict(action="store_true")))),
+    "nonclassical": ("order <= 2 eigenoperator system", _cmd_nonclassical, (
+        ("--family", dict(required=True, choices=list(SEQUENCES))),
+        ("--max-n", dict(type=int, default=6)))),
+    "all": ("run the full verification battery", _cmd_all, (
+        ("--profile", dict(choices=battery.PROFILES, default="desk")),)),
+}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The djkm parser with all eight subparsers, or with only's alone."""
     parser = argparse.ArgumentParser(
         prog="djkm",
         description="Exact DJKM polynomial families, identities, and quadrature",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("gen", help="generate family members")
-    p.add_argument("--family", required=True, choices=sorted(GEN_FAMILIES))
-    p.add_argument("--view", choices=[v.value for v in IndexView], default=None)
-    p.add_argument("--max-n", "--max", dest="max_n", type=int, required=True)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("verify-ode", help="exact ODE residual sweeps")
-    p.add_argument("--family", required=True, choices=[fid.value for fid in ODES])
-    p.add_argument("--max-n", type=int, default=100)
-    p.set_defaults(func=_cmd_verify_ode)
-
-    p = sub.add_parser("oracle-compare", help="generating-function reconstruction")
-    oracle_families = dict.fromkeys(family for _, family, _, _ in battery.ORACLES)
-    p.add_argument("--family", required=True, choices=list(oracle_families))
-    p.add_argument("--order", type=int, default=120)
-    p.set_defaults(func=_cmd_oracle_compare)
-
-    p = sub.add_parser("cocycle", help="central-extension cocycle values/checks")
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--bound", type=int, default=None)
-    p.set_defaults(func=_cmd_cocycle)
-
-    p = sub.add_parser("orthogonality", help="Favard data, Hankel, Gram checks")
-    p.add_argument("--family", required=True, choices=list(SEQUENCES))
-    p.add_argument("--hankel", type=int, default=14)
-    p.add_argument("--gram", type=int, default=8)
-    p.set_defaults(func=_cmd_orthogonality)
-
-    p = sub.add_parser("quadrature", help="Gauss nodes and weights")
-    p.add_argument("--family", required=True, choices=list(SEQUENCES))
-    p.add_argument("--nodes", type=int, default=20)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_quadrature)
-
-    p = sub.add_parser("nonclassical", help="order <= 2 eigenoperator system")
-    p.add_argument("--family", required=True, choices=list(SEQUENCES))
-    p.add_argument("--max-n", type=int, default=6)
-    p.set_defaults(func=_cmd_nonclassical)
-
-    p = sub.add_parser("all", help="run the full verification battery")
-    p.add_argument("--profile", choices=battery.PROFILES, default="desk")
-    p.set_defaults(func=_cmd_all)
-
-    for p in sub.choices.values():
+    # usage names all eight either way; in the full parser a metavar would
+    # rename the action in its invalid-choice and missing-subcommand errors
+    metavar = "{" + ",".join(SUBCOMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in [only] if only else SUBCOMMANDS:
+        text, func, arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for *flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.add_argument("--out", metavar="FILE", default=None)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    # a line that starts with a subcommand parses alike with its subparser alone
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
     with contextlib.ExitStack() as stack:
         # --out is opened before the command runs, so an unwritable path is
         # a usage error before any work is done.

@@ -106,13 +106,23 @@ class ThreeTermData:
         return self.A(n) * self.C(n - 1)
 
     def beta(self, n: int) -> float:
-        """beta_n = sqrt(A_n C_{n-1}) in floating point, with no Fraction built.
+        """beta_n = sqrt(A_n C_{n-1}) in floating point, with no Fraction built."""
+        return _beta(self.A_pair(n), self.C_pair(n - 1))
 
-        Integer true division is correctly rounded, so the square root is
-        taken of the float nearest A_n C_{n-1}, as float(beta_sq(n)) is.
-        """
-        (an, ad), (cn, cd) = self.A_pair(n), self.C_pair(n - 1)
-        return math.sqrt(an * cn / (ad * cd))
+    def betas(self, count: int) -> List[float]:
+        """beta_1..beta_count, as beta gives them, from count + 1 master steps
+        read once each: beta_n takes A_n = z/x from p_n's step and
+        C_{n-1} = -y/x from p_{n+1}'s, as A_pair and C_pair do."""
+        steps = [self._step(n) for n in range(1, count + 2)]
+        return [_beta((z, x), (-y, x1)) for (x, _, z), (x1, y, _) in zip(steps, steps[1:])]
+
+
+def _beta(a: Tuple[int, int], c: Tuple[int, int]) -> float:
+    """sqrt(A C) for A, C integer pairs.  Integer true division is correctly
+    rounded, so the square root is taken of the float nearest A C, as
+    float(beta_sq(n)) is."""
+    (an, ad), (cn, cd) = a, c
+    return math.sqrt(an * cn / (ad * cd))
 
 
 def three_term(tag: str) -> ThreeTermData:
@@ -377,12 +387,17 @@ def _forward(beta: List[float], theta: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     theta - beta_n p_n p_{n-1} / sum, and the Gauss weight m_0 / sum is the
     Christoffel number (Gautschi, Orthogonal Polynomials, 2004, 3.1).
     """
-    prev, cur = np.zeros_like(theta), np.ones_like(theta)
-    total = np.zeros_like(theta)
+    prev, cur, nxt = np.zeros_like(theta), np.ones_like(theta), np.empty_like(theta)
+    total, work = np.zeros_like(theta), np.empty_like(theta)
     below = 0.0
+    # in place, with the same operations in the same order as
+    # prev, cur = cur, (theta * cur - below * prev) / b
     for b in beta:
-        total += cur * cur
-        prev, cur = cur, (theta * cur - below * prev) / b
+        total += np.multiply(cur, cur, out=work)
+        np.multiply(theta, cur, out=nxt)
+        nxt -= np.multiply(below, prev, out=work)
+        nxt /= b
+        prev, cur, nxt = cur, nxt, prev
         below = b
     return prev, cur, total
 
@@ -396,9 +411,9 @@ def _count_below(beta: List[float], x: np.ndarray) -> np.ndarray:
     """
     tiny = np.finfo(float).tiny
     # the first pivot is -x: a beta_0 of 0 over an infinite pivot
-    pivot, count = np.full_like(x, np.inf), np.zeros(len(x), dtype=np.intp)
+    pivot, count, neg = np.full_like(x, np.inf), np.zeros(len(x), dtype=np.intp), -x
     for b in [0.0, *beta]:
-        pivot = -x - b * b / pivot
+        pivot = neg - b * b / pivot
         pivot[np.abs(pivot) < tiny] = -tiny
         count += pivot < 0
     return count
@@ -422,9 +437,8 @@ def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
-    data = three_term(tag)
     # beta_1..beta_n: beta_n is not in J, it enters only p_n for the Newton step
-    beta = [data.beta(k) for k in range(1, n_nodes + 1)]
+    beta = three_term(tag).betas(n_nodes)
     cols = n_nodes // 2
     # B^T B is the odd-index block of J^2: diagonal beta_{2j+1}^2 + beta_{2j+2}^2
     # and subdiagonal beta_{2j+2} beta_{2j+3}, with beta_n read as 0

@@ -1,5 +1,6 @@
 """CLI driver: subcommand output schemas, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -141,6 +142,65 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "gen", "--family", "P-4", "--no-such-flag")
     assert exc.value.code == 2
+
+
+SUBCOMMANDS = [
+    "gen", "verify-ode", "oracle-compare", "cocycle", "orthogonality", "quadrature",
+    "nonclassical", "all",
+]
+
+#: Command lines that argparse ends: help, usage errors and bad choices.
+PARSER_CORPUS = [
+    [],
+    ["-h"],
+    *([name, "-h"] for name in SUBCOMMANDS),
+    ["bogus"],
+    ["all", "--bogus"],
+    ["gen"],
+    ["gen", "--family", "X", "--max-n", "3"],
+]
+
+
+def parser_exit(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(["djkm", *argv]))
+def test_main_prints_what_the_full_parser_prints(capsys, argv):
+    # main builds one subparser when argv names a subcommand, all eight otherwise
+    full = parser_exit(capsys, cli.build_parser().parse_args, argv)
+    assert parser_exit(capsys, main, argv) == full
+    assert full[0] == (0 if "-h" in argv else 2)
+
+
+def test_an_unknown_flag_after_a_subcommand_prints_the_eight_choice_usage(capsys):
+    code, out, err = parser_exit(capsys, main, ["all", "--bogus"])
+    assert (code, out) == (2, "")
+    usage, error = err.rstrip("\n").rsplit("\n", 1)
+    # the usage line wraps at the terminal's width
+    assert " ".join(usage.split()) == "usage: djkm [-h] {" + ",".join(SUBCOMMANDS) + "} ..."
+    assert error == "djkm: error: unrecognized arguments: --bogus"
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    given = parser_exit(capsys, main, ["all", "--bogus"])
+    monkeypatch.setattr(sys, "argv", ["djkm", "all", "--bogus"])
+    assert parser_exit(capsys, main, None) == given
+
+
+def test_a_command_builds_the_top_level_parser_and_its_own(monkeypatch, capsys):
+    real, built = argparse.ArgumentParser.__init__, []
+
+    def init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    assert main(["cocycle", "--i", "1", "--j", "2"]) == 0
+    assert built == ["djkm", "djkm cocycle"]
 
 
 def test_verify_ode_report_shape(capsys):

@@ -815,6 +815,28 @@ def test_three_term_data_reads_the_recurrence_on_every_call(monkeypatch):
     assert data.C_pair(3) == three_term("q").C_pair(3) == (13, 40)
 
 
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+@pytest.mark.parametrize("n_nodes", [1, 2, 7, 20, 129])
+def test_golub_welsch_reads_each_master_step_once(monkeypatch, tag, n_nodes):
+    # beta_1..beta_n need A_1..A_n and C_0..C_{n-1}: the steps at p_1..p_{n+1}
+    real, reads = ortho_mod.families.master_step, []
+
+    def step(k):
+        reads.append(k)
+        return real(k)
+
+    monkeypatch.setattr(ortho_mod.families, "master_step", step)
+    golub_welsch(tag, n_nodes)
+    stride, offset, _ = ortho_mod.VIEWS[ortho_mod.SEQUENCES[tag][1]]
+    assert reads == [stride * n + offset for n in range(1, n_nodes + 2)]
+
+
+@pytest.mark.parametrize("tag", ["q", "qbar"])
+def test_betas_are_the_betas_read_one_by_one(tag):
+    data = three_term(tag)
+    assert data.betas(60) == [data.beta(n) for n in range(1, 61)]
+
+
 def test_golub_welsch_peak_is_bounded_by_the_btb_block():
     # no eigenvector is built: the 500 x 500 B^T B is the largest array, and
     # its eigenvalues set the peak; numpy reports its buffers to tracemalloc
