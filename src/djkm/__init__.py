@@ -99,7 +99,6 @@ __all__ = [
     "Rational",
     "RationalPoly",
     "ResidueError",
-    "ThreeTermData",
     "VerificationError",
     "assoc_jacobi",
     "assoc_ultraspherical",

@@ -8,8 +8,8 @@ Where ``os.fork`` exists, ``run`` runs the CHILD_ROWS in one forked child: a
 patch made before reaches both processes, a trace only this one's rows, and
 an exception from a child row is raised here with the child's traceback as
 its cause.
-``favard`` and ``hankel`` first tie exactly the A_n and C_n they read from
-``ortho.ThreeTermData`` to the generated members.
+``favard`` and ``hankel`` first tie exactly the master steps they read
+through ``ortho.three_term`` to the generated members.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ The orthogonal sequences are the degree-graded views of the even families:
     qbar_n = P_{-2, 2n+2} (original indexing),  qbar_0 = 1/5,  deg qbar_n = n
 
 Both satisfy x p_n = A_{n+1} p_{n+1} + C_{n-1} p_{n-1} with zero diagonal and
-A_n C_{n-1} > 0, so Favard's theorem applies after symmetrization; A_n and C_n
-come from ``families.master_step``, which generates the families.  Exact work
+A_n C_{n-1} > 0, so Favard's theorem applies after symmetrization; each check
+reads A_n and C_n once off ``three_term``'s list of master steps.  Exact work
 runs on integer numerators over one denominator, like RationalPoly, and builds
 Fractions only for its results; the Hankel minors and the nullspace of the
 nonclassicality system come from ``exact``'s one elimination kernel.  The
@@ -58,75 +58,18 @@ def _member(tag: str, n: int) -> RationalPoly:
     return get_family(family_id).member(view, n)
 
 
-class ThreeTermData:
-    """Coefficients of x p_n = A_{n+1} p_{n+1} + C_{n-1} p_{n-1}.
-
-    At k the original index of p_{n+1}, (x, y, z) = families.master_step(k)
-    reads z p_{n+1} = x c p_n + y p_{n-1}, so A_{n+1} = z/x and
-    C_{n-1} = -y/x.  The diagonal coefficient B_n is identically 0 for both
-    sequences, so the Jacobi matrix is fixed by its squared off-diagonal
-    entries beta_n^2.  A and C are exposed by their own subscript; C_{-1} is
-    0 by convention (its recurrence partner p_{-1} is the zero polynomial).
-    Every read calls families.master_step, so a check sees the recurrence as
-    it is when the check runs.
-    """
-
-    def __init__(self, family: str):
-        # p_n is P at original index stride n + offset
-        self._stride, self._offset, _ = VIEWS[_sequence(family)[1]]
-
-    def _step(self, n: int) -> Tuple[int, int, int]:
-        """families.master_step at p_n's original index."""
-        return families.master_step(self._stride * n + self._offset)
-
-    def A_pair(self, n: int) -> Tuple[int, int]:
-        """A_n as an integer (numerator, denominator) pair, not reduced."""
-        if n < 1:
-            raise ValueError("A_n is defined for n >= 1")
-        x, _, z = self._step(n)
-        return z, x
-
-    def C_pair(self, n: int) -> Tuple[int, int]:
-        """C_n as an integer (numerator, denominator) pair, not reduced."""
-        if n == -1:
-            return 0, 1
-        if n < -1:
-            raise ValueError("C_n is defined for n >= -1")
-        x, y, _ = self._step(n + 2)
-        return -y, x
-
-    def A(self, n: int) -> Fraction:
-        return Fraction(*self.A_pair(n))
-
-    def C(self, n: int) -> Fraction:
-        return Fraction(*self.C_pair(n))
-
-    def beta_sq(self, n: int) -> Fraction:
-        """Squared symmetrized off-diagonal entry, beta_n^2 = A_n C_{n-1} > 0."""
-        return self.A(n) * self.C(n - 1)
-
-    def beta(self, n: int) -> float:
-        """beta_n = sqrt(A_n C_{n-1}) in floating point, with no Fraction built."""
-        return _beta(self.A_pair(n), self.C_pair(n - 1))
-
-    def betas(self, count: int) -> List[float]:
-        """beta_1..beta_count, as beta gives them, from count + 1 master steps
-        read once each: beta_n takes A_n = z/x from p_n's step and
-        C_{n-1} = -y/x from p_{n+1}'s, as A_pair and C_pair do."""
-        steps = [self._step(n) for n in range(1, count + 2)]
-        return [_beta((z, x), (-y, x1)) for (x, _, z), (x1, y, _) in zip(steps, steps[1:])]
+def three_term(tag: str, count: int) -> List[Tuple[int, int, int]]:
+    """families.master_step (x, y, z) at the original indices of p_1..p_count,
+    read once each, when called.  The step at p_n's index reads
+    z p_n = x c p_{n-1} + y p_{n-2}, so A_n = z/x and C_{n-2} = -y/x."""
+    stride, offset, _ = VIEWS[_sequence(tag)[1]]
+    return [families.master_step(stride * n + offset) for n in range(1, count + 1)]
 
 
-def _beta(a: Tuple[int, int], c: Tuple[int, int]) -> float:
-    """sqrt(A C) for A, C integer pairs.  Integer true division is correctly
-    rounded, so the square root is taken of the float nearest A C, as
-    float(beta_sq(n)) is."""
-    (an, ad), (cn, cd) = a, c
-    return math.sqrt(an * cn / (ad * cd))
-
-
-def three_term(tag: str) -> ThreeTermData:
-    return ThreeTermData(tag)
+def _beta_sq(steps: List[Tuple[int, int, int]]) -> List[Tuple[int, int]]:
+    """beta_n^2 = A_n C_{n-1} = z (-y') / (x x') as an unreduced integer pair,
+    for (x, y, z) and (x', y', z') the steps at p_n and p_{n+1}."""
+    return [(z * -y1, x * x1) for (x, _, z), (x1, y1, _) in zip(steps, steps[1:])]
 
 
 def recurrence_mismatch(tag: str, count: int) -> Optional[int]:
@@ -135,20 +78,17 @@ def recurrence_mismatch(tag: str, count: int) -> Optional[int]:
         x p_n = A_{n+1} p_{n+1} + C_{n-1} p_{n-1},
 
     exactly, or None.  Moments, Hankel determinants, the Favard normalisers
-    and the Gauss rule read ThreeTermData, never the family; this ties that
-    data to the members it describes, without building p_{n+1} again:
-    A, C, beta_sq and beta all build on A_pair and C_pair, which it reads.
-    Each step is decided with the integer pairs A = an/ad and C = cn/cd, not
-    reduced: an cd p_{n+1} = ad cd x p_n - ad cn p_{n-1}.
+    and the Gauss rule read ``three_term``, never the family; this ties those
+    steps to the members they describe, without building p_{n+1} again: step
+    n + 1, (x, y, z), must give z p_{n+1} = x c p_n + y p_{n-1} (p_{-1} = 0).
     """
-    data = three_term(tag)
+    steps = three_term(tag, count)
     if count < 1:
         raise ValueError("count must be >= 1")
     prev, cur = RationalPoly.zero(), _member(tag, 0)
-    for n in range(count):
+    for n, (x, y, z) in enumerate(steps):
         nxt = _member(tag, n + 1)
-        (an, ad), (cn, cd) = data.A_pair(n + 1), data.C_pair(n - 1)
-        if not is_shift_combination(nxt, cur, ad * cd, prev, -ad * cn, an * cd):
+        if not is_shift_combination(nxt, cur, x, prev, y, z):
             return n
         prev, cur = cur, nxt
     return None
@@ -163,12 +103,12 @@ def favard_lambdas(tag: str, count: int) -> List[Fraction]:
     ratio is (n+1)(2n+1) / ((n+2)(2n+5)) for qbar and
     n(2n-1) / ((n+1)(2n+3)) for q.
     """
-    data = three_term(tag)
+    steps = three_term(tag, count + 1)
     if count < 0:
         raise ValueError("count must be >= 0")
     out = [Fraction(1)]
-    for n in range(1, count + 1):
-        out.append(out[-1] / data.A(n) * data.C(n - 1))
+    for (x, _, z), (x1, y1, _) in zip(steps, steps[1:]):
+        out.append(out[-1] * Fraction(x * -y1, z * x1))
     return out
 
 
@@ -179,9 +119,8 @@ def favard_lambdas(tag: str, count: int) -> List[Fraction]:
 
 def _moment_numerators(tag: str, max_order: int) -> Tuple[List[int], int]:
     """(V, L) with m_k = V_k / L**k, L the lcm of the denominators of beta_n^2."""
-    data = three_term(tag)
     size = max_order // 2 + 2
-    b, den = _integer_row([data.beta_sq(n) for n in range(1, size)] + [0])
+    b, den = _integer_row([Fraction(*pair) for pair in _beta_sq(three_term(tag, size))] + [0])
     v = [1] + [0] * (size - 1)
     out = [1]
     for _ in range(max_order):
@@ -437,8 +376,9 @@ def golub_welsch(tag: str, n_nodes: int) -> Tuple[List[float], List[float]]:
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
-    # beta_1..beta_n: beta_n is not in J, it enters only p_n for the Newton step
-    beta = three_term(tag).betas(n_nodes)
+    # beta_1..beta_n, each the root of the float nearest beta_n^2: beta_n is
+    # not in J, it enters only p_n for the Newton step
+    beta = [math.sqrt(num / den) for num, den in _beta_sq(three_term(tag, n_nodes + 1))]
     cols = n_nodes // 2
     # B^T B is the odd-index block of J^2: diagonal beta_{2j+1}^2 + beta_{2j+2}^2
     # and subdiagonal beta_{2j+2} beta_{2j+3}, with beta_n read as 0

@@ -24,20 +24,29 @@ def cold_caches(monkeypatch):
 @pytest.fixture
 def tamper_three_term():
     """tamper(patch, name, at, change): through the monkeypatch patch, make
-    ThreeTermData's A_at (name "A") or C_at (name "C") change(value).  The
-    integer pair is what is tampered with: A, C, beta_sq, beta and the
-    three-term tie all read it."""
+    ortho.three_term give A_at (name "A") or C_at (name "C") as change(value),
+    and nothing else changed.  The step at p_j, (x, y, z), gives A_j = z/x
+    and C_{j-2} = -y/x, so A' = a/b is (x b, y b, a x) there and C' = c/d is
+    (x d, -c x, z d): every check that reads the steps sees the tamper."""
 
     def tamper(patch, name: str, at: int, change):
-        real = getattr(ortho.ThreeTermData, f"{name}_pair")
+        real = ortho.three_term
+        j = at if name == "A" else at + 2
 
-        def pair(self, n):
-            num, den = real(self, n)
-            if n != at:
-                return num, den
-            value = change(Fraction(num, den))
-            return value.numerator, value.denominator
+        def three_term(tag, count):
+            steps = real(tag, count)
+            if 1 <= j <= count:
+                x, y, z = steps[j - 1]
+                if name == "A":
+                    value = change(Fraction(z, x))
+                    b = value.denominator
+                    steps[j - 1] = (x * b, y * b, value.numerator * x)
+                else:
+                    value = change(Fraction(-y, x))
+                    d = value.denominator
+                    steps[j - 1] = (x * d, -value.numerator * x, z * d)
+            return steps
 
-        patch.setattr(ortho.ThreeTermData, f"{name}_pair", pair)
+        patch.setattr(ortho, "three_term", three_term)
 
     return tamper

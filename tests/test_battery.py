@@ -140,7 +140,7 @@ def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch):
 
 def _tied_rows(profile):
     """(name, check, args, first sequence, bound) of the all rows that run a
-    check on ThreeTermData."""
+    check on ortho.three_term's steps."""
     column = battery.PROFILES.index(profile)
     for name, check, args in battery.ROWS:
         if args[column][:1] in ((battery.favard,), (battery.hankel,)):

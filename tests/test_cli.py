@@ -415,6 +415,19 @@ def test_hankel_and_favard_items_check_the_three_term_data(
         }
 
 
+def test_the_quadrature_items_check_the_three_term_data(
+    monkeypatch, tamper_three_term, tmp_path
+):
+    # the Gauss rule takes beta_5 from A_5 too, so the tampered step reaches it
+    assert ortho.quad_orthogonality("q", 12, 6) <= 1e-10
+    tamper_three_term(monkeypatch, "A", 5, lambda v: v + 1)
+    assert ortho.quad_orthogonality("q", 12, 6) > 1e-10
+    target = tmp_path / "all.json"
+    assert main(["all", "--profile", "quick", "--out", str(target)]) == 1
+    items = {i["check"]: i for i in json.loads(target.read_text())["items"]}
+    assert items["quadrature-q"]["status"] == items["quadrature-qbar"]["status"] == "fail"
+
+
 def test_favard_item_checks_every_a_it_reads(monkeypatch, tamper_three_term, tmp_path):
     # favard_lambdas(tag, 200) reads A_1..A_200; a wrong A_100 used to pass
     tamper_three_term(monkeypatch, "A", 100, lambda v: v + 1)
@@ -688,7 +701,8 @@ def test_a_wrong_master_step_fails_the_pinned_closed_forms(cold_caches, monkeypa
     # three-term data both follow it, so the ties agree, and the typed tables
     # and the written-out lambda_1^2 are what catch it
     monkeypatch.setattr(families, "master_step", lambda k: (4 * k, 6 - 2 * k, 8 + 2 * k))
-    assert ortho.three_term("q").A(1) == F(12, 8)
+    ((x, _, z),) = ortho.three_term("q", 1)
+    assert F(z, x) == F(12, 8)  # A_1
     code, out = run_cli(capsys, "all", "--profile", "quick")
     assert code == 1
     items = {item["check"]: item for item in json.loads(out)["items"]}

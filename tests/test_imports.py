@@ -134,7 +134,7 @@ def test_ortho_names_resolve_to_the_module():
     script = (
         "import sys, djkm\n"
         "assert djkm.golub_welsch is djkm.ortho.golub_welsch\n"
-        "assert djkm.ThreeTermData is sys.modules['djkm.ortho'].ThreeTermData\n"
+        "assert djkm.three_term is sys.modules['djkm.ortho'].three_term\n"
         "print('ok')\n"
     )
     assert fresh(script) == "ok\n"

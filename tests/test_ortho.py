@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import djkm.ortho as ortho_mod
+from djkm import families
 from djkm.exact import RationalPoly, VerificationError, _integer_row, leading_minors, nullspace
 from djkm.families import FamilyId, get_family
 from djkm.ortho import (
@@ -30,6 +31,7 @@ from djkm.ortho import (
     recurrence_mismatch,
     three_term,
 )
+from djkm.ortho import _beta_sq
 from test_exact import det_fraction  # the reference determinant
 
 
@@ -45,60 +47,78 @@ def pochhammer(x, n):
 # ---------------------------------------------------------------------------
 
 
+def closed_beta_sq(tag, n):
+    """The paper's beta_n^2 = A_n C_{n-1}, typed out: the Gauss-rule references
+    read these, not the library under test."""
+    if tag == "q":
+        return F((2 * n + 3) * (2 * n - 1), 16 * n * (n + 1))
+    return F((2 * n + 5) * (2 * n + 1), 16 * (n + 1) * (n + 2))
+
+
+def closed_betas(tag, count):
+    """beta_1..beta_count, each the correctly rounded root of closed_beta_sq."""
+    return [math.sqrt(closed_beta_sq(tag, n)) for n in range(1, count + 1)]
+
+
+def coefficients(steps):
+    """(A, C) from the steps at p_1..p_N: A[n] = A_{n+1} = z/x and
+    C[n] = C_{n-1} = -y/x, both off the step at p_{n+1}."""
+    return [F(z, x) for x, _, z in steps], [F(-y, x) for x, y, _ in steps]
+
+
 def test_three_term_coefficients():
     # the paper's closed forms through the desk Favard depth, n <= 200; src
     # derives them from the master step, so they are pinned here by hand
-    qbar = three_term("qbar")
-    # relation at level n: A_{n+1} = (2n+7)/(4(n+2)), C_{n-1} = (2n+1)/(4(n+2));
-    # C_{-1} is 0 by convention, its partner polynomial being zero
-    assert qbar.C(-1) == 0
-    for n in range(0, 201):
-        assert qbar.A(n + 1) == F(2 * n + 7, 4 * (n + 2))
-        if n >= 1:
-            assert qbar.C(n - 1) == F(2 * n + 1, 4 * (n + 2))
-            # beta_n^2 = (2n+5)(2n+1)/(16(n+1)(n+2)), and beta_n its correctly
-            # rounded root
-            beta_sq = F((2 * n + 5) * (2 * n + 1), 16 * (n + 1) * (n + 2))
-            assert qbar.beta_sq(n) == beta_sq
-            assert qbar.beta(n) == math.sqrt(float(beta_sq))
-    q = three_term("q")
-    assert q.C(-1) == 0  # convention: its partner p_{-1} is the zero polynomial
-    for n in range(0, 201):
-        assert q.A(n + 1) == F(2 * n + 5, 4 * (n + 1))
-        if n >= 1:
-            assert q.C(n - 1) == F(2 * n - 1, 4 * (n + 1))
-            beta_sq = F((2 * n + 3) * (2 * n - 1), 16 * n * (n + 1))
-            assert q.beta_sq(n) == beta_sq
-            assert q.beta(n) == math.sqrt(float(beta_sq))
+    for tag, a_next, c_prev in (
+        # relation at level n: A_{n+1} = (2n+7)/(4(n+2)), C_{n-1} = (2n+1)/(4(n+2))
+        ("qbar", lambda n: F(2 * n + 7, 4 * (n + 2)), lambda n: F(2 * n + 1, 4 * (n + 2))),
+        ("q", lambda n: F(2 * n + 5, 4 * (n + 1)), lambda n: F(2 * n - 1, 4 * (n + 1))),
+    ):
+        steps = three_term(tag, 202)
+        a, c = coefficients(steps)
+        beta_sq = _beta_sq(steps)
+        for n in range(0, 201):
+            assert a[n] == a_next(n)
+            if n >= 1:
+                assert c[n] == c_prev(n)
+                # beta_n^2, and beta_n its correctly rounded root as
+                # golub_welsch takes it
+                num, den = beta_sq[n - 1]
+                assert F(num, den) == closed_beta_sq(tag, n)
+                assert math.sqrt(num / den) == math.sqrt(float(closed_beta_sq(tag, n)))
 
 
 @pytest.mark.parametrize("tag", ["bogus", "Q", "p-4", ""])
 def test_three_term_data_rejects_an_unknown_tag(tag):
     # an unknown tag must not fall through to another sequence's data
-    with pytest.raises(ValueError, match="unknown orthogonal sequence tag"):
-        ortho_mod.ThreeTermData(tag)
-    with pytest.raises(ValueError, match="unknown orthogonal sequence tag"):
-        three_term(tag)
+    for count in (0, 3):
+        with pytest.raises(ValueError, match="unknown orthogonal sequence tag"):
+            three_term(tag, count)
 
 
 def test_three_term_recurrence_holds_on_members():
     p4 = get_family(FamilyId.P4)
     p2 = get_family(FamilyId.P2)
     x = RationalPoly.variable()
-    q = three_term("q")
-    qb = three_term("qbar")
+    a, c = coefficients(three_term("q", 30))
+    ab, cb = coefficients(three_term("qbar", 30))
     for n in range(0, 30):
+        # C[0] = C_{-1} multiplies the zero polynomial p_{-1}
         lhs = x * p4.q(n)
-        rhs = p4.q(n + 1) * q.A(n + 1) + p4.q(n - 1) * q.C(n - 1)
+        rhs = p4.q(n + 1) * a[n] + p4.q(n - 1) * c[n]
         assert lhs == rhs
         lhs = x * p2.qbar(n)
-        rhs = p2.qbar(n + 1) * qb.A(n + 1) + p2.qbar(n - 1) * qb.C(n - 1)
+        rhs = p2.qbar(n + 1) * ab[n] + p2.qbar(n - 1) * cb[n]
         assert lhs == rhs
 
 
 @pytest.mark.parametrize("tag", ["q", "qbar"])
 def test_recurrence_mismatch_ties_the_data_to_the_members(tag, monkeypatch, tamper_three_term):
     assert recurrence_mismatch(tag, 60) is None
+    with monkeypatch.context() as patch:
+        # C_{-1} is not read: its partner p_{-1} is the zero polynomial
+        tamper_three_term(patch, "C", -1, lambda v: v + 1)
+        assert recurrence_mismatch(tag, 60) is None
     tamper_three_term(monkeypatch, "C", 6, lambda v: 2 * v)
     assert recurrence_mismatch(tag, 7) is None
     assert recurrence_mismatch(tag, 60) == 7
@@ -112,9 +132,9 @@ def test_recurrence_mismatch_rejects_a_count_that_checks_nothing(count):
 
 def test_positivity_of_adjacent_products():
     for tag in ("q", "qbar"):
-        data = three_term(tag)
+        a, c = coefficients(three_term(tag, 201))
         for n in range(1, 201):
-            assert data.A(n) * data.C(n - 1) > 0
+            assert a[n - 1] * c[n] > 0  # A_n C_{n-1}
 
 
 def test_favard_lambda_values():
@@ -146,17 +166,21 @@ def test_symmetrization_identity():
     # A_{n+1} lambda_{n+1}^2 = C_n lambda_n^2 makes the rescaled coefficients
     # equal (A_n = C_{n-1} after dividing by lambda), Fraction-exactly
     lams = favard_lambdas("qbar", 201)
-    data = three_term("qbar")
+    steps = three_term("qbar", 201)
+    a, c = coefficients(steps)
+    beta_sq = [F(num, den) for num, den in _beta_sq(steps)]
     for n in range(0, 200):
-        assert data.A(n + 1) * lams[n + 1] == data.C(n) * lams[n]
+        assert a[n] * lams[n + 1] == c[n + 1] * lams[n]
         # equivalently beta_{n+1}^2 = A_{n+1}^2 lambda_{n+1}^2 / lambda_n^2
-        assert data.A(n + 1) ** 2 * lams[n + 1] == data.beta_sq(n + 1) * lams[n]
+        assert a[n] ** 2 * lams[n + 1] == beta_sq[n] * lams[n]
 
 
 def test_beta_squared_values():
-    assert three_term("qbar").beta_sq(1) == F(7, 8) * F(1, 4) == F(7, 32)
-    assert three_term("q").beta_sq(1) == F(5, 4) * F(1, 8) == F(5, 32)
-    assert math.sqrt(three_term("qbar").beta_sq(1)) == pytest.approx(math.sqrt(7 / 32))
+    ((qbar_num, qbar_den),) = _beta_sq(three_term("qbar", 2))
+    ((q_num, q_den),) = _beta_sq(three_term("q", 2))
+    assert F(qbar_num, qbar_den) == F(7, 8) * F(1, 4) == F(7, 32)
+    assert F(q_num, q_den) == F(5, 4) * F(1, 8) == F(5, 32)
+    assert math.sqrt(qbar_num / qbar_den) == pytest.approx(math.sqrt(7 / 32))
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +191,10 @@ def test_beta_squared_values():
 def brute_force_moments(tag, k_max):
     """Dense matrix-power oracle on the rational similarity of J."""
     size = k_max // 2 + 2
-    data = three_term(tag)
+    beta_sq = _beta_sq(three_term(tag, size))
     mat = [[F(0)] * size for _ in range(size)]
     for i in range(size - 1):
-        mat[i][i + 1] = data.beta_sq(i + 1)
+        mat[i][i + 1] = F(*beta_sq[i])
         mat[i + 1][i] = F(1)
     out = [F(1)]
     power = [[F(1) if i == j else F(0) for j in range(size)] for i in range(size)]
@@ -568,9 +592,8 @@ def test_quad_orthogonality_rejects_a_degree_that_compares_no_pair(max_deg):
 
 
 def dense_jacobi(tag, n_nodes):
-    """The n x n Jacobi matrix, dense, from the exact beta_n^2."""
-    data = three_term(tag)
-    off = [math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes)]
+    """The n x n Jacobi matrix, dense, from the closed-form beta_n^2."""
+    off = closed_betas(tag, n_nodes - 1)
     return np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -676,7 +699,7 @@ def test_count_below_matches_dense_eigvalsh(tag, n_nodes):
     spectrum = np.linalg.eigvalsh(dense_jacobi(tag, n_nodes))
     points = np.concatenate([np.linspace(-1.5, 1.5, 1001), spectrum - 2e-9, spectrum + 2e-9])
     points = points[np.min(np.abs(points[:, None] - spectrum), axis=1) >= 1e-9]
-    beta = [three_term(tag).beta(k) for k in range(1, n_nodes)]
+    beta = closed_betas(tag, n_nodes - 1)
     below = np.searchsorted(spectrum, points)
     assert np.array_equal(ortho_mod._count_below(beta, points), below)
 
@@ -686,7 +709,7 @@ def test_count_below_matches_dense_eigvalsh(tag, n_nodes):
 def test_count_below_at_the_zero_eigenvalue(tag, n_nodes):
     # 0 is an eigenvalue of J for odd n, and at x = 0 a pivot can be exactly
     # 0; the count may put that eigenvalue on either side, and no other
-    beta = [three_term(tag).beta(k) for k in range(1, n_nodes)]
+    beta = closed_betas(tag, n_nodes - 1)
     (count,) = ortho_mod._count_below(beta, np.zeros(1))
     assert count in ((n_nodes - 1) // 2, (n_nodes + 1) // 2)
 
@@ -694,13 +717,12 @@ def test_count_below_at_the_zero_eigenvalue(tag, n_nodes):
 def christoffel_reference(tag, nodes):
     """The zeros of the degree-n orthonormal p_n nearest the nodes, by Newton
     steps, and their Christoffel weights 1 / sum_{k<n} p_k^2, in decimal at
-    40 digits with beta_k the square root of the exact beta_sq(k)."""
-    data = three_term(tag)
+    40 digits with beta_k the square root of the closed-form beta_k^2."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         beta = []
         for k in range(1, len(nodes) + 1):
-            exact = data.beta_sq(k)
+            exact = closed_beta_sq(tag, k)
             beta.append((decimal.Decimal(exact.numerator) / exact.denominator).sqrt())
         zeros, weights = [], []
         for x in map(decimal.Decimal, nodes):
@@ -734,8 +756,7 @@ def test_golub_welsch_weights_match_a_decimal_reference(tag, n_nodes):
 def dense_assembly_rule(tag, n_nodes):
     """Reference: the rule from the full SVD of the bidiagonal block, assembled
     into the dense n x n eigenvector matrix."""
-    data = three_term(tag)
-    off = np.array([math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes)])
+    off = np.array(closed_betas(tag, n_nodes - 1))
     rows, cols = (n_nodes + 1) // 2, n_nodes // 2
     block = np.zeros((rows, cols))
     block[np.arange(cols), np.arange(cols)] = off[0::2]
@@ -762,8 +783,7 @@ def test_golub_welsch_agrees_with_dense_assembly(tag, n_nodes):
 def dense_signed_rule(tag, n_nodes):
     """Reference: the Newton step and the Christoffel weights run on all n
     signed eigenvalues, with no mirroring."""
-    data = three_term(tag)
-    beta = [math.sqrt(data.beta_sq(k)) for k in range(1, n_nodes + 1)]
+    beta = closed_betas(tag, n_nodes)
     cols = n_nodes // 2
     off = np.append(beta[:-1], 0.0)
     upper, lower = off[0 : 2 * cols : 2], off[1 : 2 * cols : 2]
@@ -807,34 +827,56 @@ def test_golub_welsch_nodes_bracket_the_exact_zeros(tag):
 
 def test_three_term_data_reads_the_recurrence_on_every_call(monkeypatch):
     # a step read before the recurrence changes is not served after it
-    data = three_term("q")
-    data.A_pair(5)
-    monkeypatch.setattr(
-        ortho_mod.families, "master_step", lambda k: (4 * k, 7 - 2 * k, 6 + 2 * k)
-    )
-    assert data.C_pair(3) == three_term("q").C_pair(3) == (13, 40)
+    steps = three_term("q", 5)
+    monkeypatch.setattr(families, "master_step", lambda k: (4 * k, 7 - 2 * k, 6 + 2 * k))
+    # the step at p_5 gives C_3 = -y/x = 13/40
+    assert three_term("q", 5)[4] == (40, -13, 26) != steps[4]
+
+
+def count_master_steps(monkeypatch, check):
+    """The original indices at which check() reads families.master_step."""
+    real, reads = families.master_step, []
+
+    def step(k):
+        reads.append(k)
+        return real(k)
+
+    monkeypatch.setattr(families, "master_step", step)
+    check()
+    return reads
+
+
+def step_indices(tag, count):
+    """The original indices of p_1..p_count."""
+    stride, offset, _ = ortho_mod.VIEWS[ortho_mod.SEQUENCES[tag][1]]
+    return [stride * n + offset for n in range(1, count + 1)]
 
 
 @pytest.mark.parametrize("tag", ["q", "qbar"])
 @pytest.mark.parametrize("n_nodes", [1, 2, 7, 20, 129])
 def test_golub_welsch_reads_each_master_step_once(monkeypatch, tag, n_nodes):
     # beta_1..beta_n need A_1..A_n and C_0..C_{n-1}: the steps at p_1..p_{n+1}
-    real, reads = ortho_mod.families.master_step, []
-
-    def step(k):
-        reads.append(k)
-        return real(k)
-
-    monkeypatch.setattr(ortho_mod.families, "master_step", step)
-    golub_welsch(tag, n_nodes)
-    stride, offset, _ = ortho_mod.VIEWS[ortho_mod.SEQUENCES[tag][1]]
-    assert reads == [stride * n + offset for n in range(1, n_nodes + 2)]
+    reads = count_master_steps(monkeypatch, lambda: golub_welsch(tag, n_nodes))
+    assert reads == step_indices(tag, n_nodes + 1)
 
 
 @pytest.mark.parametrize("tag", ["q", "qbar"])
-def test_betas_are_the_betas_read_one_by_one(tag):
-    data = three_term(tag)
-    assert data.betas(60) == [data.beta(n) for n in range(1, 61)]
+@pytest.mark.parametrize(
+    "check, bound, steps",
+    [
+        # step n + 1 for n < 40
+        (recurrence_mismatch, 40, 40),
+        # A_1..A_40 and C_0..C_39
+        (favard_lambdas, 40, 41),
+        # beta_1^2..beta_41^2 on the truncation of size 42
+        (moments, 80, 42),
+    ],
+    ids=["recurrence_mismatch", "favard_lambdas", "moments"],
+)
+def test_the_exact_checks_read_each_master_step_once(monkeypatch, tag, check, bound, steps):
+    ortho_mod._member(tag, bound)  # generation reads the steps too
+    reads = count_master_steps(monkeypatch, lambda: check(tag, bound))
+    assert reads == step_indices(tag, steps)
 
 
 def test_golub_welsch_peak_is_bounded_by_the_btb_block():
