@@ -54,10 +54,6 @@ class OmegaVector:
         return _ZERO_VECTOR
 
     @classmethod
-    def basis_w0(cls) -> "OmegaVector":
-        return _W0_VECTOR
-
-    @classmethod
     def basis_u(cls, k: int) -> "OmegaVector":
         """The basis vector w_k for k in -1, ..., -deg p."""
         if not -max(families.QUARTIC) <= k <= -1:
@@ -263,6 +259,12 @@ def verify_antisymmetry(bound: int) -> bool:
     exponents |i|, |j| <= bound.  A mixed pair is antisymmetric by definition,
     because cocycle(plain, u-monomial) is computed as -cocycle(u-monomial,
     plain), so it is not looped over.
+
+    No p(t) can fail this check: the plain-plain class of t^a d(t^b) is b w0
+    when a + b = 0 and else 0, and the u-u class is (b - a)/2 times p's
+    t^(-a-b) coefficient times w0, both antisymmetric for every p.  Only a
+    wrong branch of ``cocycle`` itself fails it (reduce_plain(0) returning w0,
+    say); the 2-cocycle identity that would test p is ROADMAP item 9.
     """
     plain, with_u = zip(*((t_pow(i), t_pow_u(i)) for i in _window(bound)))
     return all(cocycle(f, g) == -cocycle(g, f) for fs in (plain, with_u) for f in fs for g in fs)

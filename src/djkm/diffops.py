@@ -27,7 +27,8 @@ class LinearDiffOp(NamedTuple):
 
 
 def build_gegenbauer_op(lam: Union[Rational, int], n: int) -> LinearDiffOp:
-    """(1 - c^2) D^2 - (2 lam + 1) c D + n (n + 2 lam)."""
+    """L(lam, n) = (1 - c^2) D^2 - (2 lam + 1) c D + n (n + 2 lam), which
+    annihilates C_n^(lam); n need not be an integer."""
     lam = Fraction(lam)
     return LinearDiffOp(
         (
@@ -73,7 +74,10 @@ ODES = {
 def build_case3_op(n: int) -> LinearDiffOp:
     """Second-order annihilator of P_{-1, 2n-3} (original indexing), n >= 2:
 
-        (c^4 - c^2) D^2 + 2c (c^2 + 1) D + (-c^2 n(n-1) - 2).
+        (c^4 - c^2) D^2 + 2c (c^2 + 1) D + (-c^2 n(n-1) - 2),
+
+    which is -c^3 L(3/2, n - 2) c^-1 (L as in build_gegenbauer_op): the
+    relation P_{-1, 2n-3} = c P_{-3, 2n-3} at the level of the operators.
     """
     return LinearDiffOp(specialise(ODES[FamilyId.P1][0], n))
 
@@ -81,7 +85,9 @@ def build_case3_op(n: int) -> LinearDiffOp:
 def build_case4_op(n: int) -> LinearDiffOp:
     """Second-order annihilator of P_{-3, 2n-3} (original indexing), n >= 2:
 
-        (c^2 - 1) D^2 + 4c D - (n+1)(n-2).
+        (c^2 - 1) D^2 + 4c D - (n+1)(n-2),
+
+    which is -L(3/2, n - 2) (L as in build_gegenbauer_op).
     """
     return LinearDiffOp(specialise(ODES[FamilyId.P3][0], n))
 

@@ -8,8 +8,9 @@ import traceback
 import pytest
 
 from djkm import battery, cocycle, diffops, families, oracle
-from djkm.cocycle import OmegaVector
-from djkm.exact import RationalPoly, VerificationError
+from djkm.exact import VerificationError
+
+from test_mutants import MUTANTS, no_child_left
 
 
 def test_every_row_has_one_argument_tuple_per_profile():
@@ -45,14 +46,6 @@ def test_every_check_returns_a_verdict_or_a_verdict_and_fields():
 def test_run_rejects_an_unknown_profile():
     with pytest.raises(ValueError):
         battery.run("deep")
-
-
-def no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 def test_the_child_rows_are_seven_rows_of_all():
@@ -179,11 +172,11 @@ def test_orthogonality_checks_tie_exactly_what_they_read(monkeypatch, tamper_thr
         assert ok, check
 
 
-#: The three cocycle checks, by short name.
+#: The three cocycle checks, by the entry of MUTANTS that fails each alone.
 COCYCLE_CHECKS = {
-    "psi": battery.psi_table,
-    "uu": battery.uu_central_terms,
-    "antisymmetry": battery.antisymmetry,
+    "psi-doubled-at-3": battery.psi_table,
+    "uu-shifted-at-2": battery.uu_central_terms,
+    "plain-t0-is-w0": battery.antisymmetry,
 }
 
 
@@ -192,36 +185,13 @@ def cocycle_verdicts():
 
 
 def test_each_cocycle_check_fails_alone(monkeypatch):
-
+    # called directly at bound 4; MUTANTS runs each through all
     assert set(cocycle_verdicts().values()) == {"pass"}
-    real_psi, real_uu, real_plain = cocycle.psi, cocycle.uu_central_term, cocycle.reduce_plain
-    mutants = {
-        "psi": ("psi", lambda i, j: real_psi(i, j).scale(2) if i + j == 3 else real_psi(i, j)),
-        "uu": ("uu_central_term", lambda i, j: real_uu(i, j + (i + j == 2))),
-        # t^0 dt = d(t) is exact; calling it w0 breaks only the plain-plain pairs
-        "antisymmetry": (
-            "reduce_plain",
-            lambda a: OmegaVector.basis_w0() if a == 0 else real_plain(a),
-        ),
-    }
-    items = {"psi": "cocycle-psi-table", "uu": "cocycle-uu-central-terms",
-             "antisymmetry": "cocycle-antisymmetry"}
-    for broken, (attr, mutant) in mutants.items():
+    for broken in COCYCLE_CHECKS:
         with monkeypatch.context() as patch:
-            patch.setattr(cocycle, attr, mutant)
+            MUTANTS[broken][0](patch, None)
             got = cocycle_verdicts()
-            # through all, where the cocycle rows run beside the forked child
-            failed = [i["check"] for i in battery.run("quick") if i["status"] == "fail"]
         assert got == {name: "fail" if name == broken else "pass" for name in COCYCLE_CHECKS}, broken
-        assert failed == [items[broken]], broken
-        assert no_child_left()
-
-
-def test_a_wrong_ring_fails_the_psi_table(cold_caches, monkeypatch):
-    # the reduction reads p(t) alone, so with p = t^4 - 3ct^2 + 1 it no longer
-    # meets the paper's table, which the families' recurrence generates
-    monkeypatch.setitem(families.QUARTIC, 2, RationalPoly.variable() * -3)
-    assert cocycle_verdicts() == {"psi": "fail", "uu": "fail", "antisymmetry": "pass"}
 
 
 def test_gegenbauer_link_rejects_an_empty_sweep():

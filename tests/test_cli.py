@@ -241,10 +241,6 @@ def test_a_sweep_of_zero_members_fails(capsys, monkeypatch):
     assert main(["verify-ode", "--family", "P-2", "--max-n", "60"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: verification failed: {message}\n")
-    code, out = run_cli(capsys, "all", "--profile", "quick")
-    assert code == 1
-    failing = [i for i in json.loads(out)["items"] if i["status"] == "fail"]
-    assert failing == [{"check": "ode-P-2", "status": "fail", "error": message}]
 
 
 @pytest.mark.parametrize("max_n", [0, 1])
@@ -280,44 +276,15 @@ def test_ode_items_count_the_nonzero_members():
     }
 
 
-def _first_constant_plus_one(table):
-    """The table with 1 added to the n^0 coefficient of f_0's c^0 coefficient."""
-    (first, *c_rest), *rows = table
-    return (((first[0] + 1, *first[1:]), *c_rest), *rows)
-
-
-#: One mutant per row of ODES: the failing items of ``all --profile quick``
-#: and the first failing index of each failing sweep.  The elliptic-1 row is
-#: also the q-form operator that the Wimp discrepancy must annihilate q_2 with.
-ODES_MUTANTS = {
-    families.FamilyId.P4: {"ode-P-4": 0, "wimp-discrepancy": None},
-    families.FamilyId.P3: {"ode-P-3": 2},
-    families.FamilyId.P2: {"ode-P-2": 2},
-    families.FamilyId.P1: {"ode-P-1": 2},
-}
-
-
-@pytest.mark.parametrize("family_id", list(ODES_MUTANTS))
-def test_a_wrong_odes_row_fails_its_items(cold_caches, monkeypatch, capsys, family_id):
-    table, *rest = diffops.ODES[family_id]
-    monkeypatch.setitem(diffops.ODES, family_id, (_first_constant_plus_one(table), *rest))
-    code, out = run_cli(capsys, "all", "--profile", "quick")
-    assert code == 1
-    items = json.loads(out)["items"]
-    assert [i["check"] for i in items] == ALL_ITEMS
-    failing = {i["check"]: i.get("first_failure") for i in items if i["status"] == "fail"}
-    assert failing == ODES_MUTANTS[family_id]
-    assert not any("error" in i for i in items)
-
-
 def test_verify_ode_reports_wrong_operators(capsys, monkeypatch):
     # the identity operator leaves every member as its own residual, so every
     # nonzero member fails; the sweep must read its row of ODES at call time
     identity = (((1,),),)
     for fid in (families.FamilyId.P4, families.FamilyId.P1):
         monkeypatch.setitem(diffops.ODES, fid, (identity, *diffops.ODES[fid][1:]))
-    first_residual = {}
-    for family, max_n in (("P-4", "12"), ("P-1", "8")):
+    # the first residuals are P_{-4,0} = 1 and P_{-1,1} = c/2, the members, as all
+    # reports them in the odes-P-4 and odes-P-1 entries of MUTANTS
+    for family, max_n, first in (("P-4", "12", (1,)), ("P-1", "8", (0, F(1, 2)))):
         code, out = run_cli(capsys, "verify-ode", "--family", family, "--max-n", max_n)
         assert code == 1
         data = json.loads(out)
@@ -325,40 +292,12 @@ def test_verify_ode_reports_wrong_operators(capsys, monkeypatch):
         failing = [i for i in data["items"] if i["status"] == "fail"]
         assert failing
         assert all(isinstance(i["residual"], dict) for i in failing)
-        first_residual[family] = failing[0]["residual"]
+        assert failing[0]["residual"] == RationalPoly(first).to_json()
         if family == "P-1":
             assert len(failing) == len(data["items"])
             assert all(i["identity"] == "pass" for i in data["items"])
         else:
             assert all(i["member_zero"] for i in data["items"] if i["status"] == "pass")
-    # `all` names the first failing index of each failing sweep and of the link
-    real_gegenbauer = families.gegenbauer
-
-    def wrong_from_5(lam, n):
-        return real_gegenbauer(lam, n) + (RationalPoly.one() if n >= 5 else RationalPoly.zero())
-
-    monkeypatch.setattr(families, "gegenbauer", wrong_from_5)
-    code, out = run_cli(capsys, "all", "--profile", "quick")
-    assert code == 1
-    items = {i["check"]: i for i in json.loads(out)["items"]}
-    # a failing sweep also carries the residual of its first failing row
-    for family in ("P-4", "P-1"):
-        residual = items[f"ode-{family}"].pop("residual")
-        assert not RationalPoly.from_json(residual).is_zero()
-        assert RationalPoly.from_json(residual).to_json() == residual
-        assert residual == first_residual[family]
-    assert items["ode-P-4"] == {
-        "check": "ode-P-4", "status": "fail", "cases": 61, "nonzero_cases": 30, "first_failure": 0
-    }
-    assert items["ode-P-1"] == {
-        "check": "ode-P-1", "status": "fail", "cases": 39, "nonzero_cases": 39, "first_failure": 2
-    }
-    assert items["ode-P-2"] == {
-        "check": "ode-P-2", "status": "pass", "cases": 61, "nonzero_cases": 29
-    }
-    assert items["gegenbauer-link"] == {
-        "check": "gegenbauer-link", "status": "fail", "first_failure": 5
-    }
 
 
 def test_verification_error_exits_1(capsys, monkeypatch):
@@ -374,69 +313,12 @@ def test_verification_error_exits_1(capsys, monkeypatch):
     assert lines[0].startswith("error: verification failed: P-4: parity entry k=1")
 
 
-def test_all_reports_a_raising_check_as_a_failing_item(capsys, monkeypatch, tmp_path):
-    # the same tamper under `all`: the items that reach P-4 past k = 0 fail
-    # with the message, the others still run, and the report is written
-    fam = families.PolynomialFamily(families.FamilyId.P4)
-    fam._vals[1] = RationalPoly.one()
-    monkeypatch.setitem(families._REGISTRY, families.FamilyId.P4, fam)
-    target = tmp_path / "all.json"
-    code = main(["all", "--profile", "quick", "--out", str(target)])
-    assert code == 1
-    assert capsys.readouterr().err == ""
-    data = json.loads(target.read_text())
-    assert data["status"] == "fail"
-    assert [i["check"] for i in data["items"]] == ALL_ITEMS
-    items = {i["check"]: i for i in data["items"]}
-    assert items["family-tables"]["status"] == "fail"
-    assert items["family-tables"]["error"].startswith("P-4: parity entry k=1")
-    assert items["cocycle-psi-table"]["error"] == items["family-tables"]["error"]
-    # both reach P-4 through their three-term check on the members
-    for name in ("hankel-q", "favard-lambdas"):
-        assert items[name]["error"] == items["family-tables"]["error"]
-    for name in ("ode-P-2", "hankel-qbar", "hyp2f1-log-identity", "hyp2f1-domain-guard"):
-        assert items[name]["status"] == "pass"
-        assert "error" not in items[name]
-
-
-def test_hankel_and_favard_items_check_the_three_term_data(
-    monkeypatch, tamper_three_term, tmp_path
-):
-    tamper_three_term(monkeypatch, "A", 5, lambda v: v + 1)
-    target = tmp_path / "all.json"
-    assert main(["all", "--profile", "quick", "--out", str(target)]) == 1
-    items = {i["check"]: i for i in json.loads(target.read_text())["items"]}
-    assert items["favard-lambdas"] == {
-        "check": "favard-lambdas", "status": "fail", "family": "q", "first_failure": 4
-    }
-    for tag in ("q", "qbar"):
-        assert items[f"hankel-{tag}"] == {
-            "check": f"hankel-{tag}", "status": "fail", "family": tag, "first_failure": 4
-        }
-
-
-def test_the_quadrature_items_check_the_three_term_data(
-    monkeypatch, tamper_three_term, tmp_path
-):
-    # the Gauss rule takes beta_5 from A_5 too, so the tampered step reaches it
+def test_the_quadrature_items_check_the_three_term_data(monkeypatch, tamper_three_term):
+    # the Gauss rule takes beta_5 from A_5 too, so the tampered step reaches
+    # it; the three-term-A5 entry of MUTANTS fails both items under all
     assert ortho.quad_orthogonality("q", 12, 6) <= 1e-10
     tamper_three_term(monkeypatch, "A", 5, lambda v: v + 1)
     assert ortho.quad_orthogonality("q", 12, 6) > 1e-10
-    target = tmp_path / "all.json"
-    assert main(["all", "--profile", "quick", "--out", str(target)]) == 1
-    items = {i["check"]: i for i in json.loads(target.read_text())["items"]}
-    assert items["quadrature-q"]["status"] == items["quadrature-qbar"]["status"] == "fail"
-
-
-def test_favard_item_checks_every_a_it_reads(monkeypatch, tamper_three_term, tmp_path):
-    # favard_lambdas(tag, 200) reads A_1..A_200; a wrong A_100 used to pass
-    tamper_three_term(monkeypatch, "A", 100, lambda v: v + 1)
-    target = tmp_path / "all.json"
-    assert main(["all", "--profile", "quick", "--out", str(target)]) == 1
-    failing = [i for i in json.loads(target.read_text())["items"] if i["status"] == "fail"]
-    assert failing == [
-        {"check": "favard-lambdas", "status": "fail", "family": "q", "first_failure": 99}
-    ]
 
 
 def test_battery_rows_are_the_all_items():
@@ -696,36 +578,6 @@ def test_cold_and_warm_caches_give_the_same_report(cold_caches, tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_a_wrong_master_step_fails_the_pinned_closed_forms(cold_caches, monkeypatch, capsys):
-    # z = 8 + 2k in the one statement of the recurrence: the families and the
-    # three-term data both follow it, so the ties agree, and the typed tables
-    # and the written-out lambda_1^2 are what catch it
-    monkeypatch.setattr(families, "master_step", lambda k: (4 * k, 6 - 2 * k, 8 + 2 * k))
-    ((x, _, z),) = ortho.three_term("q", 1)
-    assert F(z, x) == F(12, 8)  # A_1
-    code, out = run_cli(capsys, "all", "--profile", "quick")
-    assert code == 1
-    items = {item["check"]: item for item in json.loads(out)["items"]}
-    assert list(items) == ALL_ITEMS
-    assert items["family-tables"]["status"] == "fail"
-    favard = items["favard-lambdas"]
-    assert favard["status"] == "fail"
-    assert "first_failure" not in favard and favard["lambda1_sq"] != "1/10"
-
-
-def test_a_wrong_master_table_fails_the_generating_function_ode(cold_caches, monkeypatch, capsys):
-    # z = 8 + 2k in MASTER: the families follow it, and the ODE's row, which
-    # reads p and never MASTER, meets members that do not solve the ODE
-    monkeypatch.setattr(families, "MASTER", ((0, 4), (6, -2), (8, 2)))
-    assert families.master_step(1) == (4, 4, 10)
-    code, out = run_cli(capsys, "all", "--profile", "quick")
-    assert code == 1
-    items = {item["check"]: item for item in json.loads(out)["items"]}
-    assert list(items) == ALL_ITEMS
-    assert items["family-tables"]["status"] == "fail"
-    assert items["generating-function-ode"]["status"] == "fail"
-
-
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_cli(
@@ -766,73 +618,10 @@ def test_failing_report_exits_1(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
-def test_a_ring_the_reduction_cannot_solve_fails_the_psi_item_with_an_error(
-    cold_caches, monkeypatch, capsys
-):
-    # p with t^4 coefficient c: the reduction cannot divide by it, so the psi
-    # item reports the error and the others still run
-    monkeypatch.setitem(families.QUARTIC, 4, RationalPoly.variable())
-    code, out = run_cli(capsys, "all", "--profile", "quick")
-    assert code == 1
-    items = {item["check"]: item for item in json.loads(out)["items"]}
-    assert list(items) == ALL_ITEMS
-    psi = items["cocycle-psi-table"]
-    assert psi["status"] == "fail"
-    assert "not a nonzero constant" in psi["error"]
-
-
-def test_a_wrong_curve_fails_every_item_read_from_it(cold_caches, monkeypatch, capsys):
-    # p = t^4 - 3ct^2 + 1 in the one statement of the curve: the oracles'
-    # quartic, the generating-function ODE's left side, the reduction and the
-    # u-u term follow it, and the typed closed forms they meet catch it
-    monkeypatch.setitem(families.QUARTIC, 2, RationalPoly.variable() * -3)
-    code, out = run_cli(capsys, "all", "--profile", "quick")
-    assert code == 1
-    items = json.loads(out)["items"]
-    assert [i["check"] for i in items] == ALL_ITEMS
-    assert [i["check"] for i in items if i["status"] == "fail"] == [
-        "oracle-elliptic-1",
-        "oracle-elliptic-2",
-        "oracle-gegenbauer-sum",
-        "generating-function-ode",
-        "cocycle-psi-table",
-        "cocycle-uu-central-terms",
-    ]
-    assert not any("error" in i for i in items)
-
-
-def test_a_curve_the_series_cannot_root_fails_the_oracles_with_an_error(
-    cold_caches, monkeypatch, capsys
-):
-    # constant term 2: the quartic's square root and (-3/2) power need a unit
-    # constant term, so the three oracle items report that and the rest run
-    monkeypatch.setitem(families.QUARTIC, 0, 2)
-    code, out = run_cli(capsys, "all", "--profile", "quick")
-    assert code == 1
-    items = {i["check"]: i for i in json.loads(out)["items"]}
-    assert list(items) == ALL_ITEMS
-    errors = {name: i["error"] for name, i in items.items() if "error" in i}
-    assert errors == {
-        "oracle-elliptic-1": "(-3/2) power needs constant term 1 at order 0",
-        "oracle-elliptic-2": "(-3/2) power needs constant term 1 at order 0",
-        "oracle-gegenbauer-sum": "square root supported only for unit leading coefficient",
-    }
-    assert all(items[name]["status"] == "fail" for name in errors)
-
-
 def test_a_numeric_failure_fails_the_quadrature_items_alone(monkeypatch, capsys):
-    # no node is certified within a radius of 0: the two quadrature items
-    # fail with the message, and every other item, the domain guard of hyp2f1
-    # included, still passes
+    # no node is certified within a radius of 0: the command prints one error
+    # line instead of a table (the node-radius-0 entry of MUTANTS runs all)
     monkeypatch.setattr(ortho, "_NODE_RADIUS", 0)
-    code, out = run_cli(capsys, "all", "--profile", "quick")
-    assert code == 1
-    items = json.loads(out)["items"]
-    assert [i["check"] for i in items] == ALL_ITEMS
-    failing = [i for i in items if i["status"] == "fail"]
-    assert [i["check"] for i in failing] == ["quadrature-q", "quadrature-qbar"]
-    assert all(i["error"].startswith("Sturm counts do not put node ") for i in failing)
-    # the command itself prints one error line instead of a table
     assert main(["quadrature", "--family", "q"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

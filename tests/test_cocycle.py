@@ -30,7 +30,7 @@ HALF = RationalPoly.constant(F(1, 2))
 
 def vec(w0=0, **kw):
     """Convenience builder: vec(m1=..., m3=...) for omega_{-1}, omega_{-3}."""
-    parts = OmegaVector.basis_w0().scale(w0) if w0 else OmegaVector.zero()
+    parts = reduce_plain(-1).scale(w0) if w0 else OmegaVector.zero()
     for name, coef in kw.items():
         k = -int(name[1])
         parts = parts + OmegaVector.basis_u(k).scale(coef)
@@ -114,7 +114,7 @@ def test_the_center_basis_follows_the_degree_of_p(cold_caches, monkeypatch):
 def test_reduce_plain_cases():
     assert reduce_plain(3).is_zero()  # d(t^4/4)
     assert reduce_plain(-2).is_zero()  # d(-t^-1)
-    assert reduce_plain(-1) == OmegaVector.basis_w0()
+    assert reduce_plain(-1) == OmegaVector({"w0": RationalPoly.one()})
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +124,14 @@ def test_reduce_plain_cases():
 
 def test_plain_plain_shape():
     # t^i d(t^j) = j delta_{i+j,0} w0
-    assert cocycle(t_pow(3), t_pow(-3)) == OmegaVector.basis_w0().scale(-3)
+    assert cocycle(t_pow(3), t_pow(-3)) == reduce_plain(-1).scale(-3)
     assert cocycle(t_pow(2), t_pow(5)).is_zero()
 
 
 def test_uu_shape_matches_bracket_deltas():
     # i=3, j=-1 puts i+j=2 in the (j-1) delta slot: (j-1) = -2
     got = cocycle(t_pow_u(3 - 1), t_pow_u(-1 - 1))
-    assert got == OmegaVector.basis_w0().scale(-2)
+    assert got == reduce_plain(-1).scale(-2)
 
 
 def test_mixed_shape_reduces_u_monomial():
@@ -153,7 +153,7 @@ def test_uu_central_terms_sweep():
 def test_cocycle_matches_its_branch_formulas():
     # the four branches of cocycle's docstring, each summed term by term over
     # p(t) with the public vector arithmetic
-    w0 = OmegaVector.basis_w0()
+    w0 = OmegaVector({"w0": RationalPoly.one()})
     for a in range(-6, 7):
         for b in range(-6, 7):
             # t^a d(t^b) = b t^{a+b-1} dt, of class b w0 at t^-1 dt alone
@@ -319,7 +319,7 @@ dense_coords = st.lists(
 
 
 def from_dense(coords):
-    out = OmegaVector.basis_w0().scale(coords[0])
+    out = reduce_plain(-1).scale(coords[0])
     for k, coef in zip((-1, -2, -3, -4), coords[1:]):
         out = out + OmegaVector.basis_u(k).scale(coef)
     return out

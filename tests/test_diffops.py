@@ -259,10 +259,19 @@ def test_second_order_sweeps():
 
 
 def test_case3_derives_from_case4_via_cross_identity():
-    # case3 annihilates c * P_{-3,2n-3} because P_{-1,2n-3} = c P_{-3,2n-3}
+    """CASE4_TABLE at n is -L(3/2, n - 2), L(lam, d) = build_gegenbauer_op(lam, d),
+    and CASE3_TABLE at n is -c^3 L(3/2, n - 2) c^-1, on generic y as on the P-3
+    members, so case3 annihilates c P_{-3,2n-3} = P_{-1,2n-3}; at n + 1 the
+    conjugation fails."""
     p3 = get_family(FamilyId.P3)
+    generic = [RationalPoly((1, -2, 0, 1)), RationalPoly((F(1, 3), 0, 0, 0, 0, -2))]
     for n in range(2, 61):
+        assert build_case4_op(n).coeffs == build_gegenbauer_op(F(3, 2), n - 2).scale(-1).coeffs
         assert build_case3_op(n).apply(C * p3.original(2 * n - 3)).is_zero()
+        for y in (*generic, p3.original(2 * n - 3)):
+            cubed = build_case4_op(n).apply(y) * C * C * C
+            assert build_case3_op(n).apply(C * y) == cubed
+            assert build_case3_op(n + 1).apply(C * y) != cubed
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from djkm import cli, families, oracle
+from djkm import families, oracle
 from djkm.exact import LaurentSeries, RationalPoly, VerificationError
 from djkm.families import FamilyId, gegenbauer, get_family
 from djkm.oracle import (
@@ -238,27 +238,6 @@ def test_wrong_integration_constant_is_a_mismatch(monkeypatch, expand):
     res = expand(40)
     assert res.matched is False
     assert res.first_mismatch == 1
-
-
-def test_wrong_integration_constant_fails_in_the_full_report(monkeypatch, tmp_path):
-    _integrate_plus_one(monkeypatch)
-    out = tmp_path / "all.json"
-    assert cli.main(["all", "--profile", "quick", "--out", str(out)]) == 1
-    items = {item["check"]: item for item in json.loads(out.read_text())["items"]}
-    assert len(items) == 26
-    for name in ("oracle-elliptic-1", "oracle-elliptic-2"):
-        assert items[name]["status"] == "fail"
-        assert items[name]["first_mismatch"] == 1
-
-
-def test_nonzero_residue_fails_only_its_item_in_the_full_report(monkeypatch, tmp_path):
-    monkeypatch.setattr(oracle, "_quartic", _quartic_with_odd_term)
-    out = tmp_path / "all.json"
-    assert cli.main(["all", "--profile", "quick", "--out", str(out)]) == 1
-    items = {item["check"]: item for item in json.loads(out.read_text())["items"]}
-    assert len(items) == 26
-    assert items["oracle-elliptic-1"]["status"] == "fail"
-    assert "z^-1" in items["oracle-elliptic-1"]["error"]
 
 
 # -- operand trimming and the product cache ------------------------------------
