@@ -194,6 +194,14 @@ def test_each_cocycle_check_fails_alone(monkeypatch):
         assert got == {name: "fail" if name == broken else "pass" for name in COCYCLE_CHECKS}, broken
 
 
+def test_a_wrong_ring_fails_the_psi_table(cold_caches, monkeypatch):
+    # p = t^4 - 3ct^2 + 1, called directly at bound 4 (its entry runs all)
+    MUTANTS["quartic-minus-3c"][0](monkeypatch, None)
+    assert cocycle_verdicts() == {
+        "psi-doubled-at-3": "fail", "uu-shifted-at-2": "fail", "plain-t0-is-w0": "pass"
+    }
+
+
 def test_gegenbauer_link_rejects_an_empty_sweep():
     # max_n = 1 would check no link and pass
     with pytest.raises(ValueError):

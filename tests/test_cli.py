@@ -618,6 +618,21 @@ def test_failing_report_exits_1(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
+def test_a_wrong_curve_fails_every_item_read_from_it(cold_caches, monkeypatch, capsys):
+    # p = t^4 - 3ct^2 + 1, with the report on stdout (the quartic-minus-3c
+    # entry of MUTANTS writes it to a file and pins each item's fields)
+    monkeypatch.setitem(families.QUARTIC, 2, RationalPoly.variable() * -3)
+    code, out = run_cli(capsys, "all", "--profile", "quick")
+    assert code == 1
+    items = json.loads(out)["items"]
+    assert [i["check"] for i in items] == ALL_ITEMS
+    assert [i["check"] for i in items if i["status"] == "fail"] == [
+        "oracle-elliptic-1", "oracle-elliptic-2", "oracle-gegenbauer-sum",
+        "generating-function-ode", "cocycle-psi-table", "cocycle-uu-central-terms",
+    ]
+    assert not any("error" in i for i in items)
+
+
 def test_a_numeric_failure_fails_the_quadrature_items_alone(monkeypatch, capsys):
     # no node is certified within a radius of 0: the command prints one error
     # line instead of a table (the node-radius-0 entry of MUTANTS runs all)
